@@ -85,9 +85,6 @@ class IsometryReport:
     operator_norm_bound: float
     max_abs_by_degree: dict
 
-    def degree_of(self, index: int) -> int:
-        return len(self.monomials[index])
-
 
 def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryReport:
     monos = window_monomials(window)

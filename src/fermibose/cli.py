@@ -4,8 +4,9 @@ Each experiment reads one YAML config (flags override file values),
 writes a CSV table with floats at 12 significant digits, a JSON manifest
 with the resolved config, library versions and timings, and a
 failures.json listing every violated invariant.  Identical configs
-produce byte-identical CSV files; the manifest carries the wall-clock
-numbers and is the only output allowed to differ between reruns.
+produce byte-identical CSV files on one machine with one BLAS thread
+count; the manifest carries the wall-clock numbers and is the only output
+allowed to differ between reruns.
 
 Sweep rows are independent jobs.  With --threads > 1 they are evaluated
 in a process pool and written back in row order, so the thread count
@@ -22,8 +23,9 @@ import os
 import platform
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy
@@ -33,23 +35,6 @@ from . import __version__, boson, bridge, fock, lattice
 from .lattice import TWO_PI, GasConfig
 
 FLOAT_FMT = "%.12g"
-
-EXPERIMENTS = (
-    "magic",
-    "crescent-audit",
-    "bounds",
-    "exact",
-    "isometry",
-    "intertwine",
-    "h2-audit",
-    "trial",
-    "scaling",
-)
-
-
-_NEEDS_POTENTIAL = frozenset(
-    {"bounds", "exact", "h2-audit", "trial", "scaling"}
-)
 
 
 class ConfigError(ValueError):
@@ -130,7 +115,7 @@ class ExperimentConfig:
                 f"alpha={self.alpha} is outside the strong-coupling regime "
                 f"(expected alpha < 1 - 2/d = {edge})"
             )
-        if self.potential is None and self.experiment in _NEEDS_POTENTIAL:
+        if self.potential is None and EXPERIMENTS[self.experiment].needs_potential:
             out.append("no potential configured; running with v = 0")
         return out
 
@@ -171,16 +156,10 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
     return cfg
 
 
-def validate_potential(path: str, d: int | None = None) -> fock.Potential:
-    """Load a potential file, raising a PotentialError that lists every
-    violated mode."""
-    return fock.load_potential(path, d)
-
-
 def _potential(cfg: ExperimentConfig) -> fock.Potential:
     if cfg.potential is None:
         return fock.Potential(cfg.d, {})
-    return validate_potential(cfg.potential, cfg.d)
+    return fock.load_potential(cfg.potential, cfg.d)
 
 
 # ---------------------------------------------------------------- formatting
@@ -210,22 +189,8 @@ def _k_columns(d, prefix="k"):
 
 # -------------------------------------------------------------- row workers
 #
-# Top-level functions taking one plain dict so a process pool can pickle
-# them.  Each returns (rows, failures, seconds).
-
-
-def _job_potential(job) -> fock.Potential:
-    return fock.Potential(job["d"], dict(job["pot"]))
-
-
-def _job_gas(job) -> GasConfig:
-    return GasConfig(d=job["d"], fermi_radius_sq=job["r"], alpha=job["alpha"])
-
-
-def _job_window(job) -> boson.TruncationWindow:
-    return boson.TruncationWindow.from_radius(
-        job["d"], job["window_radius_sq"], job["window_degree"]
-    )
+# Each takes (cfg, pot, r, state) and returns (rows, failures); a process
+# pool pickles the config and the potential with every row.
 
 
 def _gas_prefix(config: GasConfig):
@@ -236,41 +201,40 @@ def _gas_prefix(config: GasConfig):
     ]
 
 
-def _bounds_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    lower, upper = fock.trivial_bounds(config, _job_potential(job))
-    row = _gas_prefix(config) + [lower, upper, upper - lower]
-    return [row], [], time.perf_counter() - t0
+def _cutoff(cfg: ExperimentConfig, r: int) -> int:
+    """Exact-diagonalization pool: the configured radius, else r + 3."""
+    return cfg.cutoff_radius_sq if cfg.cutoff_radius_sq is not None else r + 3
 
 
-def _exact_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    cutoff = job["cutoff"] if job["cutoff"] is not None else job["r"] + 3
-    momentum = job["momentum"] or (0,) * job["d"]
+def _bounds_row(cfg, pot, r, state):
+    config = cfg.gas(r)
+    lower, upper = fock.trivial_bounds(config, pot)
+    return [_gas_prefix(config) + [lower, upper, upper - lower]], []
+
+
+def _exact_row(cfg, pot, r, state):
+    config = cfg.gas(r)
+    cutoff = _cutoff(cfg, r)
+    momentum = cfg.momentum or (0,) * cfg.d
     prefix = _gas_prefix(config) + [cutoff] + list(momentum)
     try:
         res = fock.ground_state(
             config,
-            _job_potential(job),
+            pot,
             cutoff_radius_sq=cutoff,
             momentum=momentum,
-            tol=job["solver_tol"],
-            dense_limit=job["dense_limit"],
-            basis_limit=job["exact_dim_limit"],
+            tol=cfg.solver_tol,
+            dense_limit=cfg.dense_limit,
+            basis_limit=cfg.exact_dim_limit,
         )
     except ValueError as exc:
-        row = prefix + [None, None, None, None, f"skipped: {exc}"]
-        return [row], [], time.perf_counter() - t0
-    row = prefix + [res.dimension, res.method, res.energy, res.residual, "ok"]
-    return [row], [], time.perf_counter() - t0
+        return [prefix + [None, None, None, None, f"skipped: {exc}"]], []
+    return [prefix + [res.dimension, res.method, res.energy, res.residual, "ok"]], []
 
 
-def _isometry_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    window = _job_window(job)
+def _isometry_row(cfg, pot, r, state):
+    config = cfg.gas(r)
+    window = cfg.window()
     report = bridge.isometry_audit(window, config)
     min_crescent = min(
         lattice.crescent(k, config).size for k in window.modes
@@ -284,13 +248,12 @@ def _isometry_row(job):
     ]
     for deg in range(window.max_degree + 1):
         row.append(report.max_abs_by_degree.get(deg, 0.0))
-    return [row], [], time.perf_counter() - t0
+    return [row], []
 
 
-def _intertwine_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    window = _job_window(job)
+def _intertwine_row(cfg, pot, r, state):
+    config = cfg.gas(r)
+    window = cfg.window()
     report = bridge.intertwine_residual(window, config)
     by_degree = {}
     for mono, val in report.per_monomial.items():
@@ -299,28 +262,24 @@ def _intertwine_row(job):
     row = _gas_prefix(config) + [report.annihilator_max, report.creator_max]
     for deg in range(window.max_degree + 1):
         row.append(by_degree.get(deg, 0.0))
-    return [row], [], time.perf_counter() - t0
+    return [row], []
 
 
-def _h2_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    window = _job_window(job)
-    pot = _job_potential(job)
-    kf = config.fermi_momentum
-    cutoff = job["cutoff_momentum"]
+def _h2_row(cfg, pot, r, state):
+    config = cfg.gas(r)
+    window = cfg.window()
+    cutoff = cfg.cutoff_momentum
     if cutoff is None:
-        cutoff = TWO_PI * math.sqrt(job["window_radius_sq"])
+        cutoff = TWO_PI * math.sqrt(cfg.window_radius_sq)
     failures = []
-    prefix = _gas_prefix(config) + [job["state"], cutoff]
+    prefix = _gas_prefix(config) + [state, cutoff]
     try:
-        rng = np.random.default_rng((job["seed"], job["r"], job["state"]))
+        rng = np.random.default_rng((cfg.seed, r, state))
         f = boson.random_boson_vector(window, rng, n_terms=4)
         psi = bridge.phi_map(f, config)
         audit = bridge.h2_expectation_audit(psi, window, config, pot, cutoff)
     except ValueError as exc:
-        row = prefix + [None, None, None, f"skipped: {exc}"]
-        return [row], [], time.perf_counter() - t0
+        return [prefix + [None, None, None, f"skipped: {exc}"]], []
     row = prefix + [
         audit.value,
         audit.bound,
@@ -331,21 +290,18 @@ def _h2_row(job):
         failures.append(
             {
                 "invariant": "h2.expectation_bound",
-                "row": {"fermi_radius_sq": job["r"], "state": job["state"]},
+                "row": {"fermi_radius_sq": r, "state": state},
                 "detail": f"value {audit.value} exceeds bound {audit.bound}",
             }
         )
-    return [row], failures, time.perf_counter() - t0
+    return [row], failures
 
 
-def _trial_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    window = _job_window(job)
-    pot = _job_potential(job)
+def _trial_row(cfg, pot, r, state):
+    config = cfg.gas(r)
     lower, upper = fock.trivial_bounds(config, pot)
     weights = boson.hb_weights(config, pot)
-    res = boson.hb_min_truncated(weights, window)
+    res = boson.hb_min_truncated(weights, cfg.window())
     report = bridge.trial_energy(res.argmin, config, pot)
     row = _gas_prefix(config) + [
         lower,
@@ -356,34 +312,29 @@ def _trial_row(job):
         report.discrepancy,
         report.identity_gap,
     ]
-    return [row], [], time.perf_counter() - t0
+    return [row], []
 
 
-def _scaling_row(job):
-    t0 = time.perf_counter()
-    config = _job_gas(job)
-    window = _job_window(job)
-    pot = _job_potential(job)
+def _scaling_row(cfg, pot, r, state):
+    config = cfg.gas(r)
     n = lattice.particle_count(config)
     lower, upper = fock.trivial_bounds(config, pot)
     sub = bridge.subspace_upper_bound(
-        window, config, pot, pivot_tol=job["pivot_tol"]
+        cfg.window(), config, pot, pivot_tol=cfg.pivot_tol
     )
     exact = None
-    cutoff = job["cutoff"] if job["cutoff"] is not None else job["r"] + 3
     try:
         exact = fock.ground_state(
             config,
             pot,
-            cutoff_radius_sq=cutoff,
-            tol=job["solver_tol"],
-            dense_limit=job["dense_limit"],
-            basis_limit=job["exact_dim_limit"],
+            cutoff_radius_sq=_cutoff(cfg, r),
+            tol=cfg.solver_tol,
+            dense_limit=cfg.dense_limit,
+            basis_limit=cfg.exact_dim_limit,
         ).energy
     except ValueError:
         pass  # sector too large for the configured limit; leave blank
-    power = 1.0 - job["alpha"] - 1.0 / job["d"]
-    scale = float(n) ** power
+    scale = float(n) ** (1.0 - cfg.alpha - 1.0 / cfg.d)
     row = _gas_prefix(config) + [
         lower,
         upper,
@@ -392,110 +343,20 @@ def _scaling_row(job):
         (upper - lower) / scale,
         (sub.value - lower) / scale,
     ]
-    return [row], [], time.perf_counter() - t0
+    return [row], []
 
 
-_ROW_WORKERS = {
-    "bounds": _bounds_row,
-    "exact": _exact_row,
-    "isometry": _isometry_row,
-    "intertwine": _intertwine_row,
-    "h2-audit": _h2_row,
-    "trial": _trial_row,
-    "scaling": _scaling_row,
-}
+def _timed_row(job):
+    """Run one sweep row; returns (rows, failures, seconds)."""
+    t0 = time.perf_counter()
+    cfg, pot, r, state = job
+    rows, failures = EXPERIMENTS[cfg.experiment].row(cfg, pot, r, state)
+    return rows, failures, time.perf_counter() - t0
 
 
-def _run_job(payload):
-    experiment, job = payload
-    return _ROW_WORKERS[experiment](job)
-
-
-# ------------------------------------------------------------- experiments
-
-
-def _degree_columns(cfg, prefix):
-    return [f"{prefix}_deg_{j}" for j in range(cfg.window_degree + 1)]
-
-
-def _header(cfg: ExperimentConfig):
-    gas = ["fermi_radius_sq", "k_f", "n_particles"]
-    if cfg.experiment == "bounds":
-        return gas + ["e_n0", "upper_filled", "gap"]
-    if cfg.experiment == "exact":
-        return (
-            gas
-            + ["cutoff_radius_sq"]
-            + _k_columns(cfg.d, "momentum")
-            + ["dimension", "method", "energy", "residual", "status"]
-        )
-    if cfg.experiment == "isometry":
-        return gas + [
-            "window_dim",
-            "min_crescent",
-            "max_abs_eps",
-            "operator_norm_bound",
-            "shape_constant",
-        ] + _degree_columns(cfg, "eps")
-    if cfg.experiment == "intertwine":
-        return gas + ["annihilator_max", "creator_max"] + _degree_columns(
-            cfg, "res"
-        )
-    if cfg.experiment == "h2-audit":
-        return gas + [
-            "state",
-            "cutoff_momentum",
-            "value",
-            "bound",
-            "margin",
-            "status",
-        ]
-    if cfg.experiment == "trial":
-        return gas + [
-            "e_n0",
-            "upper_filled",
-            "upper_bosonic_min",
-            "trial_energy",
-            "bosonic_prediction",
-            "discrepancy",
-            "identity_gap",
-        ]
-    if cfg.experiment == "scaling":
-        return gas + [
-            "e_n0",
-            "upper_filled",
-            "upper_subspace",
-            "exact_energy",
-            "ratio_filled",
-            "ratio_subspace",
-        ]
-    raise ConfigError(f"no sweep header for {cfg.experiment}")
-
-
-def _jobs(cfg: ExperimentConfig, pot: fock.Potential):
-    base = {
-        "d": cfg.d,
-        "alpha": cfg.alpha,
-        "pot": tuple(sorted(pot.vhat.items())),
-        "window_radius_sq": cfg.window_radius_sq,
-        "window_degree": cfg.window_degree,
-        "cutoff": cfg.cutoff_radius_sq,
-        "momentum": cfg.momentum,
-        "cutoff_momentum": cfg.cutoff_momentum,
-        "solver_tol": cfg.solver_tol,
-        "dense_limit": cfg.dense_limit,
-        "exact_dim_limit": cfg.exact_dim_limit,
-        "pivot_tol": cfg.pivot_tol,
-        "seed": cfg.seed,
-    }
-    jobs = []
-    for r in cfg.resolved_radii():
-        if cfg.experiment == "h2-audit":
-            for state in range(cfg.n_states):
-                jobs.append((cfg.experiment, {**base, "r": r, "state": state}))
-        else:
-            jobs.append((cfg.experiment, {**base, "r": r}))
-    return jobs
+# ----------------------------------------------------------- whole tables
+#
+# Each takes the config and returns (rows, failures, manifest extras).
 
 
 def _run_magic(cfg: ExperimentConfig):
@@ -503,11 +364,11 @@ def _run_magic(cfg: ExperimentConfig):
     for r in range(cfg.max_radius_sq + 1):
         if r > 0 and not lattice.is_occupied_radius(cfg.d, r):
             continue
-        config = GasConfig(d=cfg.d, fermi_radius_sq=r, alpha=cfg.alpha)
+        config = cfg.gas(r)
         rows.append(
             [r, config.fermi_momentum, lattice.particle_count(config)]
         )
-    return ["radius_sq", "k_f", "n_particles"], rows, []
+    return rows, [], {}
 
 
 def _run_crescent_audit(cfg: ExperimentConfig):
@@ -517,11 +378,6 @@ def _run_crescent_audit(cfg: ExperimentConfig):
         [r, n] + list(k) + [size, ratio]
         for r, n, k, size, ratio in audit.rows
     ]
-    header = (
-        ["fermi_radius_sq", "n_particles"]
-        + _k_columns(cfg.d)
-        + ["crescent_size", "ratio"]
-    )
     failures = [
         {
             "invariant": "crescent.geometry",
@@ -536,7 +392,111 @@ def _run_crescent_audit(cfg: ExperimentConfig):
         "low_witness": audit.low_witness,
         "high_witness": audit.high_witness,
     }
-    return header, rows, failures, extras
+    return rows, failures, extras
+
+
+# ---------------------------------------------------------------- registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its CSV header and either a per-row worker run
+    once per radius (once per radius and state when per_state) or a
+    runner for the whole table."""
+
+    header: Callable[[ExperimentConfig], list]
+    row: Callable | None = None
+    table: Callable | None = None
+    needs_potential: bool = False
+    per_state: bool = False
+
+
+_GAS = ["fermi_radius_sq", "k_f", "n_particles"]
+
+
+def _degree_columns(cfg, prefix):
+    return [f"{prefix}_deg_{j}" for j in range(cfg.window_degree + 1)]
+
+
+EXPERIMENTS = {
+    "magic": Experiment(
+        lambda cfg: ["radius_sq", "k_f", "n_particles"], table=_run_magic
+    ),
+    "crescent-audit": Experiment(
+        lambda cfg: ["fermi_radius_sq", "n_particles"]
+        + _k_columns(cfg.d)
+        + ["crescent_size", "ratio"],
+        table=_run_crescent_audit,
+    ),
+    "bounds": Experiment(
+        lambda cfg: _GAS + ["e_n0", "upper_filled", "gap"],
+        _bounds_row,
+        needs_potential=True,
+    ),
+    "exact": Experiment(
+        lambda cfg: _GAS
+        + ["cutoff_radius_sq"]
+        + _k_columns(cfg.d, "momentum")
+        + ["dimension", "method", "energy", "residual", "status"],
+        _exact_row,
+        needs_potential=True,
+    ),
+    "isometry": Experiment(
+        lambda cfg: _GAS
+        + [
+            "window_dim",
+            "min_crescent",
+            "max_abs_eps",
+            "operator_norm_bound",
+            "shape_constant",
+        ]
+        + _degree_columns(cfg, "eps"),
+        _isometry_row,
+    ),
+    "intertwine": Experiment(
+        lambda cfg: _GAS
+        + ["annihilator_max", "creator_max"]
+        + _degree_columns(cfg, "res"),
+        _intertwine_row,
+    ),
+    "h2-audit": Experiment(
+        lambda cfg: _GAS
+        + ["state", "cutoff_momentum", "value", "bound", "margin", "status"],
+        _h2_row,
+        needs_potential=True,
+        per_state=True,
+    ),
+    "trial": Experiment(
+        lambda cfg: _GAS
+        + [
+            "e_n0",
+            "upper_filled",
+            "upper_bosonic_min",
+            "trial_energy",
+            "bosonic_prediction",
+            "discrepancy",
+            "identity_gap",
+        ],
+        _trial_row,
+        needs_potential=True,
+    ),
+    "scaling": Experiment(
+        lambda cfg: _GAS
+        + [
+            "e_n0",
+            "upper_filled",
+            "upper_subspace",
+            "exact_energy",
+            "ratio_filled",
+            "ratio_subspace",
+        ],
+        _scaling_row,
+        needs_potential=True,
+    ),
+}
+
+
+# ------------------------------------------------------------------- runner
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -544,14 +504,12 @@ def run(cfg: ExperimentConfig) -> int:
     t_start = time.perf_counter()
     os.makedirs(cfg.out, exist_ok=True)
     warnings = cfg.warnings()
-    failures = []
-    manifest_extras = {}
+    experiment = EXPERIMENTS[cfg.experiment]
+    header = experiment.header(cfg)
     row_seconds = []
 
-    if cfg.experiment == "magic":
-        header, rows, failures = _run_magic(cfg)
-    elif cfg.experiment == "crescent-audit":
-        header, rows, failures, manifest_extras = _run_crescent_audit(cfg)
+    if experiment.table is not None:
+        rows, failures, manifest_extras = experiment.table(cfg)
     else:
         try:
             pot = _potential(cfg)
@@ -569,14 +527,14 @@ def run(cfg: ExperimentConfig) -> int:
             )
             print(str(exc), file=sys.stderr)
             return 1
-        header = _header(cfg)
-        jobs = _jobs(cfg, pot)
-        rows = []
+        states = range(cfg.n_states if experiment.per_state else 1)
+        jobs = [(cfg, pot, r, s) for r in cfg.resolved_radii() for s in states]
         if cfg.threads > 1:
             with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(_run_job, jobs))
+                results = list(pool.map(_timed_row, jobs))
         else:
-            results = [_run_job(j) for j in jobs]
+            results = [_timed_row(job) for job in jobs]
+        rows, failures, manifest_extras = [], [], {}
         for job_rows, job_failures, seconds in results:
             rows.extend(job_rows)
             failures.extend(job_failures)

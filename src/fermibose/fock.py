@@ -221,60 +221,56 @@ def apply_creator(p, vec: FermionVector) -> FermionVector:
     return _finish(acc)
 
 
+def _moves(items, k, r=None, keep=None):
+    """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
+
+    Yields (tag, sign, image) for every move that lands on an unoccupied
+    mode, determinant by determinant and particle by particle.  keep maps
+    the side of the Fermi ball a kept move starts on (|p|^2 <= r) to the
+    side it must end on; the source is tested before p-k is built.
+    """
+    for det, tag in items:
+        for p in det:
+            if keep is None:
+                t = sub(p, k)
+            else:
+                inside = norm_sq(p) <= r
+                if inside not in keep:
+                    continue
+                t = sub(p, k)
+                if (norm_sq(t) <= r) != keep[inside]:
+                    continue
+            hit = move(det, p, t)
+            if hit is not None:
+                yield tag, hit[0], hit[1]
+
+
+def _apply_moves(k, vec: FermionVector, r=None, keep=None) -> FermionVector:
+    acc = {}
+    for amp, sign, out in _moves(vec.terms.items(), k, r, keep):
+        _accumulate(acc, out, sign * amp)
+    return _finish(acc)
+
+
 def apply_rho(k, vec: FermionVector) -> FermionVector:
     """Density mode rho_k = sum_p a_{p-k}^dag a_p; rho_0 counts particles."""
-    acc = {}
-    for det, amp in vec.terms.items():
-        for p in det:
-            hit = move(det, p, sub(p, k))
-            if hit is not None:
-                _accumulate(acc, hit[1], hit[0] * amp)
-    return _finish(acc)
+    return _apply_moves(k, vec)
 
 
 def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
-    r = config.fermi_radius_sq
-    acc = {}
-    for det, amp in vec.terms.items():
-        for p in det:
-            if norm_sq(p) > r:
-                t = sub(p, k)
-                if norm_sq(t) <= r:
-                    hit = move(det, p, t)
-                    if hit is not None:
-                        _accumulate(acc, hit[1], hit[0] * amp)
-    return _finish(acc)
+    return _apply_moves(k, vec, config.fermi_radius_sq, {False: True})
 
 
 def apply_b_dag(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair creator b_k^dag = sum_{p in C_k} a_{p+k}^dag a_p."""
-    r = config.fermi_radius_sq
-    acc = {}
-    for det, amp in vec.terms.items():
-        for p in det:
-            if norm_sq(p) <= r:
-                t = add(p, k)
-                if norm_sq(t) > r:
-                    hit = move(det, p, t)
-                    if hit is not None:
-                        _accumulate(acc, hit[1], hit[0] * amp)
-    return _finish(acc)
+    return _apply_moves(neg(k), vec, config.fermi_radius_sq, {True: False})
 
 
 def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Surface-preserving part d_k of rho_k (both sides of the move inside,
     or both outside, the Fermi ball)."""
-    r = config.fermi_radius_sq
-    acc = {}
-    for det, amp in vec.terms.items():
-        for p in det:
-            t = sub(p, k)
-            if (norm_sq(p) <= r) == (norm_sq(t) <= r):
-                hit = move(det, p, t)
-                if hit is not None:
-                    _accumulate(acc, hit[1], hit[0] * amp)
-    return _finish(acc)
+    return _apply_moves(k, vec, config.fermi_radius_sq, {True: True, False: False})
 
 
 def kinetic_excess(config: GasConfig, det) -> float:
@@ -622,16 +618,10 @@ def _hamiltonian_matrix(config, pot, basis):
     for k, v in pot.nonzero_items():
         rows, cols, data = [], [], []
         images = {}
-        for det, j in index.items():
-            for p in det:
-                hit = move(det, p, sub(p, k))
-                if hit is None:
-                    continue
-                sign, out = hit
-                row = images.setdefault(out, len(images))
-                rows.append(row)
-                cols.append(j)
-                data.append(float(sign))
+        for j, sign, out in _moves(index.items(), k):
+            rows.append(images.setdefault(out, len(images)))
+            cols.append(j)
+            data.append(float(sign))
         a = scipy.sparse.coo_matrix(
             (data, (rows, cols)), shape=(len(images), dim)
         ).tocsr()
@@ -663,7 +653,8 @@ def ground_state(
     The restricted energy is a variational upper bound for the full ground
     energy and never drops below e_n0.  method is "auto", "dense" or
     "iterative"; the iterative path is restarted Lanczos with residual
-    tolerance tol, and "auto" switches to it above dense_limit.
+    tolerance tol from a fixed start vector, so it returns the same result
+    on every call, and "auto" switches to it above dense_limit.
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
@@ -678,8 +669,9 @@ def ground_state(
         energy, vec = float(w[0]), u[:, 0]
         how = "dense"
     else:
+        v0 = np.random.default_rng(0).standard_normal(dim)
         w, u = scipy.sparse.linalg.eigsh(
-            h, k=1, which="SA", tol=tol, maxiter=max(5000, 100 * dim)
+            h, k=1, which="SA", tol=tol, maxiter=max(5000, 100 * dim), v0=v0
         )
         energy, vec = float(w[0]), u[:, 0]
         how = "iterative"

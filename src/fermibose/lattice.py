@@ -43,10 +43,6 @@ def sub(n: Momentum, m: Momentum) -> Momentum:
     return tuple(a - b for a, b in zip(n, m))
 
 
-def zero(d: int) -> Momentum:
-    return (0,) * d
-
-
 def mode_key(n: Momentum):
     """Global mode ordering key: radial first, then lexicographic.
 
@@ -54,11 +50,6 @@ def mode_key(n: Momentum):
     this total order, so it must never change.
     """
     return (norm_sq(n), *n)
-
-
-def physical_norm(n: Momentum) -> float:
-    """|2*pi*n| as a float."""
-    return TWO_PI * math.sqrt(norm_sq(n))
 
 
 @lru_cache(maxsize=None)

@@ -246,6 +246,53 @@ def test_thread_pool_preserves_bytes(tmp_path):
     ).read_bytes()
 
 
+GAS = ["fermi_radius_sq", "k_f", "n_particles"]
+
+# Every sweep experiment's header at d = 2, --window-degree 1.
+SWEEP_HEADERS = {
+    "bounds": GAS + ["e_n0", "upper_filled", "gap"],
+    "exact": GAS
+    + ["cutoff_radius_sq", "momentum_1", "momentum_2"]
+    + ["dimension", "method", "energy", "residual", "status"],
+    "isometry": GAS
+    + ["window_dim", "min_crescent", "max_abs_eps", "operator_norm_bound"]
+    + ["shape_constant", "eps_deg_0", "eps_deg_1"],
+    "intertwine": GAS
+    + ["annihilator_max", "creator_max", "res_deg_0", "res_deg_1"],
+    "h2-audit": GAS
+    + ["state", "cutoff_momentum", "value", "bound", "margin", "status"],
+    "trial": GAS
+    + ["e_n0", "upper_filled", "upper_bosonic_min", "trial_energy"]
+    + ["bosonic_prediction", "discrepancy", "identity_gap"],
+    "scaling": GAS
+    + ["e_n0", "upper_filled", "upper_subspace", "exact_energy"]
+    + ["ratio_filled", "ratio_subspace"],
+}
+
+
+def test_registry_lists_every_experiment():
+    sweeps = [name for name, e in cli.EXPERIMENTS.items() if e.row is not None]
+    assert sorted(sweeps) == sorted(SWEEP_HEADERS)
+    # each entry has a row worker or a whole-table runner, never both
+    assert all((e.row is None) != (e.table is None) for e in cli.EXPERIMENTS.values())
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEP_HEADERS))
+def test_sweep_header_rows_and_pool(tmp_path, experiment):
+    common = [experiment, "--radii", "1", "--window-degree", "1"]
+    common += ["--potential", POT2, "--n-states", "3"]
+    serial, pooled = tmp_path / "t1", tmp_path / "t2"
+    assert run_cli(*common, "--out", str(serial)) == 0
+    assert run_cli(*common, "--threads", "2", "--out", str(pooled)) == 0
+    header, rows = read_csv(serial / f"{experiment}.csv")
+    assert header == SWEEP_HEADERS[experiment]
+    assert len(rows) == (3 if experiment == "h2-audit" else 1)
+    assert all(len(row) == len(header) for row in rows)
+    assert (serial / f"{experiment}.csv").read_bytes() == (
+        pooled / f"{experiment}.csv"
+    ).read_bytes()
+
+
 # -------------------------------------------------------- config handling
 
 
@@ -340,7 +387,7 @@ def test_unknown_experiment_rejected():
 
 
 def test_validate_potential_roundtrip():
-    pot = cli.validate_potential(POT2, 2)
+    pot = fock.load_potential(POT2, 2)
     assert pot.value_at_origin() == pytest.approx(4.0)
     assert pot.integral() == 0.0
 

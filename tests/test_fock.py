@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,3 +377,122 @@ def test_ground_state_deterministic(small2, unit4):
     b = F.ground_state(small2, unit4, cutoff_radius_sq=4)
     assert a.energy == b.energy
     assert a.vector.terms == b.vector.terms
+
+
+def test_iterative_ground_state_deterministic(small2, unit4):
+    a = F.ground_state(small2, unit4, cutoff_radius_sq=4, method="iterative")
+    b = F.ground_state(small2, unit4, cutoff_radius_sq=4, method="iterative")
+    assert a.method == b.method == "iterative"
+    assert a.residual == b.residual
+    assert a.energy == b.energy
+    assert a.vector.terms == b.vector.terms
+
+
+# ------------------------------------------- the move operators, pinned
+#
+# Reference copies of the four per-operator loops and the rho_k assembly
+# loop the move kernel replaced.  Inner products sum in dict order, so the
+# operators must reproduce both the terms and their order.
+
+
+def _ref_rho(k, vec):
+    acc = {}
+    for det, amp in vec.terms.items():
+        for p in det:
+            hit = F.move(det, p, L.sub(p, k))
+            if hit is not None:
+                F._accumulate(acc, hit[1], hit[0] * amp)
+    return F._finish(acc)
+
+
+def _ref_b(k, config, vec):
+    r = config.fermi_radius_sq
+    acc = {}
+    for det, amp in vec.terms.items():
+        for p in det:
+            if L.norm_sq(p) > r:
+                t = L.sub(p, k)
+                if L.norm_sq(t) <= r:
+                    hit = F.move(det, p, t)
+                    if hit is not None:
+                        F._accumulate(acc, hit[1], hit[0] * amp)
+    return F._finish(acc)
+
+
+def _ref_b_dag(k, config, vec):
+    r = config.fermi_radius_sq
+    acc = {}
+    for det, amp in vec.terms.items():
+        for p in det:
+            if L.norm_sq(p) <= r:
+                t = L.add(p, k)
+                if L.norm_sq(t) > r:
+                    hit = F.move(det, p, t)
+                    if hit is not None:
+                        F._accumulate(acc, hit[1], hit[0] * amp)
+    return F._finish(acc)
+
+
+def _ref_d(k, config, vec):
+    r = config.fermi_radius_sq
+    acc = {}
+    for det, amp in vec.terms.items():
+        for p in det:
+            t = L.sub(p, k)
+            if (L.norm_sq(p) <= r) == (L.norm_sq(t) <= r):
+                hit = F.move(det, p, t)
+                if hit is not None:
+                    F._accumulate(acc, hit[1], hit[0] * amp)
+    return F._finish(acc)
+
+
+def _ref_hamiltonian(config, pot, basis):
+    index = {det: i for i, det in enumerate(basis)}
+    dim = len(basis)
+    diag = np.empty(dim)
+    e0 = F.e_n0(config, pot)
+    for det, i in index.items():
+        diag[i] = e0 + F.kinetic_excess(config, det)
+    h = scipy.sparse.diags(diag, format="csr")
+    lam = F.coupling(config)
+    for k, v in pot.nonzero_items():
+        rows, cols, data = [], [], []
+        images = {}
+        for det, j in index.items():
+            for p in det:
+                hit = F.move(det, p, L.sub(p, k))
+                if hit is None:
+                    continue
+                sign, out = hit
+                row = images.setdefault(out, len(images))
+                rows.append(row)
+                cols.append(j)
+                data.append(float(sign))
+        a = scipy.sparse.coo_matrix(
+            (data, (rows, cols)), shape=(len(images), dim)
+        ).tocsr()
+        h = h + (lam * v) * (a.T @ a)
+    return h.tocsr()
+
+
+def test_move_operators_match_reference_loops(small2, small3):
+    for config in (small2, small3):
+        for seed in range(3):
+            vec = rvec(config, seed, n_dets=8)
+            for k in L.ball_points(config.d, 2):
+                pairs = [
+                    (F.apply_rho(k, vec), _ref_rho(k, vec)),
+                    (F.apply_b(k, config, vec), _ref_b(k, config, vec)),
+                    (F.apply_b_dag(k, config, vec), _ref_b_dag(k, config, vec)),
+                    (F.apply_d(k, config, vec), _ref_d(k, config, vec)),
+                ]
+                for got, want in pairs:
+                    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit6):
+    for config, pot, cutoff in ((small2, unit4, 4), (small3, unit6, 2)):
+        basis = F.sector_basis(config, cutoff)
+        got = F._hamiltonian_matrix(config, pot, basis)
+        want = _ref_hamiltonian(config, pot, basis)
+        assert (got != want).nnz == 0
