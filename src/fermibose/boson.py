@@ -35,8 +35,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-
-DROP_TOL = 1e-14
+from .vector import DROP_TOL, SparseVector
 
 
 # ---------------------------------------------------------------- monomials
@@ -71,13 +70,10 @@ def monomial_total_momentum(mono, d):
     return tuple(sum(c) for c in zip(*mono))
 
 
-class BosonVector:
+class BosonVector(SparseVector):
     """Sparse vector {monomial: amplitude} with the factorial Gram."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls):
@@ -93,9 +89,6 @@ class BosonVector:
             for m, a in self.terms.items()
         )
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
     def inner(self, other: "BosonVector") -> complex:
         a, b = self.terms, other.terms
         if len(b) < len(a):
@@ -110,24 +103,6 @@ class BosonVector:
             if m in b
         )
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            out[m] = out.get(m, 0j) + v
-        return BosonVector(out).pruned()
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            out[m] = out.get(m, 0j) - v
-        return BosonVector(out).pruned()
-
-    def __mul__(self, c):
-        c = complex(c)
-        return BosonVector({m: c * v for m, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def pruned(self, tol: float = DROP_TOL) -> "BosonVector":
         if not self.terms:
             return self
@@ -139,22 +114,6 @@ class BosonVector:
         }
         return BosonVector(kept) if len(kept) != len(self.terms) else self
 
-    def normalized(self) -> "BosonVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self * (1.0 / n)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return f"BosonVector({len(self.terms)} terms, norm={self.norm():.6g})"
-
-
-def _finish(acc):
-    return BosonVector({m: v for m, v in acc.items() if v != 0}).pruned()
-
 
 def apply_boson_creator(k, vec: BosonVector) -> BosonVector:
     k = tuple(k)
@@ -164,7 +123,7 @@ def apply_boson_creator(k, vec: BosonVector) -> BosonVector:
     for mono, amp in vec.terms.items():
         new = tuple(sorted(mono + (k,), key=mode_key))
         acc[new] = acc.get(new, 0j) + amp
-    return _finish(acc)
+    return BosonVector.finish(acc)
 
 
 def apply_boson_annihilator(k, vec: BosonVector) -> BosonVector:
@@ -178,7 +137,7 @@ def apply_boson_annihilator(k, vec: BosonVector) -> BosonVector:
             i = mono.index(k)
             new = mono[:i] + mono[i + 1 :]
             acc[new] = acc.get(new, 0j) + mult * amp
-    return _finish(acc)
+    return BosonVector.finish(acc)
 
 
 # ------------------------------------------------------------------ windows
@@ -306,14 +265,10 @@ def hb_apply(weights, vec: BosonVector) -> BosonVector:
 def hb_form_matrix(weights, monomials) -> np.ndarray:
     """Hermitian matrix of the quadratic form on a monomial list, in the
     factorial Gram inner product."""
-    vecs = [BosonVector.from_monomial(m) for m in monomials]
-    images = [hb_apply(weights, v) for v in vecs]
-    n = len(monomials)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = vecs[i].inner(images[j]).real
-    return out
+    monos = [monomial(m) for m in monomials]
+    images = [hb_apply(weights, BosonVector.from_monomial(m)).terms for m in monos]
+    out = np.array([[image.get(m, 0j).real for image in images] for m in monos])
+    return out * np.array([monomial_norm_sq(m) for m in monos])[:, None]
 
 
 def gram_matrix(monomials) -> np.ndarray:

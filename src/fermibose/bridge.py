@@ -16,30 +16,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from . import boson, fock
 from .lattice import GasConfig, TWO_PI, crescent, mode_key, neg, norm_sq
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
+from .vector import frame
 
 
 @lru_cache(maxsize=None)
 def phi_monomial_image(config: GasConfig, mono: tuple) -> FermionVector:
     """Image of one monomial: phi_{k_1}^dag ... phi_{k_m}^dag psi0.
 
-    The result is treated as immutable by every caller.
+    The cached result is shared by every caller, so its terms are a
+    read-only mapping.
     """
     if not mono:
-        return fock.psi0(config)
-    head, rest = mono[0], mono[1:]
-    size = crescent(head, config).size
-    if size == 0:
-        raise ValueError(f"mode {head} has an empty crescent; phi is undefined")
-    tail = phi_monomial_image(config, rest)
-    return (1.0 / math.sqrt(size)) * fock.apply_b_dag(head, config, tail)
+        image = fock.psi0(config)
+    else:
+        tail = phi_monomial_image(config, mono[1:])
+        image = apply_phi_creator(mono[0], config, tail)
+    image.terms = MappingProxyType(image.terms)
+    return image
 
 
 def phi_map(f: BosonVector, config: GasConfig) -> FermionVector:
@@ -62,6 +64,19 @@ def apply_phi_creator(k, config: GasConfig, vec: FermionVector) -> FermionVector
     if size == 0:
         raise ValueError(f"mode {k} has an empty crescent; phi_k is undefined")
     return (1.0 / math.sqrt(size)) * fock.apply_b_dag(k, config, vec)
+
+
+def _columns(vectors):
+    """(keys, CSR matrix) with one column per vector, rows over their keys."""
+    return frame(
+        ((j, amp, key) for j, vec in enumerate(vectors) for key, amp in vec.terms.items()),
+        len(vectors),
+    )
+
+
+def _gram(p, q=None):
+    """Re(P^dag Q) as a dense array; Q defaults to P."""
+    return (p.conj().T @ (p if q is None else q)).real.toarray()
 
 
 # ------------------------------------------------------------ isometry audit
@@ -96,14 +111,9 @@ def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryRepor
         groups.setdefault(key, []).append(i)
     eps = np.zeros((n, n))
     for indices in groups.values():
-        images = {i: phi_monomial_image(config, monos[i]) for i in indices}
-        for a, i in enumerate(indices):
-            for j in indices[a:]:
-                val = images[i].inner(images[j]).real
-                if i == j:
-                    val -= boson.monomial_norm_sq(monos[i])
-                eps[i, j] = val
-                eps[j, i] = val
+        _, p = _columns([phi_monomial_image(config, monos[i]) for i in indices])
+        norms = [boson.monomial_norm_sq(monos[i]) for i in indices]
+        eps[np.ix_(indices, indices)] = _gram(p) - np.diag(norms)
     max_abs = float(np.max(np.abs(eps))) if n else 0.0
     by_degree = {}
     for (deg, _), indices in groups.items():
@@ -351,30 +361,16 @@ def subspace_upper_bound(
     dropped = 0
     for momentum, group in sorted(blocks.items()):
         images = [phi_monomial_image(config, m) for m in group]
-        rhos = {
-            k: [fock.apply_rho(k, img) for img in images]
-            for k, _ in pot.nonzero_items()
-        }
-        n = len(group)
-        gram = np.zeros((n, n))
-        ham = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g = images[i].inner(images[j]).real
-                t = sum(
-                    (a.conjugate() * images[j].terms[det]).real
-                    * fock.kinetic_excess(config, det)
-                    for det, a in images[i].terms.items()
-                    if det in images[j].terms
-                )
-                h = e0 * g + t
-                for k, v in pot.nonzero_items():
-                    h += lam * v * rhos[k][i].inner(rhos[k][j]).real
-                gram[i, j] = gram[j, i] = g
-                ham[i, j] = ham[j, i] = h
+        dets, p = _columns(images)
+        kin = [fock.kinetic_excess(config, det) for det in dets]
+        gram = _gram(p)
+        ham = e0 * gram + _gram(p, scipy.sparse.diags(kin) @ p)
+        for k, v in pot.nonzero_items():
+            _, q = _columns([fock.apply_rho(k, img) for img in images])
+            ham += lam * v * _gram(q)
         w, u = np.linalg.eigh(gram)
         keep = w > pivot_tol * max(w[-1], 0.0)
-        dropped += int(n - keep.sum())
+        dropped += int(len(group) - keep.sum())
         if not keep.any():
             continue
         basis = u[:, keep] / np.sqrt(w[keep])

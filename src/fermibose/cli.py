@@ -322,18 +322,22 @@ def _scaling_row(cfg, pot, r, state):
     sub = bridge.subspace_upper_bound(
         cfg.window(), config, pot, pivot_tol=cfg.pivot_tol
     )
-    exact = None
-    try:
-        exact = fock.ground_state(
-            config,
-            pot,
-            cutoff_radius_sq=_cutoff(cfg, r),
-            tol=cfg.solver_tol,
-            dense_limit=cfg.dense_limit,
-            basis_limit=cfg.exact_dim_limit,
-        ).energy
-    except ValueError:
-        pass  # sector too large for the configured limit; leave blank
+    cutoff = _cutoff(cfg, r)
+    exact, status = None, "ok"
+    if len(lattice.ball_points(cfg.d, cutoff)) == n:
+        status = "skipped: cutoff adds no shell"
+    else:
+        try:
+            exact = fock.ground_state(
+                config,
+                pot,
+                cutoff_radius_sq=cutoff,
+                tol=cfg.solver_tol,
+                dense_limit=cfg.dense_limit,
+                basis_limit=cfg.exact_dim_limit,
+            ).energy
+        except ValueError as exc:
+            status = f"skipped: {exc}"
     scale = float(n) ** (1.0 - cfg.alpha - 1.0 / cfg.d)
     row = _gas_prefix(config) + [
         lower,
@@ -342,6 +346,7 @@ def _scaling_row(cfg, pot, r, state):
         exact,
         (upper - lower) / scale,
         (sub.value - lower) / scale,
+        status,
     ]
     return [row], []
 
@@ -489,6 +494,7 @@ EXPERIMENTS = {
             "exact_energy",
             "ratio_filled",
             "ratio_subspace",
+            "exact_status",
         ],
         _scaling_row,
         needs_potential=True,

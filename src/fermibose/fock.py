@@ -45,10 +45,7 @@ from .lattice import (
     particle_count,
     sub,
 )
-
-# relative amplitude drop threshold after vector arithmetic
-DROP_TOL = 1e-14
-
+from .vector import SparseVector, frame
 
 # ------------------------------------------------------------ determinants
 
@@ -110,80 +107,19 @@ def total_momentum(det):
 # ------------------------------------------------------------- the vector
 
 
-class FermionVector:
-    """Finite sparse vector in Fock space: {determinant: amplitude}.
+class FermionVector(SparseVector):
+    """Finite sparse vector in Fock space: {determinant: amplitude}."""
 
-    Instances are treated as immutable once returned; arithmetic produces
-    new vectors.  Amplitudes smaller than DROP_TOL relative to the vector
-    norm are dropped by pruned(), which every operator application calls.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    __slots__ = ()
 
     @classmethod
     def from_determinant(cls, det, amp=1.0):
         return cls({determinant(det): complex(amp)})
 
-    def norm_sq(self) -> float:
-        return sum((a * a.conjugate()).real for a in self.terms.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def inner(self, other: "FermionVector") -> complex:
-        """<self|other>, antilinear in self."""
-        a, b = self.terms, other.terms
-        if len(b) < len(a):
-            return sum(a[d].conjugate() * v for d, v in b.items() if d in a)
-        return sum(v.conjugate() * b[d] for d, v in a.items() if d in b)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, v in other.terms.items():
-            out[d] = out.get(d, 0j) + v
-        return FermionVector(out).pruned()
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for d, v in other.terms.items():
-            out[d] = out.get(d, 0j) - v
-        return FermionVector(out).pruned()
-
-    def __mul__(self, c):
-        c = complex(c)
-        return FermionVector({d: c * v for d, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def pruned(self, tol: float = DROP_TOL) -> "FermionVector":
-        if not self.terms:
-            return self
-        cut = tol * self.norm()
-        kept = {d: v for d, v in self.terms.items() if abs(v) > cut}
-        return FermionVector(kept) if len(kept) != len(self.terms) else self
-
-    def normalized(self) -> "FermionVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self * (1.0 / n)
-
     def particle_number(self):
         for d in self.terms:
             return len(d)
         return None
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return f"FermionVector({len(self.terms)} terms, norm={self.norm():.6g})"
 
 
 def psi0(config: GasConfig) -> FermionVector:
@@ -191,8 +127,7 @@ def psi0(config: GasConfig) -> FermionVector:
     return FermionVector({fermi_ball(config): 1.0 + 0j})
 
 
-def _finish(acc: dict) -> FermionVector:
-    return FermionVector({d: v for d, v in acc.items() if v != 0}).pruned()
+_finish = FermionVector.finish
 
 
 def _accumulate(acc, det, amp):
@@ -616,15 +551,7 @@ def _hamiltonian_matrix(config, pot, basis):
     h = scipy.sparse.diags(diag, format="csr")
     lam = coupling(config)
     for k, v in pot.nonzero_items():
-        rows, cols, data = [], [], []
-        images = {}
-        for j, sign, out in _moves(index.items(), k):
-            rows.append(images.setdefault(out, len(images)))
-            cols.append(j)
-            data.append(float(sign))
-        a = scipy.sparse.coo_matrix(
-            (data, (rows, cols)), shape=(len(images), dim)
-        ).tocsr()
+        _, a = frame(_moves(index.items(), k), dim)
         h = h + (lam * v) * (a.T @ a)
     return h.tocsr()
 

@@ -225,6 +225,24 @@ def test_hb_form_matrix_is_symmetric(rng):
     assert np.allclose(mat, mat.T, atol=1e-12)
 
 
+def _ref_hb_form_matrix(weights, monomials):
+    # the pairwise inner-product loop hb_form_matrix replaced
+    vecs = [B.BosonVector.from_monomial(m) for m in monomials]
+    images = [B.hb_apply(weights, v) for v in vecs]
+    n = len(monomials)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = vecs[i].inner(images[j]).real
+    return out
+
+
+def test_hb_form_matrix_matches_reference_loop(small2, unit4):
+    monos = B.window_monomials(window2(m=3))
+    for w in (B.hb_weights(small2, unit4), B.hb_tilde_weights(unit4)):
+        assert np.array_equal(B.hb_form_matrix(w, monos), _ref_hb_form_matrix(w, monos))
+
+
 # ---------------------------------------------------- truncated minimum
 
 

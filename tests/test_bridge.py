@@ -288,6 +288,96 @@ def test_subspace_bound_empty_potential(small2):
     assert bound.value == pytest.approx(L.kinetic_ground_sum(small2))
 
 
+# ------------------------------------------------- the Gram paths, pinned
+#
+# Reference copies of the pairwise inner-product loops that the sparse
+# frame products replaced.  The products sum in another order, so the
+# results agree to rounding, not bit for bit.
+
+
+def _ref_isometry_eps(window, config):
+    monos = B.window_monomials(window)
+    groups = {}
+    for i, m in enumerate(monos):
+        key = (len(m), B.monomial_total_momentum(m, config.d))
+        groups.setdefault(key, []).append(i)
+    eps = np.zeros((len(monos), len(monos)))
+    for indices in groups.values():
+        images = {i: BR.phi_monomial_image(config, monos[i]) for i in indices}
+        for a, i in enumerate(indices):
+            for j in indices[a:]:
+                val = images[i].inner(images[j]).real
+                if i == j:
+                    val -= B.monomial_norm_sq(monos[i])
+                eps[i, j] = val
+                eps[j, i] = val
+    return eps
+
+
+def _ref_subspace_values(window, config, pot, pivot_tol=1e-10):
+    lam = F.coupling(config)
+    e0 = F.e_n0(config, pot)
+    blocks = {}
+    for m in B.window_monomials(window):
+        blocks.setdefault(B.monomial_total_momentum(m, config.d), []).append(m)
+    values = {}
+    for momentum, group in sorted(blocks.items()):
+        images = [BR.phi_monomial_image(config, m) for m in group]
+        rhos = {
+            k: [F.apply_rho(k, img) for img in images]
+            for k, _ in pot.nonzero_items()
+        }
+        n = len(group)
+        gram = np.zeros((n, n))
+        ham = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                g = images[i].inner(images[j]).real
+                t = sum(
+                    (a.conjugate() * images[j].terms[det]).real
+                    * F.kinetic_excess(config, det)
+                    for det, a in images[i].terms.items()
+                    if det in images[j].terms
+                )
+                h = e0 * g + t
+                for k, v in pot.nonzero_items():
+                    h += lam * v * rhos[k][i].inner(rhos[k][j]).real
+                gram[i, j] = gram[j, i] = g
+                ham[i, j] = ham[j, i] = h
+        w, u = np.linalg.eigh(gram)
+        keep = w > pivot_tol * max(w[-1], 0.0)
+        if keep.any():
+            basis = u[:, keep] / np.sqrt(w[keep])
+            values[momentum] = float(np.linalg.eigvalsh(basis.T @ ham @ basis)[0])
+    return values
+
+
+@pytest.mark.parametrize("r", [1, 5])
+def test_gram_paths_match_reference_loops(r, unit4):
+    config = L.GasConfig(d=2, fermi_radius_sq=r, alpha=-1.0)
+    window = window2(m=2)
+    eps = BR.isometry_audit(window, config).eps
+    assert np.allclose(eps, _ref_isometry_eps(window, config), rtol=0, atol=1e-14)
+    bound = BR.subspace_upper_bound(window, config, unit4)
+    want = _ref_subspace_values(window, config, unit4)
+    assert bound.sector_values.keys() == want.keys()
+    for momentum, value in want.items():
+        assert bound.sector_values[momentum] == pytest.approx(value, rel=1e-13)
+    assert bound.value == pytest.approx(min(want.values()), rel=1e-13)
+
+
+def test_cached_phi_images_are_read_only():
+    # a geometry no other test uses, so a writable cache at fault cannot
+    # leak the write into another test
+    config = L.GasConfig(d=2, fermi_radius_sq=2, alpha=-0.75)
+    image = BR.phi_monomial_image(config, (K1,))
+    det = next(iter(image.terms))
+    with pytest.raises(TypeError):
+        image.terms[det] = 0j
+    assert BR.phi_monomial_image(config, (K1,)) is image
+    assert (2.0 * image - image - image).norm() == 0.0
+
+
 # ------------------------------------------------------------------ fitting
 
 

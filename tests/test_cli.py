@@ -208,6 +208,7 @@ def test_scaling_columns(tmp_path):
         "exact_energy",
         "ratio_filled",
         "ratio_subspace",
+        "exact_status",
     ]
     for row in rows:
         rec = dict(zip(header, row))
@@ -219,6 +220,27 @@ def test_scaling_columns(tmp_path):
     # the 5-particle row has a feasible exact sector
     first = dict(zip(header, rows[0]))
     assert first["exact_energy"] == "135.471296357"
+    assert first["exact_status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "flags, status",
+    [
+        (["--cutoff-radius-sq", "1"], "skipped: cutoff adds no shell"),
+        (
+            ["--exact-dim-limit", "10"],
+            "skipped: sector dimension 51 exceeds basis_limit=10",
+        ),
+    ],
+)
+def test_scaling_reports_why_exact_is_blank(tmp_path, flags, status):
+    out = tmp_path / "s"
+    argv = ["scaling", "--radii", "1", "--window-degree", "1"]
+    assert run_cli(*argv, "--potential", POT2, *flags, "--out", str(out)) == 0
+    header, rows = read_csv(out / "scaling.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["exact_energy"] == ""
+    assert row["exact_status"] == status
 
 
 # ------------------------------------------------------------ determinism
@@ -266,7 +288,7 @@ SWEEP_HEADERS = {
     + ["bosonic_prediction", "discrepancy", "identity_gap"],
     "scaling": GAS
     + ["e_n0", "upper_filled", "upper_subspace", "exact_energy"]
-    + ["ratio_filled", "ratio_subspace"],
+    + ["ratio_filled", "ratio_subspace", "exact_status"],
 }
 
 

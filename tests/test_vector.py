@@ -1,0 +1,35 @@
+"""Tests for the shared sparse-vector arithmetic and the matrix frame."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fermibose import boson as B
+from fermibose import fock as F
+from fermibose.vector import frame
+
+
+def test_arithmetic_keeps_the_subclass():
+    det_a, det_b = ((0, 0), (1, 0)), ((0, 0), (0, 1))
+    mono_a, mono_b = ((1, 0), (1, 0)), ((0, 1),)
+    for v, w in (
+        (F.FermionVector.from_determinant(det_a), F.FermionVector.from_determinant(det_b, 2.0)),
+        (B.BosonVector.from_monomial(mono_a), B.BosonVector.from_monomial(mono_b, 2.0)),
+    ):
+        for out in (v + w, v - w, 3.0 * v, v * 3.0, -v, (v + w).pruned(), w.normalized()):
+            assert type(out) is type(v)
+    assert repr(F.FermionVector.from_determinant(det_a, 2.0)) == (
+        "FermionVector(1 terms, norm=2)"
+    )
+    # the boson norm carries the factorial Gram weight: ||e_k^dag^2 vac||^2 = 2
+    assert repr(B.BosonVector.from_monomial(mono_a) + B.BosonVector.vacuum()) == (
+        "BosonVector(2 terms, norm=1.73205)"
+    )
+
+
+def test_frame_rows_in_first_seen_order():
+    entries = [(1, 2.0, "b"), (0, 1.0, "a"), (1, 3.0, "a"), (0, 4.0, "b"), (0, 5.0, "b")]
+    keys, matrix = frame(entries, 3)
+    assert keys == ["b", "a"]
+    assert matrix.format == "csr"
+    assert np.array_equal(matrix.toarray(), [[9.0, 2.0, 0.0], [1.0, 3.0, 0.0]])
