@@ -206,6 +206,32 @@ def _cutoff(cfg: ExperimentConfig, r: int) -> int:
     return cfg.cutoff_radius_sq if cfg.cutoff_radius_sq is not None else r + 3
 
 
+_NO_SHELL = "skipped: cutoff adds no shell"
+
+
+def _adds_no_shell(config: GasConfig, cutoff: int) -> bool:
+    """Whether the cutoff ball is the Fermi ball itself: its only
+    determinant is the filled ball, so a solve there proves nothing."""
+    n = lattice.particle_count(config)
+    return len(lattice.ball_points(config.d, cutoff)) == n
+
+
+def _residual_failures(cfg, r, res):
+    """A solver.residual failure when the eigenpair misses its tolerance,
+    relative to the energy."""
+    bound = cfg.solver_tol * abs(res.energy)
+    if res.residual <= bound:
+        return []
+    return [
+        {
+            "invariant": "solver.residual",
+            "row": {"fermi_radius_sq": r, "dimension": res.dimension},
+            "detail": f"{res.method} residual {res.residual} exceeds "
+            f"solver_tol * |energy| = {bound}",
+        }
+    ]
+
+
 def _bounds_row(cfg, pot, r, state):
     config = cfg.gas(r)
     lower, upper = fock.trivial_bounds(config, pot)
@@ -217,6 +243,8 @@ def _exact_row(cfg, pot, r, state):
     cutoff = _cutoff(cfg, r)
     momentum = cfg.momentum or (0,) * cfg.d
     prefix = _gas_prefix(config) + [cutoff] + list(momentum)
+    if _adds_no_shell(config, cutoff):
+        return [prefix + [None, None, None, None, _NO_SHELL]], []
     try:
         res = fock.ground_state(
             config,
@@ -229,7 +257,8 @@ def _exact_row(cfg, pot, r, state):
         )
     except ValueError as exc:
         return [prefix + [None, None, None, None, f"skipped: {exc}"]], []
-    return [prefix + [res.dimension, res.method, res.energy, res.residual, "ok"]], []
+    row = prefix + [res.dimension, res.method, res.energy, res.residual, "ok"]
+    return [row], _residual_failures(cfg, r, res)
 
 
 def _isometry_row(cfg, pot, r, state):
@@ -323,21 +352,24 @@ def _scaling_row(cfg, pot, r, state):
         cfg.window(), config, pot, pivot_tol=cfg.pivot_tol
     )
     cutoff = _cutoff(cfg, r)
-    exact, status = None, "ok"
-    if len(lattice.ball_points(cfg.d, cutoff)) == n:
-        status = "skipped: cutoff adds no shell"
+    exact, status, failures = None, "ok", []
+    if _adds_no_shell(config, cutoff):
+        status = _NO_SHELL
     else:
         try:
-            exact = fock.ground_state(
+            res = fock.ground_state(
                 config,
                 pot,
                 cutoff_radius_sq=cutoff,
                 tol=cfg.solver_tol,
                 dense_limit=cfg.dense_limit,
                 basis_limit=cfg.exact_dim_limit,
-            ).energy
+            )
         except ValueError as exc:
             status = f"skipped: {exc}"
+        else:
+            exact = res.energy
+            failures = _residual_failures(cfg, r, res)
     scale = float(n) ** (1.0 - cfg.alpha - 1.0 / cfg.d)
     row = _gas_prefix(config) + [
         lower,
@@ -348,7 +380,7 @@ def _scaling_row(cfg, pot, r, state):
         (sub.value - lower) / scale,
         status,
     ]
-    return [row], []
+    return [row], failures
 
 
 def _timed_row(job):

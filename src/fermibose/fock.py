@@ -23,6 +23,7 @@ for k != 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,18 @@ def apply_creator(p, vec: FermionVector) -> FermionVector:
     return _finish(acc)
 
 
+class _KeyMemo(dict):
+    """mode -> mode_key(mode), filled on first use.  It holds only the
+    modes a run touches: the cutoff ball and the potential's shifts."""
+
+    def __missing__(self, p):
+        key = self[p] = mode_key(p)
+        return key
+
+
+_KEYS = _KeyMemo()
+
+
 def _moves(items, k, r=None, keep=None):
     """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
 
@@ -163,21 +176,38 @@ def _moves(items, k, r=None, keep=None):
     mode, determinant by determinant and particle by particle.  keep maps
     the side of the Fermi ball a kept move starts on (|p|^2 <= r) to the
     side it must end on; the source is tested before p-k is built.
+
+    Each yield equals move(det, p, p-k): the target's slot j in det
+    without p is one bisect on the determinant's mode keys, and the sign
+    (-1)^(i+j) is that of a_p at slot i times that of a_{p-k}^dag at j.
     """
+    targets = {}  # p -> (p-k, mode_key(p-k))
     for det, tag in items:
-        for p in det:
-            if keep is None:
-                t = sub(p, k)
-            else:
-                inside = norm_sq(p) <= r
+        keys = [_KEYS[p] for p in det]
+        occupied = set(det)
+        for i, p in enumerate(det):
+            if keep is not None:
+                inside = keys[i][0] <= r
                 if inside not in keep:
                     continue
+            hit = targets.get(p)
+            if hit is None:
                 t = sub(p, k)
-                if (norm_sq(t) <= r) != keep[inside]:
-                    continue
-            hit = move(det, p, t)
-            if hit is not None:
-                yield tag, hit[0], hit[1]
+                hit = targets[p] = (t, _KEYS[t])
+            t, key_t = hit
+            if keep is not None and (key_t[0] <= r) != keep[inside]:
+                continue
+            if t in occupied:
+                if t == p:
+                    yield tag, 1, det
+                continue
+            j = bisect_left(keys, key_t)
+            if j > i:
+                j -= 1
+                out = det[:i] + det[i + 1 : j + 1] + (t,) + det[j + 1 :]
+            else:
+                out = det[:j] + (t,) + det[j:i] + det[i + 1 :]
+            yield tag, (-1 if (i + j) & 1 else 1), out
 
 
 def _apply_moves(k, vec: FermionVector, r=None, keep=None) -> FermionVector:
@@ -514,8 +544,6 @@ class GroundStateResult:
 def sector_basis(config: GasConfig, cutoff_radius_sq: int, momentum=None, basis_limit=200_000):
     """All determinants of N modes inside the cutoff with fixed total
     momentum, in lexicographic order of the mode order."""
-    import itertools as it
-
     modes = ball_points(config.d, cutoff_radius_sq)
     n = particle_count(config)
     if momentum is None:
@@ -527,11 +555,49 @@ def sector_basis(config: GasConfig, cutoff_radius_sq: int, momentum=None, basis_
         raise ValueError(
             f"refusing to enumerate {total} determinants; tighten the cutoff"
         )
-    basis = [det for det in it.combinations(modes, n) if total_momentum(det) == momentum]
+    basis = _momentum_combinations(modes, n, tuple(momentum))
     if len(basis) > basis_limit:
         raise ValueError(
             f"sector dimension {len(basis)} exceeds basis_limit={basis_limit}"
         )
+    return basis
+
+
+def _momentum_combinations(modes, n, momentum):
+    """The n-subsets of modes summing to momentum, in the order of
+    itertools.combinations(modes, n).
+
+    reach[i][j] is the set of total momenta of j modes drawn from
+    modes[i:], kept for the j a branch at index i can still need; the
+    depth-first walk takes modes[i] only when the rest of the momentum
+    stays reachable, so every branch it enters ends in a determinant.
+    """
+    m = len(modes)
+    reach = [{} for _ in range(m + 1)]
+    reach[m][0] = {(0,) * len(modes[0])}
+    for i in range(m - 1, -1, -1):
+        after = reach[i + 1]
+        for j in range(max(0, n - i), min(n, m - i) + 1):
+            got = set(after.get(j, ()))
+            if j:
+                got.update(add(modes[i], q) for q in after[j - 1])
+            reach[i][j] = got
+    basis = []
+    chosen = []
+
+    def descend(start, left, rest):
+        if not left:
+            basis.append(tuple(chosen))
+            return
+        for i in range(start, m - left + 1):
+            remain = sub(rest, modes[i])
+            if remain in reach[i + 1][left - 1]:
+                chosen.append(modes[i])
+                descend(i + 1, left - 1, remain)
+                chosen.pop()
+
+    if momentum in reach[0].get(n, ()):
+        descend(0, n, momentum)
     return basis
 
 

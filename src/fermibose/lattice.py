@@ -164,6 +164,7 @@ def particle_count(config: GasConfig) -> int:
     return len(fermi_ball(config))
 
 
+@lru_cache(maxsize=None)
 def kinetic_ground_sum(config: GasConfig) -> float:
     """Sum of |p|^2 over the Fermi ball, physical units."""
     return TWO_PI_SQ * sum(norm_sq(p) for p in fermi_ball(config))

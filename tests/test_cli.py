@@ -117,6 +117,40 @@ def test_exact_small(tmp_path):
     assert float(row["residual"]) < 1e-8
 
 
+def test_exact_skips_cutoff_without_a_shell(tmp_path):
+    # r=20's default cutoff 23 holds no lattice point outside the ball
+    out = tmp_path / "e"
+    argv = ["exact", "--radii", "1,20", "--potential", POT2, "--out", str(out)]
+    assert run_cli(*argv) == 0
+    header, rows = read_csv(out / "exact.csv")
+    first, last = (dict(zip(header, row)) for row in rows)
+    assert first["status"] == "ok"
+    assert last["cutoff_radius_sq"] == "23"
+    assert last["status"] == "skipped: cutoff adds no shell"
+    assert [last[c] for c in ("dimension", "method", "energy", "residual")] == [""] * 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--config", "configs/exact_small_d2.yaml"],
+        ["scaling", "--radii", "1", "--window-degree", "1", "--potential", POT2],
+    ],
+)
+def test_solver_residual_is_gated(tmp_path, argv):
+    out = tmp_path / "ok"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert read_json(out / "failures.json") == []
+    out = tmp_path / "tight"
+    assert run_cli(*argv, "--solver-tol", "1e-20", "--out", str(out)) == 1
+    failures = read_json(out / "failures.json")
+    assert [f["invariant"] for f in failures] == ["solver.residual"]
+    assert failures[0]["row"] == {"fermi_radius_sq": 1, "dimension": 51}
+    # the row is still written
+    header, rows = read_csv(out / f"{argv[0]}.csv")
+    assert len(rows) == 1
+
+
 def test_exact_dimension_limit_reported_per_row(tmp_path):
     out = tmp_path / "el"
     assert (

@@ -7,6 +7,7 @@ derived by hand from the determinant expansions.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,41 @@ def test_car_anticommutators(data):
         assert (x - v).norm() == 0.0
     else:
         assert x.norm() == 0.0
+
+
+POOLS = {d: L.ball_points(d, 8) for d in (2, 3)}
+# keep maps of rho, b, b^dag and d, as the apply_* functions pass them
+KEEPS = [None, {False: True}, {True: False}, {True: True, False: False}]
+
+
+def _ref_moves(items, k, r=None, keep=None):
+    for det, tag in items:
+        for p in det:
+            t = L.sub(p, k)
+            if keep is not None:
+                inside = L.norm_sq(p) <= r
+                if inside not in keep or (L.norm_sq(t) <= r) != keep[inside]:
+                    continue
+            hit = F.move(det, p, t)
+            if hit is not None:
+                yield tag, hit[0], hit[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_move_kernel_matches_move(data):
+    pool = POOLS[data.draw(st.sampled_from(sorted(POOLS)))]
+    dets = data.draw(
+        st.lists(st.sets(st.sampled_from(pool), max_size=30), min_size=1, max_size=3)
+    )
+    items = [(F.determinant(occ), tag) for tag, occ in enumerate(dets)]
+    k = data.draw(st.sampled_from(pool))
+    r = data.draw(st.sampled_from([1, 2, 4, 5]))
+    keep = data.draw(st.sampled_from(KEEPS))
+    got = list(F._moves(items, k, r, keep))
+    want = list(_ref_moves(items, k, r, keep))
+    assert got == want
+    assert [type(sign) for _, sign, _ in got] == [int] * len(got)
 
 
 def test_determinant_canonicalization():
@@ -370,6 +406,31 @@ def test_ground_state_guards(small2, unit4):
         F.ground_state(small2, unit4, cutoff_radius_sq=0)
     with pytest.raises(ValueError):
         F.ground_state(small2, unit4, cutoff_radius_sq=4, basis_limit=10)
+
+
+@pytest.mark.parametrize(
+    "d, r, cutoff, momentum",
+    [
+        (2, 1, 4, None),
+        (2, 1, 5, (1, 0)),
+        (2, 2, 5, None),
+        (2, 2, 5, (1, -1)),
+        (2, 2, 4, (9, 9)),
+        (3, 1, 2, None),
+        (3, 1, 3, (0, 1, 0)),
+    ],
+)
+def test_sector_basis_matches_combination_filter(d, r, cutoff, momentum):
+    config = L.GasConfig(d=d, fermi_radius_sq=r)
+    want_momentum = momentum or (0,) * d
+    want = [
+        det
+        for det in itertools.combinations(
+            L.ball_points(d, cutoff), L.particle_count(config)
+        )
+        if F.total_momentum(det) == want_momentum
+    ]
+    assert F.sector_basis(config, cutoff, momentum) == want
 
 
 def test_ground_state_deterministic(small2, unit4):
