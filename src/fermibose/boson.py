@@ -64,12 +64,6 @@ def monomial_norm_sq(mono) -> float:
     return out
 
 
-def monomial_total_momentum(mono, d):
-    if not mono:
-        return (0,) * d
-    return tuple(sum(c) for c in zip(*mono))
-
-
 class BosonVector(SparseVector):
     """Sparse vector {monomial: amplitude} with the factorial Gram."""
 

@@ -19,10 +19,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse
 
 from . import boson, fock
-from .lattice import GasConfig, TWO_PI, crescent, mode_key, neg, norm_sq
+from .lattice import GasConfig, TWO_PI, crescent, neg, norm_sq, total_momentum
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
 from .vector import frame
@@ -107,7 +106,7 @@ def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryRepor
     n = len(monos)
     groups = {}
     for i, m in enumerate(monos):
-        key = (len(m), boson.monomial_total_momentum(m, d))
+        key = (len(m), total_momentum(m, d))
         groups.setdefault(key, []).append(i)
     eps = np.zeros((n, n))
     for indices in groups.values():
@@ -327,12 +326,15 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
 # ---------------------------------------------------------- subspace bound
 
 
+PIVOT_TOL = 1e-10  # dropped: Gram eigenvalues below this times the largest
+
+
 @dataclass
 class SubspaceBound:
     """Variational upper bound from the span of all monomial images.
 
     The generalized eigenproblem uses the exact Gram; directions whose
-    Gram eigenvalue falls below pivot_tol times the largest are dropped
+    Gram eigenvalue falls below PIVOT_TOL times the largest are dropped
     and counted in dropped_directions.
     """
 
@@ -340,36 +342,27 @@ class SubspaceBound:
     sector_values: dict  # total momentum -> block minimum
     dimension: int
     dropped_directions: int
-    pivot_tol: float
 
 
 def subspace_upper_bound(
-    window: TruncationWindow,
-    config: GasConfig,
-    pot,
-    pivot_tol: float = 1e-10,
+    window: TruncationWindow, config: GasConfig, pot
 ) -> SubspaceBound:
+    """Rayleigh-Ritz on each total-momentum block of the images: Gram
+    Re(P^dag P) and Hamiltonian Re(P^dag H P), with H the sector matrix
+    fock.hamiltonian_matrix over the determinants of the block."""
     monos = window_monomials(window)
-    d = config.d
-    lam = fock.coupling(config)
-    e0 = fock.e_n0(config, pot)
     blocks = {}
     for m in monos:
-        blocks.setdefault(boson.monomial_total_momentum(m, d), []).append(m)
+        blocks.setdefault(total_momentum(m, config.d), []).append(m)
     best = math.inf
     sector_values = {}
     dropped = 0
     for momentum, group in sorted(blocks.items()):
-        images = [phi_monomial_image(config, m) for m in group]
-        dets, p = _columns(images)
-        kin = [fock.kinetic_excess(config, det) for det in dets]
+        dets, p = _columns([phi_monomial_image(config, m) for m in group])
         gram = _gram(p)
-        ham = e0 * gram + _gram(p, scipy.sparse.diags(kin) @ p)
-        for k, v in pot.nonzero_items():
-            _, q = _columns([fock.apply_rho(k, img) for img in images])
-            ham += lam * v * _gram(q)
+        ham = _gram(p, fock.hamiltonian_matrix(config, pot, dets) @ p)
         w, u = np.linalg.eigh(gram)
-        keep = w > pivot_tol * max(w[-1], 0.0)
+        keep = w > PIVOT_TOL * max(w[-1], 0.0)
         dropped += int(len(group) - keep.sum())
         if not keep.any():
             continue
@@ -383,7 +376,6 @@ def subspace_upper_bound(
         sector_values=sector_values,
         dimension=len(monos),
         dropped_directions=dropped,
-        pivot_tol=pivot_tol,
     )
 
 

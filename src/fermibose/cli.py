@@ -58,9 +58,7 @@ class ExperimentConfig:
     cutoff_momentum: float | None = None  # h2 audit scale K
     n_states: int = 20  # h2 audit rows per radius
     exact_dim_limit: int = 4000
-    dense_limit: int = 2000
     solver_tol: float = 1e-9
-    pivot_tol: float = 1e-10
     seed: int = 0
     threads: int = 1
     out: str = "runs"
@@ -206,30 +204,43 @@ def _cutoff(cfg: ExperimentConfig, r: int) -> int:
     return cfg.cutoff_radius_sq if cfg.cutoff_radius_sq is not None else r + 3
 
 
-_NO_SHELL = "skipped: cutoff adds no shell"
+def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum):
+    """The sector ground state of one row: (result or None, status,
+    failures).
 
-
-def _adds_no_shell(config: GasConfig, cutoff: int) -> bool:
-    """Whether the cutoff ball is the Fermi ball itself: its only
-    determinant is the filled ball, so a solve there proves nothing."""
-    n = lattice.particle_count(config)
-    return len(lattice.ball_points(config.d, cutoff)) == n
-
-
-def _residual_failures(cfg, r, res):
-    """A solver.residual failure when the eigenpair misses its tolerance,
-    relative to the energy."""
+    A cutoff ball that is the Fermi ball itself holds only the filled
+    ball, so it is skipped unsolved; a sector fock.ground_state refuses is
+    skipped with its reason; an eigenpair whose residual exceeds
+    solver_tol * |energy| is kept and recorded as solver.residual.
+    """
+    if len(lattice.ball_points(config.d, cutoff)) == lattice.particle_count(config):
+        return None, "skipped: cutoff adds no shell", []
+    try:
+        res = fock.ground_state(
+            config,
+            pot,
+            cutoff_radius_sq=cutoff,
+            momentum=momentum,
+            tol=cfg.solver_tol,
+            basis_limit=cfg.exact_dim_limit,
+        )
+    except ValueError as exc:
+        return None, f"skipped: {exc}", []
+    failures = []
     bound = cfg.solver_tol * abs(res.energy)
-    if res.residual <= bound:
-        return []
-    return [
-        {
-            "invariant": "solver.residual",
-            "row": {"fermi_radius_sq": r, "dimension": res.dimension},
-            "detail": f"{res.method} residual {res.residual} exceeds "
-            f"solver_tol * |energy| = {bound}",
-        }
-    ]
+    if res.residual > bound:
+        failures.append(
+            {
+                "invariant": "solver.residual",
+                "row": {
+                    "fermi_radius_sq": config.fermi_radius_sq,
+                    "dimension": res.dimension,
+                },
+                "detail": f"{res.method} residual {res.residual} exceeds "
+                f"solver_tol * |energy| = {bound}",
+            }
+        )
+    return res, "ok", failures
 
 
 def _bounds_row(cfg, pot, r, state):
@@ -243,22 +254,12 @@ def _exact_row(cfg, pot, r, state):
     cutoff = _cutoff(cfg, r)
     momentum = cfg.momentum or (0,) * cfg.d
     prefix = _gas_prefix(config) + [cutoff] + list(momentum)
-    if _adds_no_shell(config, cutoff):
-        return [prefix + [None, None, None, None, _NO_SHELL]], []
-    try:
-        res = fock.ground_state(
-            config,
-            pot,
-            cutoff_radius_sq=cutoff,
-            momentum=momentum,
-            tol=cfg.solver_tol,
-            dense_limit=cfg.dense_limit,
-            basis_limit=cfg.exact_dim_limit,
-        )
-    except ValueError as exc:
-        return [prefix + [None, None, None, None, f"skipped: {exc}"]], []
-    row = prefix + [res.dimension, res.method, res.energy, res.residual, "ok"]
-    return [row], _residual_failures(cfg, r, res)
+    res, status, failures = _solve(cfg, pot, config, cutoff, momentum)
+    if res is None:
+        cells = [None] * 4
+    else:
+        cells = [res.dimension, res.method, res.energy, res.residual]
+    return [prefix + cells + [status]], failures
 
 
 def _isometry_row(cfg, pot, r, state):
@@ -348,34 +349,14 @@ def _scaling_row(cfg, pot, r, state):
     config = cfg.gas(r)
     n = lattice.particle_count(config)
     lower, upper = fock.trivial_bounds(config, pot)
-    sub = bridge.subspace_upper_bound(
-        cfg.window(), config, pot, pivot_tol=cfg.pivot_tol
-    )
-    cutoff = _cutoff(cfg, r)
-    exact, status, failures = None, "ok", []
-    if _adds_no_shell(config, cutoff):
-        status = _NO_SHELL
-    else:
-        try:
-            res = fock.ground_state(
-                config,
-                pot,
-                cutoff_radius_sq=cutoff,
-                tol=cfg.solver_tol,
-                dense_limit=cfg.dense_limit,
-                basis_limit=cfg.exact_dim_limit,
-            )
-        except ValueError as exc:
-            status = f"skipped: {exc}"
-        else:
-            exact = res.energy
-            failures = _residual_failures(cfg, r, res)
+    sub = bridge.subspace_upper_bound(cfg.window(), config, pot)
+    res, status, failures = _solve(cfg, pot, config, _cutoff(cfg, r), None)
     scale = float(n) ** (1.0 - cfg.alpha - 1.0 / cfg.d)
     row = _gas_prefix(config) + [
         lower,
         upper,
         sub.value,
-        exact,
+        None if res is None else res.energy,
         (upper - lower) / scale,
         (sub.value - lower) / scale,
         status,
@@ -673,9 +654,7 @@ def build_parser():
     )
     parser.add_argument("--n-states", type=int, dest="n_states")
     parser.add_argument("--exact-dim-limit", type=int, dest="exact_dim_limit")
-    parser.add_argument("--dense-limit", type=int, dest="dense_limit")
     parser.add_argument("--solver-tol", type=float, dest="solver_tol")
-    parser.add_argument("--pivot-tol", type=float, dest="pivot_tol")
     return parser
 
 

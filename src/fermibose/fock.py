@@ -99,12 +99,6 @@ def determinant(modes) -> tuple:
     return out
 
 
-def total_momentum(det):
-    if not det:
-        return ()
-    return tuple(sum(c) for c in zip(*det))
-
-
 # ------------------------------------------------------------- the vector
 
 
@@ -601,12 +595,14 @@ def _momentum_combinations(modes, n, momentum):
     return basis
 
 
-def _hamiltonian_matrix(config, pot, basis):
-    """Sparse PHP over the given determinant basis.
+def hamiltonian_matrix(config, pot, basis):
+    """Sparse PHP over the given determinant basis: the one matrix form of
+    the Hamiltonian, which apply_h checks term by term.
 
     The interaction is assembled as lambda vhat(k) A_k^dag A_k where A_k is
     the exact rho_k matrix into dynamically registered image determinants,
-    so truncation only happens at the outer projection.
+    so truncation only happens at the outer projection: for vectors in the
+    span of the basis, X^dag H Y is exactly <X|H Y>.
     """
     index = {det: i for i, det in enumerate(basis)}
     dim = len(basis)
@@ -630,6 +626,9 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(piv) / piv)
 
 
+DENSE_LIMIT = 2000  # "auto" solves sectors this large and up by Lanczos
+
+
 def ground_state(
     config: GasConfig,
     pot: Potential,
@@ -637,7 +636,6 @@ def ground_state(
     momentum=None,
     method: str = "auto",
     tol: float = 1e-9,
-    dense_limit: int = 2000,
     basis_limit: int = 200_000,
 ) -> GroundStateResult:
     """Lowest eigenpair of the Hamiltonian restricted to a momentum sector
@@ -647,14 +645,14 @@ def ground_state(
     energy and never drops below e_n0.  method is "auto", "dense" or
     "iterative"; the iterative path is restarted Lanczos with residual
     tolerance tol from a fixed start vector, so it returns the same result
-    on every call, and "auto" switches to it above dense_limit.
+    on every call, and "auto" switches to it at DENSE_LIMIT.
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
     if dim == 0:
         raise ValueError("empty sector")
-    h = _hamiltonian_matrix(config, pot, basis)
-    use_dense = method == "dense" or (method == "auto" and dim < dense_limit)
+    h = hamiltonian_matrix(config, pot, basis)
+    use_dense = method == "dense" or (method == "auto" and dim < DENSE_LIMIT)
     if method == "iterative" and dim < 6:
         use_dense = True  # Lanczos needs room; exact solve is exact anyway
     if use_dense:

@@ -43,6 +43,13 @@ def sub(n: Momentum, m: Momentum) -> Momentum:
     return tuple(a - b for a, b in zip(n, m))
 
 
+def total_momentum(modes, d: int) -> Momentum:
+    """Sum of a determinant's or a monomial's modes; zero when empty."""
+    if not modes:
+        return (0,) * d
+    return tuple(sum(c) for c in zip(*modes))
+
+
 def mode_key(n: Momentum):
     """Global mode ordering key: radial first, then lexicographic.
 

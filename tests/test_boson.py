@@ -56,8 +56,8 @@ def test_monomial_norm_matches_factorial_oracle(modes):
 
 def test_monomial_total_momentum():
     m = B.monomial([(1, 0), (1, 0), (0, -1)])
-    assert B.monomial_total_momentum(m, 2) == (2, -1)
-    assert B.monomial_total_momentum((), 2) == (0, 0)
+    assert L.total_momentum(m, 2) == (2, -1)
+    assert L.total_momentum((), 2) == (0, 0)
 
 
 def test_vector_inner_product_gram():

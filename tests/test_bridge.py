@@ -299,7 +299,7 @@ def _ref_isometry_eps(window, config):
     monos = B.window_monomials(window)
     groups = {}
     for i, m in enumerate(monos):
-        key = (len(m), B.monomial_total_momentum(m, config.d))
+        key = (len(m), L.total_momentum(m, config.d))
         groups.setdefault(key, []).append(i)
     eps = np.zeros((len(monos), len(monos)))
     for indices in groups.values():
@@ -319,7 +319,7 @@ def _ref_subspace_values(window, config, pot, pivot_tol=1e-10):
     e0 = F.e_n0(config, pot)
     blocks = {}
     for m in B.window_monomials(window):
-        blocks.setdefault(B.monomial_total_momentum(m, config.d), []).append(m)
+        blocks.setdefault(L.total_momentum(m, config.d), []).append(m)
     values = {}
     for momentum, group in sorted(blocks.items()):
         images = [BR.phi_monomial_image(config, m) for m in group]
@@ -352,14 +352,17 @@ def _ref_subspace_values(window, config, pot, pivot_tol=1e-10):
     return values
 
 
-@pytest.mark.parametrize("r", [1, 5])
-def test_gram_paths_match_reference_loops(r, unit4):
-    config = L.GasConfig(d=2, fermi_radius_sq=r, alpha=-1.0)
-    window = window2(m=2)
+@pytest.mark.parametrize(
+    "d, r", [(2, 1), (2, 5), (3, 1)], ids=["1", "5", "d3-1"]
+)
+def test_gram_paths_match_reference_loops(d, r, unit4, unit6):
+    config = L.GasConfig(d=d, fermi_radius_sq=r, alpha=-1.0)
+    window = B.TruncationWindow.from_radius(d, 1, 2)
+    pot = unit4 if d == 2 else unit6
     eps = BR.isometry_audit(window, config).eps
     assert np.allclose(eps, _ref_isometry_eps(window, config), rtol=0, atol=1e-14)
-    bound = BR.subspace_upper_bound(window, config, unit4)
-    want = _ref_subspace_values(window, config, unit4)
+    bound = BR.subspace_upper_bound(window, config, pot)
+    want = _ref_subspace_values(window, config, pot)
     assert bound.sector_values.keys() == want.keys()
     for momentum, value in want.items():
         assert bound.sector_values[momentum] == pytest.approx(value, rel=1e-13)

@@ -419,6 +419,13 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli("bounds", "--config", str(cfgfile)) == 2
 
 
+@pytest.mark.parametrize("key", ["dense_limit", "pivot_tol"])
+def test_solver_thresholds_are_not_config_keys(key):
+    # fock.DENSE_LIMIT and bridge.PIVOT_TOL are library constants
+    with pytest.raises(cli.ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+        cli.load_config("scaling", None, {key: 1})
+
+
 def test_momentum_dimension_checked(tmp_path):
     assert (
         run_cli(

@@ -198,9 +198,9 @@ def test_adjoint_pairs(small2):
 def test_momentum_transfer(small2):
     v = F.FermionVector.from_determinant([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)])
     k = (1, 1)
-    before = F.total_momentum(next(iter(v.terms)))
+    before = L.total_momentum(next(iter(v.terms)), 2)
     for det in F.apply_rho(k, v).terms:
-        assert F.total_momentum(det) == L.sub(before, k)
+        assert L.total_momentum(det, 2) == L.sub(before, k)
 
 
 def test_commutator_identity(small2, small3):
@@ -385,6 +385,17 @@ def test_ground_state_dense_vs_iterative(small2, unit4):
     assert abs(dense.energy - it.energy) < 1e-8 * max(abs(dense.energy), 1.0)
 
 
+def test_auto_method_switches_at_dense_limit(small2, unit4, monkeypatch):
+    # the cutoff-4 sector of the 5-particle gas has dimension 51
+    monkeypatch.setattr(F, "DENSE_LIMIT", 51)
+    it = F.ground_state(small2, unit4, cutoff_radius_sq=4)
+    monkeypatch.setattr(F, "DENSE_LIMIT", 52)
+    dense = F.ground_state(small2, unit4, cutoff_radius_sq=4)
+    assert it.dimension == dense.dimension == 51
+    assert (it.method, dense.method) == ("iterative", "dense")
+    assert it.energy == pytest.approx(dense.energy, rel=1e-9)
+
+
 def test_ground_state_variational_monotonicity(small2, unit4):
     e = [
         F.ground_state(small2, unit4, cutoff_radius_sq=r).energy for r in (1, 2, 4)
@@ -428,7 +439,7 @@ def test_sector_basis_matches_combination_filter(d, r, cutoff, momentum):
         for det in itertools.combinations(
             L.ball_points(d, cutoff), L.particle_count(config)
         )
-        if F.total_momentum(det) == want_momentum
+        if L.total_momentum(det, d) == want_momentum
     ]
     assert F.sector_basis(config, cutoff, momentum) == want
 
@@ -554,6 +565,6 @@ def test_move_operators_match_reference_loops(small2, small3):
 def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit6):
     for config, pot, cutoff in ((small2, unit4, 4), (small3, unit6, 2)):
         basis = F.sector_basis(config, cutoff)
-        got = F._hamiltonian_matrix(config, pot, basis)
+        got = F.hamiltonian_matrix(config, pot, basis)
         want = _ref_hamiltonian(config, pot, basis)
         assert (got != want).nnz == 0
