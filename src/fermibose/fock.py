@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +34,6 @@ import scipy.sparse.linalg
 
 from .lattice import (
     GasConfig,
-    TWO_PI,
     TWO_PI_SQ,
     add,
     ball_points,
@@ -46,7 +46,7 @@ from .lattice import (
     particle_count,
     sub,
 )
-from .vector import SparseVector, frame
+from .vector import SparseVector
 
 # ------------------------------------------------------------ determinants
 
@@ -257,14 +257,6 @@ def excitation_count(config: GasConfig, det) -> float:
     return 0.5 * (holes + outside)
 
 
-def apply_exc_number(config: GasConfig, vec: FermionVector) -> FermionVector:
-    acc = {
-        det: amp * excitation_count(config, det)
-        for det, amp in vec.terms.items()
-    }
-    return _finish(acc)
-
-
 def apply_exc_weight(config: GasConfig, vec: FermionVector, shift=0.0, power=0.5):
     """Diagonal map multiplying each determinant by (exc + shift)^power.
 
@@ -378,33 +370,6 @@ def unit_potential(d: int, radius_sq: int = 1, zero_mode: float = 0.0) -> Potent
     return Potential(d, coeff)
 
 
-@dataclass(frozen=True)
-class TailReport:
-    """What a cutoff threw away, probed over a finite annulus."""
-
-    cutoff_radius_sq: int
-    probe_radius_sq: int
-    discarded_weight: float  # sum over cutoff < |k|^2 <= probe of |k| |vhat|
-
-
-def potential_from_function(fn, d: int, cutoff_radius_sq: int, probe_radius_sq=None):
-    """Truncate a coefficient function to a ball, reporting the tail.
-
-    Returns (Potential, TailReport).  The report sums |k| |vhat(k)| over the
-    probe annulus; it is a finite window on the discarded weight, not a
-    bound on the full tail.
-    """
-    if probe_radius_sq is None:
-        probe_radius_sq = 4 * max(cutoff_radius_sq, 1)
-    coeff = {k: fn(k) for k in ball_points(d, cutoff_radius_sq)}
-    tail = sum(
-        TWO_PI * math.sqrt(norm_sq(k)) * abs(fn(k))
-        for k in ball_points(d, probe_radius_sq)
-        if norm_sq(k) > cutoff_radius_sq
-    )
-    return Potential(d, coeff), TailReport(cutoff_radius_sq, probe_radius_sq, tail)
-
-
 def load_potential(path, d=None) -> Potential:
     """Read "k_1 ... k_d value" lines; '#' starts a comment.
 
@@ -515,14 +480,6 @@ def apply_h2(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVe
     return out
 
 
-def expectation(op, vec: FermionVector) -> complex:
-    """<v|op v> / <v|v> for an operator given as a vector map."""
-    nsq = vec.norm_sq()
-    if nsq == 0.0:
-        raise ValueError("expectation of the zero vector")
-    return vec.inner(op(vec)) / nsq
-
-
 # ------------------------------------------------------------ ground state
 
 
@@ -602,20 +559,63 @@ def hamiltonian_matrix(config, pot, basis):
     The interaction is assembled as lambda vhat(k) A_k^dag A_k where A_k is
     the exact rho_k matrix into dynamically registered image determinants,
     so truncation only happens at the outer projection: for vectors in the
-    span of the basis, X^dag H Y is exactly <X|H Y>.
+    span of the basis, X^dag H Y is exactly <X|H Y>.  Determinants are
+    bitmasks over the ranks of their modes and p-k shifts in mode_key order
+    (bit order is sign order); A_k^dag A_k has integer entries, so it is
+    exact in any summation order.
     """
-    index = {det: i for i, det in enumerate(basis)}
     dim = len(basis)
-    diag = np.empty(dim)
-    e0 = e_n0(config, pot)
-    for det, i in index.items():
-        diag[i] = e0 + kinetic_excess(config, det)
-    h = scipy.sparse.diags(diag, format="csr")
+    n = len(basis[0]) if dim else 0
+    if set(map(len, basis)) - {n}:
+        raise ValueError("determinants of different particle numbers")
+    items = pot.nonzero_items()
+    modes = list(set().union(*basis))
+    shifted = [[sub(p, k) for p in modes] for k, _ in items]
+    table = sorted(set(modes).union(*shifted), key=mode_key)
+    rank = {p: i for i, p in enumerate(table)}
+    ranks = np.fromiter(
+        map(rank.__getitem__, chain.from_iterable(basis)), dtype=np.int64, count=dim * n
+    ).reshape(dim, n)
+    nsq = np.array([norm_sq(p) for p in table], dtype=np.int64)
+    kinetic = TWO_PI_SQ * nsq[ranks].sum(axis=1) - kinetic_ground_sum(config)
+    h = scipy.sparse.diags(e_n0(config, pot) + kinetic, format="csr")
+    rows, src = np.repeat(np.arange(dim), n), ranks.ravel()
+    bits = np.zeros((dim, (len(table) + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(bits, (rows, src >> 6), _ONE << (src & 63).astype(np.uint64))
+    below = np.zeros(bits.shape, dtype=np.int64)  # set bits in the lower words
+    np.cumsum(np.bitwise_count(bits[:, :-1]), axis=1, out=below[:, 1:])
+    slot = np.tile(np.arange(n), dim)
+    sources = [rank[p] for p in modes]
     lam = coupling(config)
-    for k, v in pot.nonzero_items():
-        _, a = frame(_moves(index.items(), k), dim)
+    for (_, v), targets in zip(items, shifted):
+        dst = np.full(len(table), -1, dtype=np.int64)  # rank of p-k at rank of p
+        dst[sources] = [rank[t] for t in targets]
+        a = _rho_bitmask(bits, below, rows, slot, src, dst[src])
         h = h + (lam * v) * (a.T @ a)
     return h.tocsr()
+
+
+_ONE = np.uint64(1)
+
+
+def _rho_bitmask(bits, below, rows, slot, src, dst):
+    """A_k (images x determinants) from the moves src -> dst of particle
+    slot of determinant rows, as ranks; all (determinant, particle) pairs
+    in one vector pass.  A move into a free target from slot i has sign
+    (-1)^(i+j), j the occupied ranks below dst, less one if dst > src."""
+    word = bits[rows, dst >> 6]
+    bit = _ONE << (dst & 63).astype(np.uint64)
+    free = np.flatnonzero((word & bit) == 0)
+    rows, src, dst, word, bit = (x[free] for x in (rows, src, dst, word, bit))
+    j = below[rows, dst >> 6] + np.bitwise_count(word & (bit - _ONE)) - (dst > src)
+    sign = 1 - 2 * ((slot[free] + j) & 1)
+    images = bits[rows]
+    at = np.arange(len(free))
+    images[at, src >> 6] ^= _ONE << (src & 63).astype(np.uint64)
+    images[at, dst >> 6] ^= bit
+    keys = images.view(f"V{8 * images.shape[1]}") if images.shape[1] > 1 else images
+    distinct, image = np.unique(keys.ravel(), return_inverse=True)
+    return scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(bits)))
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

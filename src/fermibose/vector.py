@@ -3,7 +3,7 @@
 SparseVector carries the arithmetic shared by fock.FermionVector (keys are
 determinants) and boson.BosonVector (keys are monomials).  frame() turns
 the terms of many vectors, or any (column, amplitude, key) stream, into a
-sparse matrix; every Gram and Hamiltonian matrix is built through it.
+sparse matrix; every Gram matrix of phi images is built through it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from fermibose import bridge as BR
 from fermibose import fock as F
 from fermibose import lattice as L
 
+import oracles as O
+
 
 def report(num, label, ok, detail=""):
     line = f"[acceptance {num}] {'PASS' if ok else 'FAIL'} {label}"
@@ -137,7 +139,7 @@ def test_acceptance_2_exact_small_values():
     for alpha in (-1.0, -0.5, 0.0):
         cfg = L.GasConfig(d=2, fermi_radius_sq=1, alpha=alpha)
         ground = F.psi0(cfg)
-        value = F.expectation(
+        value = O.expectation(
             lambda v: F.apply_h(cfg, pot, v), ground
         ).real - F.e_n0(cfg, pot)
         expect = 6.0 * 5.0 ** (-alpha)

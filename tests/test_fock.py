@@ -13,11 +13,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fermibose import boson as B
+from fermibose import bridge as BR
 from fermibose import fock as F
 from fermibose import lattice as L
+
+import oracles as O
 
 
 def rvec(config, seed, n_dets=5, **kw):
@@ -145,7 +149,7 @@ def test_psi0_is_killed_by_every_excitation_annihilator(small2, small3):
             for q in ks[:4]:
                 assert F.apply_normal_commutator(k, q, cfg, g).norm() == 0.0
         assert F.apply_normal_t(cfg, g).norm() == 0.0
-        assert F.apply_exc_number(cfg, g).norm() == 0.0
+        assert O.apply_exc_number(cfg, g).norm() == 0.0
 
 
 def test_rho_on_psi0_counts_crescent(small2):
@@ -234,7 +238,7 @@ def test_excitation_norm_bounds(small2, small3):
             v = rvec(cfg, 100 + seed, n_dets=6)
             half = F.apply_exc_weight(cfg, v, shift=0.0)
             half1 = F.apply_exc_weight(cfg, v, shift=1.0)
-            full = F.apply_exc_number(cfg, v)
+            full = O.apply_exc_number(cfg, v)
             for k in ks:
                 ck = math.sqrt(L.crescent_size(k, cfg))
                 assert F.apply_b(k, cfg, v).norm() <= ck * half.norm() + 1e-10
@@ -326,7 +330,7 @@ def test_load_potential_reports_every_violation(tmp_path):
 
 
 def test_potential_from_function_tail():
-    pot, tail = F.potential_from_function(
+    pot, tail = O.potential_from_function(
         lambda k: math.exp(-L.norm_sq(k)), 2, cutoff_radius_sq=2
     )
     assert pot.support_radius_sq() == 2
@@ -353,7 +357,7 @@ def test_e_n0_single_particle_zero_mode_only():
 
 def test_trivial_bounds_match_filled_ball(small2, unit4):
     lo, hi = F.trivial_bounds(small2, unit4)
-    raw = F.expectation(lambda x: F.apply_h(small2, unit4, x), F.psi0(small2))
+    raw = O.expectation(lambda x: F.apply_h(small2, unit4, x), F.psi0(small2))
     assert abs(raw.imag) < 1e-12
     assert hi == pytest.approx(raw.real, rel=1e-13)
     assert hi - lo == pytest.approx(6.0 * 5.0, rel=1e-13)  # 6 N^-alpha, alpha=-1
@@ -518,7 +522,9 @@ def _ref_d(k, config, vec):
     return F._finish(acc)
 
 
-def _ref_hamiltonian(config, pot, basis):
+def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
+    """The tuple-move assembly; moves=F._moves is the fast tuple kernel,
+    which test_move_kernel_matches_move pins to F.move."""
     index = {det: i for i, det in enumerate(basis)}
     dim = len(basis)
     diag = np.empty(dim)
@@ -530,21 +536,30 @@ def _ref_hamiltonian(config, pot, basis):
     for k, v in pot.nonzero_items():
         rows, cols, data = [], [], []
         images = {}
-        for det, j in index.items():
-            for p in det:
-                hit = F.move(det, p, L.sub(p, k))
-                if hit is None:
-                    continue
-                sign, out = hit
-                row = images.setdefault(out, len(images))
-                rows.append(row)
-                cols.append(j)
-                data.append(float(sign))
+        for j, sign, out in moves(index.items(), k):
+            row = images.setdefault(out, len(images))
+            rows.append(row)
+            cols.append(j)
+            data.append(float(sign))
         a = scipy.sparse.coo_matrix(
             (data, (rows, cols)), shape=(len(images), dim)
         ).tocsr()
         h = h + (lam * v) * (a.T @ a)
     return h.tocsr()
+
+
+def _assert_same_csr(got, want):
+    assert got.format == want.format == "csr"
+    assert got.has_canonical_format and want.has_canonical_format
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def _ranks(basis, pot):
+    """The bitmask rank table: the basis modes and their shifts, in mode order."""
+    modes = set().union(*basis)
+    shifts = {L.sub(p, k) for p in modes for k, _ in pot.nonzero_items()}
+    return {p: i for i, p in enumerate(sorted(modes | shifts, key=L.mode_key))}
 
 
 def test_move_operators_match_reference_loops(small2, small3):
@@ -568,3 +583,84 @@ def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit
         got = F.hamiltonian_matrix(config, pot, basis)
         want = _ref_hamiltonian(config, pot, basis)
         assert (got != want).nnz == 0
+        _assert_same_csr(got, want)
+    five = L.fermi_ball(small2)
+    with pytest.raises(ValueError, match="different particle numbers"):
+        F.hamiltonian_matrix(small2, unit4, [five, five[:4]])
+
+
+def _phi_blocks(d, r):
+    """Determinants of each total-momentum block of the unit-window,
+    degree-2 phi images, as subspace_upper_bound frames them."""
+    config = L.GasConfig(d=d, fermi_radius_sq=r, alpha=-1.0)
+    groups = {}
+    for m in B.window_monomials(B.TruncationWindow.from_radius(d, 1, 2)):
+        groups.setdefault(L.total_momentum(m, d), []).append(m)
+    return config, {
+        momentum: BR._columns([BR.phi_monomial_image(config, m) for m in group])[0]
+        for momentum, group in groups.items()
+    }
+
+
+# every d = 2 block at r = 17 spans 2 words; four d = 3 blocks at r = 5 span
+# 3 (the 1300-determinant zero-momentum block, 4 words, is left out for time)
+@pytest.mark.parametrize(
+    "d, r, momenta, words",
+    [
+        (2, 17, None, {2}),
+        (3, 5, [(1, 0, 0), (2, 0, 0), (1, 1, 0), (0, -1, 1)], {3}),
+    ],
+    ids=["d2-r17", "d3-r5"],
+)
+def test_hamiltonian_assembly_matches_reference_on_phi_blocks(d, r, momenta, words):
+    config, blocks = _phi_blocks(d, r)
+    pot = F.unit_potential(d)
+    seen = set()
+    for momentum in momenta or sorted(blocks):
+        basis = blocks[momentum]
+        seen.add((len(_ranks(basis, pot)) + 63) // 64)
+        got = F.hamiltonian_matrix(config, pot, basis)
+        _assert_same_csr(got, _ref_hamiltonian(config, pot, basis, F._moves))
+    assert seen == words
+
+
+WIDE_POOLS = {2: L.ball_points(2, 72), 3: L.ball_points(3, 16)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hamiltonian_assembly_across_word_boundaries(data):
+    """Random determinant sets over more than 128 ranks: a base determinant
+    of 110-150 particles, then determinants reached by moving one particle
+    by -k and another by +k (k in the support of a random even potential),
+    so that pairs of them share rho_k images and A_k^dag A_k has signed
+    off-diagonal entries."""
+    d = data.draw(st.sampled_from(sorted(WIDE_POOLS)))
+    pool = WIDE_POOLS[d]
+    order = data.draw(st.permutations(range(len(pool))))
+    base = F.determinant(pool[i] for i in order[: data.draw(st.integers(110, 150))])
+    shifts = [k for k in L.ball_points(d, 4) if L.mode_key(k) > L.mode_key(L.neg(k))]
+    coeff = {}
+    for k in data.draw(st.lists(st.sampled_from(shifts), min_size=1, max_size=3)):
+        coeff[k] = coeff[L.neg(k)] = float(data.draw(st.integers(1, 4)))
+    pot = F.Potential(d, coeff)
+    basis = [base]
+    for _ in range(data.draw(st.integers(2, 12))):
+        det = data.draw(st.sampled_from(basis))
+        k = data.draw(st.sampled_from(sorted(coeff)))
+        p, q = data.draw(st.lists(st.sampled_from(det), min_size=2, max_size=2, unique=True))
+        moved = set(det) - {p, q} | {L.sub(p, k), L.add(q, k)}
+        if len(moved) == len(det) and F.determinant(moved) not in basis:
+            basis.append(F.determinant(moved))
+    rank = _ranks(basis, pot)
+    assert len(rank) > 128
+    # a free move whose source and target words differ
+    assume(any(
+        rank[p] >> 6 != rank[L.sub(p, k)] >> 6 and L.sub(p, k) not in det
+        for det in basis
+        for p in det
+        for k in coeff
+    ))
+    config = L.GasConfig(d=d, fermi_radius_sq=1)
+    got = F.hamiltonian_matrix(config, pot, basis)
+    _assert_same_csr(got, _ref_hamiltonian(config, pot, basis, F._moves))
