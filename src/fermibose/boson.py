@@ -19,15 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import (
     GasConfig,
     TWO_PI,
     ball_points,
+    coupling,
     crescent,
     crescent_ratio,
     mode_key,
@@ -48,10 +47,6 @@ def monomial(modes) -> tuple:
         if not any(m):
             raise ValueError("the zero mode is not a bosonic excitation")
     return out
-
-
-def monomial_degree(mono) -> int:
-    return len(mono)
 
 
 def monomial_norm_sq(mono) -> float:
@@ -171,18 +166,6 @@ class TruncationWindow:
     def d(self) -> int:
         return len(self.modes[0])
 
-    def pairs(self):
-        """Canonical {k, -k} pairs, earlier mode first."""
-        out = []
-        seen = set()
-        for k in self.modes:
-            if k in seen:
-                continue
-            seen.add(k)
-            seen.add(neg(k))
-            out.append((k, neg(k)))
-        return out
-
 
 def window_monomials(window: TruncationWindow):
     """Every monomial over the window modes with degree <= max_degree,
@@ -193,11 +176,6 @@ def window_monomials(window: TruncationWindow):
             itertools.combinations_with_replacement(window.modes, deg)
         )
     return out
-
-
-def window_dim_at_degree(window: TruncationWindow, degree: int) -> int:
-    s = len(window.modes)
-    return math.comb(degree + s - 1, degree)
 
 
 def window_dim(window: TruncationWindow) -> int:
@@ -228,7 +206,7 @@ def check_weights(weights) -> dict:
 
 def hb_weights(config: GasConfig, pot) -> dict:
     """g_k = (N^-alpha / 2) |C_k| vhat(k) on the potential support."""
-    lam = 0.5 * float(particle_count(config)) ** (-config.alpha)
+    lam = coupling(config)
     return {
         k: lam * crescent(k, config).size * v for k, v in pot.nonzero_items()
     }
@@ -265,118 +243,38 @@ def hb_form_matrix(weights, monomials) -> np.ndarray:
     return out * np.array([monomial_norm_sq(m) for m in monos])[:, None]
 
 
-def gram_matrix(monomials) -> np.ndarray:
-    return np.diag([monomial_norm_sq(m) for m in monomials])
+# ---------------------------------------------------------- window minimum
 
 
-# ------------------------------------------------------- pair-block solver
-
-
-@lru_cache(maxsize=None)
-def _block_minimum(g: float, budget: int):
-    """Minimum of one pair block over states of total degree <= budget.
-
-    The block conserves the charge c = n_k - n_{-k}; each |c| sector with
-    occupations (n+c, n) is a tridiagonal matrix with diagonal
-    2g(2n+c+1) and coupling 2g sqrt((n+c+1)(n+1)).  Returns
-    (value, charge, coefficients) with coefficients the normalized state
-    in the occupation basis |n+charge, n>.
-    """
-    if g == 0.0:
-        return 0.0, 0, (1.0,)
-    best = None
-    for c in range(budget + 1):
-        size = (budget - c) // 2 + 1
-        if size < 1:
-            continue
-        diag = np.array([2.0 * g * (2 * n + c + 1) for n in range(size)])
-        if size == 1:
-            val, vec = diag[0], np.ones(1)
-        else:
-            off = np.array(
-                [
-                    2.0 * g * math.sqrt((n + c + 1) * (n + 1))
-                    for n in range(size - 1)
-                ]
-            )
-            w, u = scipy.linalg.eigh_tridiagonal(diag, off)
-            val, vec = w[0], u[:, 0]
-        if best is None or val < best[0] - 1e-15:
-            piv = vec[int(np.argmax(np.abs(vec)))]
-            if piv < 0:
-                vec = -vec
-            best = (float(val), c, tuple(float(x) for x in vec))
-    return best
+def _whitened(weights, monos):
+    """The form on the orthonormal basis m / sqrt(m!), and the vector of
+    1 / sqrt(m!) that maps its coefficients back to monomial amplitudes."""
+    inv = np.array([1.0 / math.sqrt(monomial_norm_sq(m)) for m in monos])
+    return inv[:, None] * hb_form_matrix(weights, monos) * inv, inv
 
 
 @dataclass
 class TruncatedMinimum:
     value: float
     argmin: BosonVector
-    allocation: dict  # pair representative -> quanta given to that block
-    outside_weight: float  # sum of g_k for support modes not in the window
 
 
 def hb_min_truncated(weights, window: TruncationWindow) -> TruncatedMinimum:
-    """Minimize the quadratic form over the window by pair blocks.
+    """Minimum of the quadratic form over the span of the window monomials.
 
-    The Hamiltonian decouples over {k, -k} blocks, so the minimizer is
-    assembled as a product of per-block ground states under a shared
-    degree budget, allocated greedily by marginal energy decrease (one or
-    two quanta at a time, since charge-0 improvements come in pairs).
-    Support modes outside the window contribute their vacuum energy g_k.
+    This is the lowest eigenpair of the whitened form matrix.  Support
+    modes outside the window enter through its diagonal (each adds its
+    vacuum weight g_k).  The argmin is normalized, with its largest
+    whitened component positive.
     """
-    w = check_weights(weights)
-    window_modes = set(window.modes)
-    outside = sum(v for k, v in w.items() if k not in window_modes)
-    pairs = window.pairs()
-    gs = [w.get(k, 0.0) for k, _ in pairs]
-    budget = window.max_degree
-    alloc = [0] * len(pairs)
-
-    def mu(i, j):
-        return _block_minimum(gs[i], j)[0]
-
-    while budget > 0:
-        best = None
-        for i in range(len(pairs)):
-            for step in (1, 2):
-                if step > budget:
-                    continue
-                gain = mu(i, alloc[i]) - mu(i, alloc[i] + step)
-                if gain > 1e-15 and (
-                    best is None or gain / step > best[0] + 1e-15
-                ):
-                    best = (gain / step, i, step)
-        if best is None:
-            break
-        _, i, step = best
-        alloc[i] += step
-        budget -= step
-
-    value = outside + sum(mu(i, alloc[i]) for i in range(len(pairs)))
-    argmin = BosonVector.vacuum()
-    for i, (k, kneg) in enumerate(pairs):
-        _, charge, coeffs = _block_minimum(gs[i], alloc[i])
-        block = {}
-        for n, coef in enumerate(coeffs):
-            if coef == 0.0:
-                continue
-            a, b = n + charge, n
-            mono = (k,) * a + (kneg,) * b
-            block[monomial(mono)] = coef / math.sqrt(
-                math.factorial(a) * math.factorial(b)
-            )
-        new = {}
-        for m0, a0 in argmin.terms.items():
-            for m1, a1 in block.items():
-                mm = monomial(m0 + m1)
-                new[mm] = new.get(mm, 0j) + a0 * a1
-        argmin = BosonVector(new)
-    allocation = {pairs[i][0]: alloc[i] for i in range(len(pairs))}
-    return TruncatedMinimum(
-        value=value, argmin=argmin, allocation=allocation, outside_weight=outside
-    )
+    monos = window_monomials(window)
+    form, inv = _whitened(check_weights(weights), monos)
+    values, vectors = np.linalg.eigh(form)
+    u = vectors[:, 0]
+    if u[int(np.argmax(np.abs(u)))] < 0:
+        u = -u
+    argmin = BosonVector.finish({m: complex(c) for m, c in zip(monos, inv * u)})
+    return TruncatedMinimum(value=float(values[0]), argmin=argmin)
 
 
 # --------------------------------------------------------------- domination
@@ -415,12 +313,8 @@ def hb_domination_check(
     multiplier = scale_const * n ** (1 - config.alpha - 1 / config.d)
 
     monos = window_monomials(window)
-    base = hb_form_matrix(hb_weights(config, pot), monos)
-    slow = hb_form_matrix(hb_tilde_weights(pot), monos)
-    # the forms live in the factorial Gram; whiten before the PSD check
-    inv = np.diag([1.0 / math.sqrt(monomial_norm_sq(m)) for m in monos])
-    base_w = inv @ base @ inv
-    slow_w = inv @ slow @ inv
+    base_w, inv = _whitened(hb_weights(config, pot), monos)
+    slow_w, _ = _whitened(hb_tilde_weights(pot), monos)
     gap = multiplier * slow_w - base_w
     w_base, u_base = np.linalg.eigh(base_w)
     w_gap, u_gap = np.linalg.eigh(gap)
@@ -429,9 +323,9 @@ def hb_domination_check(
     ok_gap = w_gap[0] >= -tol * scale
     witness = None
     if not ok_base:
-        witness = inv @ u_base[:, 0]
+        witness = inv * u_base[:, 0]
     elif not ok_gap:
-        witness = inv @ u_gap[:, 0]
+        witness = inv * u_gap[:, 0]
     return DominationReport(
         ratio_constant=c2,
         multiplier=multiplier,

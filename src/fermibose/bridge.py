@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import boson, fock
-from .lattice import GasConfig, TWO_PI, crescent, neg, norm_sq, total_momentum
+from .lattice import GasConfig, TWO_PI, coupling, crescent, neg, norm_sq, total_momentum
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
 from .vector import frame
@@ -219,7 +219,7 @@ def h2_quadratic_parts(config: GasConfig, pot, psi: FermionVector):
         (a * a.conjugate()).real * fock.kinetic_excess(config, det)
         for det, a in psi.terms.items()
     )
-    lam = fock.coupling(config)
+    lam = coupling(config)
     inter = 0.0
     for k, v in pot.nonzero_items():
         dk = fock.apply_d(k, config, psi)
@@ -257,7 +257,7 @@ def h2_expectation_audit(
     m = window.max_degree
     kin, inter = h2_quadratic_parts(config, pot, psi)
     value = abs(kin + inter)
-    lam = fock.coupling(config)
+    lam = coupling(config)
     bound = (2.0 * kf * K + K * K) * m
     for k, v in pot.nonzero_items():
         ck = crescent(k, config).size
@@ -296,7 +296,7 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
     nsq = psi.norm_sq()
     if nsq == 0.0:
         raise ValueError("phi image vanishes")
-    lam = fock.coupling(config)
+    lam = coupling(config)
     e0 = fock.e_n0(config, pot)
     kin, inter = h2_quadratic_parts(config, pot, psi)
     h2_part = kin + inter

@@ -135,11 +135,11 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     data = {k: v for k, v in data.items() if v is not None}
-    for key in ("radii", "particles"):
+    for key in ("radii", "particles", "momentum"):
         if key in data:
+            if not isinstance(data[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, not {data[key]!r}")
             data[key] = tuple(int(x) for x in data[key])
-    if "momentum" in data:
-        data["momentum"] = tuple(int(x) for x in data["momentum"])
     cfg = ExperimentConfig(**data)
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
@@ -147,6 +147,10 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
         raise ConfigError("d must be at least 2")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if cfg.window_degree < 0:
+        raise ConfigError("window_degree must be >= 0")
+    if cfg.window_radius_sq < 1:
+        raise ConfigError("window_radius_sq must be >= 1")
     if cfg.momentum is not None and len(cfg.momentum) != cfg.d:
         raise ConfigError(
             f"momentum {cfg.momentum} does not have {cfg.d} components"

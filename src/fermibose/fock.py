@@ -37,6 +37,7 @@ from .lattice import (
     TWO_PI_SQ,
     add,
     ball_points,
+    coupling,
     crescent,
     fermi_ball,
     kinetic_ground_sum,
@@ -414,11 +415,6 @@ def load_potential(path, d=None) -> Potential:
 
 
 # ------------------------------------------------------------- Hamiltonian
-
-
-def coupling(config: GasConfig) -> float:
-    """The prefactor N^-alpha / 2 of the interaction sum."""
-    return 0.5 * float(particle_count(config)) ** (-config.alpha)
 
 
 def e_n0(config: GasConfig, pot: Potential) -> float:

@@ -171,6 +171,11 @@ def particle_count(config: GasConfig) -> int:
     return len(fermi_ball(config))
 
 
+def coupling(config: GasConfig) -> float:
+    """The prefactor N^-alpha / 2 of the interaction sum."""
+    return 0.5 * float(particle_count(config)) ** (-config.alpha)
+
+
 @lru_cache(maxsize=None)
 def kinetic_ground_sum(config: GasConfig) -> float:
     """Sum of |p|^2 over the Fermi ball, physical units."""

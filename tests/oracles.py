@@ -2,7 +2,8 @@
 
 apply_exc_number and expectation are the direct forms of the excitation
 number and of a Rayleigh quotient; potential_from_function truncates a
-coefficient function and reports a finite window on what it dropped.
+coefficient function and reports a finite window on what it dropped;
+gram_matrix is the factorial Gram of a monomial list as a dense matrix.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from fermibose.boson import monomial_norm_sq
 from fermibose.fock import FermionVector, Potential, excitation_count
 from fermibose.lattice import TWO_PI, GasConfig, ball_points, norm_sq
 
@@ -55,3 +59,7 @@ def potential_from_function(fn, d: int, cutoff_radius_sq: int, probe_radius_sq=N
         if norm_sq(k) > cutoff_radius_sq
     )
     return Potential(d, coeff), TailReport(cutoff_radius_sq, probe_radius_sq, tail)
+
+
+def gram_matrix(monomials) -> np.ndarray:
+    return np.diag([monomial_norm_sq(m) for m in monomials])

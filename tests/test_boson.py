@@ -1,10 +1,10 @@
 """Bosonic side tests.
 
 The factorial Gram and the commutation relations are checked against a
-dense oracle built from explicit occupation dictionaries; the pair-block
-minimizer is checked against dense diagonalization of the full form
-matrix restricted to one pair and against hand-derived closed forms
-(the first nontrivial truncated minimum is 4 - 2 sqrt(2)).
+dense oracle built from explicit occupation dictionaries; the window
+minimum is checked against the generalized eigenproblem of the form and
+the factorial Gram, and against hand-derived closed forms (the first
+nontrivial single-pair minimum is 4 - 2 sqrt(2)).
 """
 
 from __future__ import annotations
@@ -12,15 +12,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as O
 from fermibose import boson as B
 from fermibose import fock as F
 from fermibose import lattice as L
+
+UNIT4_D2 = Path(__file__).resolve().parents[1] / "configs" / "unit4_d2.potential"
 
 UNIT2 = tuple(k for k in L.ball_points(2, 1) if any(k))
 
@@ -42,7 +46,7 @@ def gram_oracle(mono):
 def test_monomial_canonical_order():
     m = B.monomial([(1, 0), (-1, 0), (1, 0)])
     assert m == ((-1, 0), (1, 0), (1, 0))
-    assert B.monomial_degree(m) == 3
+    assert len(m) == 3
     with pytest.raises(ValueError):
         B.monomial([(0, 0)])
 
@@ -145,7 +149,6 @@ def test_window_validation():
     w = B.TruncationWindow(modes=[[1, 0], [-1, 0]], max_degree=3)
     assert w.modes == ((-1, 0), (1, 0))
     assert w.d == 2
-    assert w.pairs() == [((-1, 0), (1, 0))]
 
 
 def test_window_from_radius():
@@ -164,7 +167,7 @@ def test_window_dims_match_enumeration(m, radius_sq):
     assert len(monos) == B.window_dim(w)
     by_deg = Counter(len(mono) for mono in monos)
     for deg in range(m + 1):
-        assert by_deg[deg] == B.window_dim_at_degree(w, deg)
+        assert by_deg[deg] == math.comb(deg + len(w.modes) - 1, deg)
     # ordered by degree, no duplicates
     assert sorted(monos, key=len) == list(monos)
     assert len(set(monos)) == len(monos)
@@ -246,34 +249,6 @@ def test_hb_form_matrix_matches_reference_loop(small2, unit4):
 # ---------------------------------------------------- truncated minimum
 
 
-def test_block_minimum_frozen_values():
-    # budget 0: vacuum energy 2g; budget 2: 2x2 charge-0 block
-    # [[2g, 2g], [2g, 6g]] with bottom eigenvalue (4 - 2 sqrt(2)) g
-    val0, c0, coef0 = B._block_minimum(1.0, 0)
-    assert val0 == pytest.approx(2.0)
-    assert (c0, coef0) == (0, (1.0,))
-    val2, c2, _ = B._block_minimum(1.0, 2)
-    assert val2 == pytest.approx(4.0 - 2.0 * math.sqrt(2.0), rel=1e-14)
-    assert c2 == 0
-    # odd budgets cannot improve a charge-0 minimizer
-    val1, _, _ = B._block_minimum(1.0, 1)
-    assert val1 == pytest.approx(2.0)
-    val3, _, _ = B._block_minimum(1.0, 3)
-    assert val3 == pytest.approx(val2)
-
-
-def test_block_minimum_matches_dense_form():
-    g = 0.85
-    w = {(1, 0): g, (-1, 0): g}
-    for m in range(5):
-        window = B.TruncationWindow(modes=((1, 0), (-1, 0)), max_degree=m)
-        monos = B.window_monomials(window)
-        mat = B.hb_form_matrix(w, monos)
-        gram = B.gram_matrix(monos)
-        dense = scipy_eigh_min(mat, gram)
-        assert B._block_minimum(g, m)[0] == pytest.approx(dense, rel=1e-12)
-
-
 def scipy_eigh_min(mat, gram):
     import scipy.linalg
 
@@ -285,8 +260,6 @@ def test_hb_min_truncated_single_pair():
     window = B.TruncationWindow(modes=((1, 0), (-1, 0)), max_degree=2)
     res = B.hb_min_truncated(w, window)
     assert res.value == pytest.approx(4.0 - 2.0 * math.sqrt(2.0), rel=1e-14)
-    assert res.outside_weight == 0.0
-    assert res.allocation == {(-1, 0): 2}
     # the reported argmin achieves the reported value
     num = res.argmin.inner(B.hb_apply(w, res.argmin)).real
     den = res.argmin.norm_sq()
@@ -300,6 +273,10 @@ def test_hb_min_monotone_and_decaying():
         window = B.TruncationWindow(modes=((1, 0), (-1, 0)), max_degree=m)
         values.append(B.hb_min_truncated(w, window).value)
     assert values[0] == pytest.approx(2.0)
+    assert values[2] == pytest.approx(4.0 - 2.0 * math.sqrt(2.0), rel=1e-14)
+    # odd degrees cannot improve a charge-0 minimizer
+    assert values[1] == pytest.approx(values[0], rel=1e-14)
+    assert values[3] == pytest.approx(values[2], rel=1e-14)
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-12
     # strictly below half the vacuum energy once six quanta are allowed
@@ -313,7 +290,7 @@ def test_hb_min_argmin_rayleigh_quotient(small2):
     res = B.hb_min_truncated(w, window)
     num = res.argmin.inner(B.hb_apply(w, res.argmin)).real
     assert num / res.argmin.norm_sq() == pytest.approx(res.value, rel=1e-12)
-    assert sum(res.allocation.values()) <= window.max_degree
+    assert all(len(m) <= window.max_degree for m in res.argmin.terms)
 
 
 def test_hb_min_outside_weight():
@@ -327,7 +304,6 @@ def test_hb_min_outside_weight():
     }
     window = window2(m=2)
     res = B.hb_min_truncated(w, window)
-    assert res.outside_weight == pytest.approx(0.8)
     inner = B.hb_min_truncated(
         {(1, 0): 1.0, (-1, 0): 1.0}, window
     )
@@ -335,15 +311,46 @@ def test_hb_min_outside_weight():
 
 
 def test_hb_min_never_below_dense_span_minimum(small2):
-    # the product assembly is an upper bound for the minimum over the
-    # full truncated span; for a single active pair they agree
+    # the window minimum is the minimum over the full truncated span
     pot = F.unit_potential(2)
     w = B.hb_weights(small2, pot)
     window = window2(m=2)
     res = B.hb_min_truncated(w, window)
     monos = B.window_monomials(window)
-    dense = scipy_eigh_min(B.hb_form_matrix(w, monos), B.gram_matrix(monos))
-    assert res.value >= dense - 1e-10
+    dense = scipy_eigh_min(B.hb_form_matrix(w, monos), O.gram_matrix(monos))
+    assert res.value == pytest.approx(dense, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "radius_sq, degree, expect, product",
+    [
+        (1, 2, 19.019, 23.787),
+        (20, 2, 787.40, 984.77),
+        (20, 4, 581.15, 727.55),
+    ],
+)
+def test_hb_min_is_lowest_eigenpair_of_whitened_form(
+    radius_sq, degree, expect, product
+):
+    # two pairs share the degree cap, so the window minimum lies strictly
+    # below the best product of per-pair ground states (``product``)
+    config = L.GasConfig(d=2, fermi_radius_sq=radius_sq, alpha=-1.0)
+    w = B.hb_weights(config, F.load_potential(str(UNIT4_D2), 2))
+    window = window2(m=degree)
+    res = B.hb_min_truncated(w, window)
+    monos = B.window_monomials(window)
+    inv = np.array([1.0 / math.sqrt(gram_oracle(m)) for m in monos])
+    whitened = inv[:, None] * B.hb_form_matrix(w, monos) * inv[None, :]
+    assert res.value == pytest.approx(np.linalg.eigvalsh(whitened)[0], rel=1e-12)
+    assert res.value == pytest.approx(expect, abs=0.005)
+    assert res.value < product
+    num = res.argmin.inner(B.hb_apply(w, res.argmin)).real
+    assert num / res.argmin.norm_sq() == pytest.approx(res.value, rel=1e-12)
+    assert res.argmin.norm() == pytest.approx(1.0, rel=1e-12)
+    whitened_coeffs = [
+        a.real * math.sqrt(gram_oracle(m)) for m, a in res.argmin.terms.items()
+    ]
+    assert max(whitened_coeffs, key=abs) > 0.0
 
 
 # ------------------------------------------------------------ domination

@@ -315,7 +315,7 @@ def _ref_isometry_eps(window, config):
 
 
 def _ref_subspace_values(window, config, pot, pivot_tol=1e-10):
-    lam = F.coupling(config)
+    lam = L.coupling(config)
     e0 = F.e_n0(config, pot)
     blocks = {}
     for m in B.window_monomials(window):

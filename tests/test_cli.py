@@ -441,6 +441,35 @@ def test_momentum_dimension_checked(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "experiment, flags, yaml_text, message",
+    [
+        ("trial", ["--radii", "1", "--window-degree", "-1"], None, "window_degree"),
+        (
+            "scaling",
+            ["--radii", "1", "--window-radius-sq", "0"],
+            None,
+            "window_radius_sq",
+        ),
+        ("bounds", [], "radii: 5\n", "radii must be a list"),
+        ("magic", [], "particles: 5\n", "particles must be a list"),
+        ("exact", ["--radii", "1"], "momentum: 0\n", "momentum must be a list"),
+    ],
+    ids=["window-degree", "window-radius-sq", "radii", "particles", "momentum"],
+)
+def test_bad_window_and_sweep_config_rejected(
+    tmp_path, capsys, experiment, flags, yaml_text, message
+):
+    argv = [experiment, *flags, "--out", str(tmp_path / "out")]
+    if yaml_text is not None:
+        cfgfile = tmp_path / "bad.yaml"
+        cfgfile.write_text(yaml_text)
+        argv += ["--config", str(cfgfile)]
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         cli.main(["warp-drive"])

@@ -532,7 +532,7 @@ def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
     for det, i in index.items():
         diag[i] = e0 + F.kinetic_excess(config, det)
     h = scipy.sparse.diags(diag, format="csr")
-    lam = F.coupling(config)
+    lam = L.coupling(config)
     for k, v in pot.nonzero_items():
         rows, cols, data = [], [], []
         images = {}
