@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import boson, fock
-from .lattice import GasConfig, TWO_PI, coupling, crescent, neg, norm_sq, total_momentum
+from .lattice import GasConfig, TWO_PI, coupling, crescent, norm_sq, total_momentum
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
 from .vector import frame
@@ -206,6 +206,31 @@ class H2Audit:
         return self.value <= self.bound
 
 
+def _kinetic_sum(config: GasConfig, psi: FermionVector) -> float:
+    """<psi|:T: psi>, unnormalised."""
+    return sum(
+        (a * a.conjugate()).real * fock.kinetic_excess(config, det)
+        for det, a in psi.terms.items()
+    )
+
+
+def _mode_parts(config: GasConfig, pot, psi: FermionVector):
+    """(k, lambda vhat(k), d_k psi, (b_{-k}^dag + b_k) psi) for each nonzero
+    mode k of pot; the three pieces of rho_k psi come from one move pass."""
+    lam = coupling(config)
+    for k, v in pot.nonzero_items():
+        dk, b_dag, b = fock.apply_rho_parts(k, config, psi)
+        x2 = b_dag + b
+        del b_dag, b  # not held while the caller works on this mode
+        yield k, lam * v, dk, x2
+
+
+def _d_terms(g, dk: FermionVector, x2: FermionVector) -> float:
+    """The d_k terms of <psi|H2 psi> at one mode with weight g:
+    g (2 Re<x2|d_k psi> + ||d_k psi||^2)."""
+    return g * (2.0 * x2.inner(dk).real + dk.norm_sq())
+
+
 def h2_quadratic_parts(config: GasConfig, pot, psi: FermionVector):
     """(kinetic, interaction) pieces of <psi|H2 psi> / ||psi||^2.
 
@@ -215,17 +240,10 @@ def h2_quadratic_parts(config: GasConfig, pot, psi: FermionVector):
     nsq = psi.norm_sq()
     if nsq == 0.0:
         raise ValueError("empty state")
-    kin = sum(
-        (a * a.conjugate()).real * fock.kinetic_excess(config, det)
-        for det, a in psi.terms.items()
-    )
-    lam = coupling(config)
     inter = 0.0
-    for k, v in pot.nonzero_items():
-        dk = fock.apply_d(k, config, psi)
-        x2 = fock.apply_b_dag(neg(k), config, psi) + fock.apply_b(k, config, psi)
-        inter += lam * v * (2.0 * x2.inner(dk).real + dk.norm_sq())
-    return kin / nsq, inter / nsq
+    for _, g, dk, x2 in _mode_parts(config, pot, psi):
+        inter += _d_terms(g, dk, x2)
+    return _kinetic_sum(config, psi) / nsq, inter / nsq
 
 
 def h2_expectation_audit(
@@ -296,16 +314,14 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
     nsq = psi.norm_sq()
     if nsq == 0.0:
         raise ValueError("phi image vanishes")
-    lam = coupling(config)
     e0 = fock.e_n0(config, pot)
-    kin, inter = h2_quadratic_parts(config, pot, psi)
-    h2_part = kin + inter
-    h1_part = 0.0
-    rho_sum = 0.0
-    for k, v in pot.nonzero_items():
-        x2 = fock.apply_b_dag(neg(k), config, psi) + fock.apply_b(k, config, psi)
-        h1_part += lam * v * x2.norm_sq()
-        rho_sum += lam * v * fock.apply_rho(k, psi).norm_sq()
+    kin = _kinetic_sum(config, psi) / nsq
+    inter = h1_part = rho_sum = 0.0
+    for k, g, dk, x2 in _mode_parts(config, pot, psi):
+        inter += _d_terms(g, dk, x2)
+        h1_part += g * x2.norm_sq()
+        rho_sum += g * fock.apply_rho(k, psi).norm_sq()
+    h2_part = kin + inter / nsq
     h1_part /= nsq
     raw = e0 + kin + rho_sum / nsq
     gap = raw - (e0 + h1_part + h2_part)

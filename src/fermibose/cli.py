@@ -10,7 +10,8 @@ allowed to differ between reruns.
 
 Sweep rows are independent jobs.  With --threads > 1 they are evaluated
 in a process pool and written back in row order, so the thread count
-never changes the output bytes.
+never changes the output bytes.  yaml and the process pool are imported
+only when a config file is read or --threads > 1.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ import platform
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy
-import yaml
 
 from . import __version__, boson, bridge, fock, lattice
 from .lattice import TWO_PI, GasConfig
@@ -118,28 +117,50 @@ class ExperimentConfig:
         return out
 
 
-_CONFIG_KEYS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
+# config key -> the type its value must have: the first name of the field's
+# annotation ("int | None" -> "int"); a tuple is a list of integers
+_CONFIG_KINDS = {
+    f.name: f.type.split(" |")[0] for f in ExperimentConfig.__dataclass_fields__.values()
+}
+_KIND_TYPES = {"int": int, "float": (int, float), "str": str}
+_KIND_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
+
+
+def _is_kind(value, kind) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _KIND_TYPES[kind])
 
 
 def load_config(experiment: str, path: str | None, overrides: dict) -> ExperimentConfig:
     data = {}
     if path is not None:
+        import yaml
+
         with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} is not a key-value document")
         data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
     data["experiment"] = experiment
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONFIG_KINDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     data = {k: v for k, v in data.items() if v is not None}
-    for key in ("radii", "particles", "momentum"):
-        if key in data:
-            if not isinstance(data[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list, not {data[key]!r}")
-            data[key] = tuple(int(x) for x in data[key])
+    for key, value in data.items():
+        kind = _CONFIG_KINDS[key]
+        if kind != "tuple":
+            if not _is_kind(value, kind):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}")
+            continue
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, not {value!r}")
+        bad = [x for x in value if not _is_kind(x, "int")]
+        if bad:
+            raise ConfigError(f"{key} must list integers, not {bad!r}")
+        data[key] = tuple(value)
     cfg = ExperimentConfig(**data)
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
@@ -553,6 +574,8 @@ def run(cfg: ExperimentConfig) -> int:
         states = range(cfg.n_states if experiment.per_state else 1)
         jobs = [(cfg, pot, r, s) for r in cfg.resolved_radii() for s in states]
         if cfg.threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
                 results = list(pool.map(_timed_row, jobs))
         else:

@@ -17,7 +17,10 @@ Momentum transfer convention: rho_k = sum_p a_{p-k}^dag a_p, i.e. applying
 rho_k lowers the total momentum of a determinant by k.  The quasi-bosonic
 pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
-for k != 0.
+for k != 0, and apply_rho_parts returns the three pieces from one pass.
+
+scipy is imported only inside the functions that build or solve a matrix,
+so the operator applications load none of it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .lattice import (
     GasConfig,
@@ -167,34 +167,36 @@ _KEYS = _KeyMemo()
 def _moves(items, k, r=None, keep=None):
     """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
 
-    Yields (tag, sign, image) for every move that lands on an unoccupied
-    mode, determinant by determinant and particle by particle.  keep maps
-    the side of the Fermi ball a kept move starts on (|p|^2 <= r) to the
-    side it must end on; the source is tested before p-k is built.
+    Yields (tag, sign, image, side) for every move that lands on an
+    unoccupied mode, determinant by determinant and particle by particle.
+    With r, side is the pair (|p|^2 <= r, |p-k|^2 <= r): the sides of the
+    Fermi ball the move starts and ends on; without r it is None.  keep
+    maps the side a kept move starts on to the side it must end on; the
+    source is tested before p-k is built.
 
     Each yield equals move(det, p, p-k): the target's slot j in det
     without p is one bisect on the determinant's mode keys, and the sign
     (-1)^(i+j) is that of a_p at slot i times that of a_{p-k}^dag at j.
     """
-    targets = {}  # p -> (p-k, mode_key(p-k))
+    targets = {}  # p -> (p-k, mode_key(p-k), side)
     for det, tag in items:
         keys = [_KEYS[p] for p in det]
         occupied = set(det)
         for i, p in enumerate(det):
-            if keep is not None:
-                inside = keys[i][0] <= r
-                if inside not in keep:
-                    continue
+            if keep is not None and (keys[i][0] <= r) not in keep:
+                continue
             hit = targets.get(p)
             if hit is None:
                 t = sub(p, k)
-                hit = targets[p] = (t, _KEYS[t])
-            t, key_t = hit
-            if keep is not None and (key_t[0] <= r) != keep[inside]:
+                key_t = _KEYS[t]
+                side = None if r is None else (keys[i][0] <= r, key_t[0] <= r)
+                hit = targets[p] = (t, key_t, side)
+            t, key_t, side = hit
+            if keep is not None and keep[side[0]] != side[1]:
                 continue
             if t in occupied:
                 if t == p:
-                    yield tag, 1, det
+                    yield tag, 1, det, side
                 continue
             j = bisect_left(keys, key_t)
             if j > i:
@@ -202,12 +204,12 @@ def _moves(items, k, r=None, keep=None):
                 out = det[:i] + det[i + 1 : j + 1] + (t,) + det[j + 1 :]
             else:
                 out = det[:j] + (t,) + det[j:i] + det[i + 1 :]
-            yield tag, (-1 if (i + j) & 1 else 1), out
+            yield tag, (-1 if (i + j) & 1 else 1), out, side
 
 
 def _apply_moves(k, vec: FermionVector, r=None, keep=None) -> FermionVector:
     acc = {}
-    for amp, sign, out in _moves(vec.terms.items(), k, r, keep):
+    for amp, sign, out, _ in _moves(vec.terms.items(), k, r, keep):
         _accumulate(acc, out, sign * amp)
     return _finish(acc)
 
@@ -231,6 +233,22 @@ def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Surface-preserving part d_k of rho_k (both sides of the move inside,
     or both outside, the Fermi ball)."""
     return _apply_moves(k, vec, config.fermi_radius_sq, {True: True, False: False})
+
+
+def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
+    """(d_k vec, b_{-k}^dag vec, b_k vec) from one pass over the moves of
+    rho_k, each move sent by its sides: same side to d_k, inside to
+    outside to b_{-k}^dag, outside to inside to b_k.
+
+    Every part is filled in the order its own apply_* function visits the
+    moves, so each equals apply_d(k), apply_b_dag(-k) and apply_b(k)
+    amplitude for amplitude.
+    """
+    d, b_dag, b = {}, {}, {}
+    route = {(True, True): d, (False, False): d, (True, False): b_dag, (False, True): b}
+    for amp, sign, out, side in _moves(vec.terms.items(), k, config.fermi_radius_sq):
+        _accumulate(route[side], out, sign * amp)
+    return _finish(d), _finish(b_dag), _finish(b)
 
 
 def kinetic_excess(config: GasConfig, det) -> float:
@@ -468,9 +486,9 @@ def apply_h2(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVe
     lam = coupling(config)
     out = apply_normal_t(config, vec)
     for k, v in pot.nonzero_items():
-        dk = apply_d(k, config, vec)
+        dk, b_dag, b = apply_rho_parts(k, config, vec)
         tail = apply_b_dag(k, config, dk) + apply_b(neg(k), config, dk)
-        mid = apply_b_dag(neg(k), config, vec) + apply_b(k, config, vec) + dk
+        mid = b_dag + b + dk
         tail = tail + apply_d(neg(k), config, mid)
         out = out + (lam * v) * tail
     return out
@@ -560,6 +578,8 @@ def hamiltonian_matrix(config, pot, basis):
     (bit order is sign order); A_k^dag A_k has integer entries, so it is
     exact in any summation order.
     """
+    import scipy.sparse
+
     dim = len(basis)
     n = len(basis[0]) if dim else 0
     if set(map(len, basis)) - {n}:
@@ -599,6 +619,8 @@ def _rho_bitmask(bits, below, rows, slot, src, dst):
     slot of determinant rows, as ranks; all (determinant, particle) pairs
     in one vector pass.  A move into a free target from slot i has sign
     (-1)^(i+j), j the occupied ranks below dst, less one if dst > src."""
+    import scipy.sparse
+
     word = bits[rows, dst >> 6]
     bit = _ONE << (dst & 63).astype(np.uint64)
     free = np.flatnonzero((word & bit) == 0)
@@ -643,6 +665,9 @@ def ground_state(
     tolerance tol from a fixed start vector, so it returns the same result
     on every call, and "auto" switches to it at DENSE_LIMIT.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
     if dim == 0:

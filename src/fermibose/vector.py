@@ -3,14 +3,13 @@
 SparseVector carries the arithmetic shared by fock.FermionVector (keys are
 determinants) and boson.BosonVector (keys are monomials).  frame() turns
 the terms of many vectors, or any (column, amplitude, key) stream, into a
-sparse matrix; every Gram matrix of phi images is built through it.
+sparse matrix; every Gram matrix of phi images is built through it, and
+it is the one place here that imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-
-import scipy.sparse
 
 # relative amplitude drop threshold after vector arithmetic
 DROP_TOL = 1e-14
@@ -95,6 +94,8 @@ def frame(entries, ncols: int):
     Rows are the distinct keys in first-seen order; amplitudes that meet
     at one (row, column) are summed.
     """
+    import scipy.sparse
+
     rows, cols, data = [], [], []
     index = {}
     for j, amp, key in entries:

@@ -10,6 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -454,8 +458,29 @@ def test_momentum_dimension_checked(tmp_path):
         ("bounds", [], "radii: 5\n", "radii must be a list"),
         ("magic", [], "particles: 5\n", "particles must be a list"),
         ("exact", ["--radii", "1"], "momentum: 0\n", "momentum must be a list"),
+        (
+            "trial",
+            ["--radii", "1"],
+            "window_degree: two\n",
+            "window_degree must be an integer, not 'two'",
+        ),
+        ("bounds", [], "radii: [a]\n", "radii must list integers, not ['a']"),
+        ("bounds", [], "radii: [1, 2.5]\n", "radii must list integers, not [2.5]"),
+        ("bounds", ["--radii", "1"], "alpha: low\n", "alpha must be a number"),
+        ("bounds", [], "radii: [1\n", "is not valid YAML"),
     ],
-    ids=["window-degree", "window-radius-sq", "radii", "particles", "momentum"],
+    ids=[
+        "window-degree",
+        "window-radius-sq",
+        "radii",
+        "particles",
+        "momentum",
+        "window-degree-word",
+        "radii-word",
+        "radii-float",
+        "alpha-word",
+        "yaml-syntax",
+    ],
 )
 def test_bad_window_and_sweep_config_rejected(
     tmp_path, capsys, experiment, flags, yaml_text, message
@@ -468,6 +493,36 @@ def test_bad_window_and_sweep_config_rejected(
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
+    """h2-audit builds no matrix and reads no config file: in a fresh
+    process it leaves scipy.sparse, scipy.linalg, yaml and the process
+    pool unimported."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from fermibose import cli\n"
+        f"code = cli.main(['h2-audit', '--radii', '1,5', '--window-degree', '2', "
+        f"'--n-states', '2', '--potential', {POT2!r}, '--out', {str(tmp_path)!r}])\n"
+        "heavy = ('scipy.sparse', 'scipy.linalg', 'yaml', 'concurrent.futures.process')\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
+    _, rows = read_csv(tmp_path / "h2-audit.csv")
+    assert len(rows) == 4 and {row[-1] for row in rows} == {"ok"}
 
 
 def test_unknown_experiment_rejected():

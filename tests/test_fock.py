@@ -71,13 +71,12 @@ def _ref_moves(items, k, r=None, keep=None):
     for det, tag in items:
         for p in det:
             t = L.sub(p, k)
-            if keep is not None:
-                inside = L.norm_sq(p) <= r
-                if inside not in keep or (L.norm_sq(t) <= r) != keep[inside]:
-                    continue
+            side = None if r is None else (L.norm_sq(p) <= r, L.norm_sq(t) <= r)
+            if keep is not None and (side[0] not in keep or side[1] != keep[side[0]]):
+                continue
             hit = F.move(det, p, t)
             if hit is not None:
-                yield tag, hit[0], hit[1]
+                yield tag, hit[0], hit[1], side
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,12 +88,12 @@ def test_move_kernel_matches_move(data):
     )
     items = [(F.determinant(occ), tag) for tag, occ in enumerate(dets)]
     k = data.draw(st.sampled_from(pool))
-    r = data.draw(st.sampled_from([1, 2, 4, 5]))
-    keep = data.draw(st.sampled_from(KEEPS))
+    r = data.draw(st.sampled_from([None, 1, 2, 4, 5]))
+    keep = None if r is None else data.draw(st.sampled_from(KEEPS))
     got = list(F._moves(items, k, r, keep))
     want = list(_ref_moves(items, k, r, keep))
     assert got == want
-    assert [type(sign) for _, sign, _ in got] == [int] * len(got)
+    assert [type(sign) for _, sign, _, _ in got] == [int] * len(got)
 
 
 def test_determinant_canonicalization():
@@ -182,6 +181,54 @@ def test_rho_decomposition(small2, small3):
                     + F.apply_d(k, cfg, v)
                 )
                 assert (lhs - rhs).norm() < 1e-12 * max(lhs.norm(), 1.0)
+
+
+def _rho_parts_vectors(cfg, seed):
+    """Random vectors dense enough that several moves meet on one image,
+    and phi images of every window monomial up to degree 2 superposed, so
+    that b_{-k}^dag (degree m -> m+1) and b_k (m+2 -> m+1) meet too."""
+    rng = np.random.default_rng(seed)
+    yield F.random_fermion_vector(cfg, rng, 60, pool_radius_sq=cfg.fermi_radius_sq + 1)
+    window = B.TruncationWindow.from_radius(cfg.d, 1, 2)
+    monos = B.window_monomials(window)
+    f = B.BosonVector.from_monomial(monos[0])  # the vacuum
+    for mono in monos[1:]:
+        amp = complex(rng.standard_normal(), rng.standard_normal())
+        f = f + amp * B.BosonVector.from_monomial(mono)
+    yield BR.phi_map(f, cfg)
+
+
+PART = {(True, True): "d", (False, False): "d", (True, False): "b_dag", (False, True): "b"}
+
+
+def test_rho_parts_equal_the_filtered_operators(small2, small3):
+    """apply_rho_parts(k) is (apply_d(k), apply_b_dag(-k), apply_b(k))
+    amplitude for amplitude and in the same term order."""
+    names = ("d", "b_dag", "b")
+    for cfg, seeds in ((small2, (1, 2)), (small3, (3,))):
+        r = cfg.fermi_radius_sq
+        ks = [k for k in L.ball_points(cfg.d, 2) if any(k)]
+        for seed in seeds:
+            merged = shared = 0
+            for v in _rho_parts_vectors(cfg, seed):
+                for k in ks:
+                    parts = F.apply_rho_parts(k, cfg, v)
+                    refs = (
+                        F.apply_d(k, cfg, v),
+                        F.apply_b_dag(L.neg(k), cfg, v),
+                        F.apply_b(k, cfg, v),
+                    )
+                    for name, got, want in zip(names, parts, refs):
+                        assert list(got.terms.items()) == list(want.terms.items()), name
+                    assert (parts[1] + parts[2]).terms == (refs[1] + refs[2]).terms
+                    shared += len(parts[1].terms.keys() & parts[2].terms.keys())
+                    images = [
+                        (PART[side], out)
+                        for _, _, out, side in F._moves(v.terms.items(), k, r)
+                    ]
+                    # moves that add into an image another move already filled
+                    merged += len(images) - len(set(images))
+            assert merged > 0 and shared > 0, (cfg, seed)
 
 
 def test_adjoint_pairs(small2):
@@ -536,7 +583,7 @@ def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
     for k, v in pot.nonzero_items():
         rows, cols, data = [], [], []
         images = {}
-        for j, sign, out in moves(index.items(), k):
+        for j, sign, out, _ in moves(index.items(), k):
             row = images.setdefault(out, len(images))
             rows.append(row)
             cols.append(j)
