@@ -1,12 +1,14 @@
 """Experiment runner: sweeps, audits and bounds as reproducible tables.
 
 Each experiment reads one YAML config (flags override file values),
-writes a CSV table with floats at 12 significant digits, a JSON manifest
-with the resolved config, library versions and timings, and a
-failures.json listing every violated invariant.  Identical configs
-produce byte-identical CSV files on one machine with one BLAS thread
-count; the manifest carries the wall-clock numbers and is the only output
-allowed to differ between reruns.
+whose keys are the ExperimentConfig fields: every flag, type check and
+lower bound is generated from them.  It writes a CSV table with floats
+at 12 significant digits, a JSON manifest with the resolved config,
+library versions and timings, and a failures.json listing every
+violated invariant.  Identical configs produce byte-identical CSV files
+on one machine with one BLAS thread count; the manifest carries the
+wall-clock numbers and is the only output allowed to differ between
+reruns.
 
 Sweep rows are independent jobs.  With --threads > 1 they are evaluated
 in a process pool and written back in row order, so the thread count
@@ -25,7 +27,7 @@ import platform
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -40,27 +42,33 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(default, help, low=None):
+    """A config key: its default, its --help text and its lowest valid
+    value (None: unbounded)."""
+    return field(default=default, metadata={"help": help, "low": low})
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
-    d: int = 2
-    alpha: float = -1.0
-    radii: tuple = ()  # fermi_radius_sq sweep values
-    particles: tuple = ()  # alternative to radii, magic counts only
-    potential: str | None = None  # path; None means v = 0
-    window_radius_sq: int = 1
-    window_degree: int = 2
-    max_radius_sq: int = 25  # magic table extent
-    kmax_sq: int = 16  # crescent audit shift extent
-    cutoff_radius_sq: int | None = None  # exact-diagonalization pool
-    momentum: tuple | None = None  # exact-diagonalization sector
-    cutoff_momentum: float | None = None  # h2 audit scale K
-    n_states: int = 20  # h2 audit rows per radius
-    exact_dim_limit: int = 4000
-    solver_tol: float = 1e-9
-    seed: int = 0
-    threads: int = 1
-    out: str = "runs"
+    d: int = _key(2, "lattice dimension", low=2)
+    alpha: float = _key(-1.0, "coupling exponent")
+    radii: tuple = _key((), "comma-separated fermi_radius_sq sweep")
+    particles: tuple = _key((), "comma-separated magic N sweep")
+    potential: str | None = _key(None, "potential file path")
+    window_radius_sq: int = _key(1, "largest |k|^2 of a window mode", low=1)
+    window_degree: int = _key(2, "largest window monomial degree", low=0)
+    max_radius_sq: int = _key(25, "magic table extent", low=0)
+    kmax_sq: int = _key(16, "crescent audit shift extent", low=1)
+    cutoff_radius_sq: int | None = _key(None, "exact-diagonalization pool")
+    momentum: tuple | None = _key(None, "total momentum sector")
+    cutoff_momentum: float | None = _key(None, "h2 audit scale K")
+    n_states: int = _key(20, "h2 audit rows per radius", low=1)
+    exact_dim_limit: int = _key(4000, "largest sector dimension solved")
+    solver_tol: float = _key(1e-9, "eigensolver residual tolerance")
+    seed: int = _key(0, "seed for sampled audit states", low=0)
+    threads: int = _key(1, "worker processes", low=1)
+    out: str = _key("runs", "output directory (default runs/)")
 
     def resolved_radii(self):
         if self.radii and self.particles:
@@ -117,17 +125,23 @@ class ExperimentConfig:
         return out
 
 
-# config key -> the type its value must have: the first name of the field's
-# annotation ("int | None" -> "int"); a tuple is a list of integers
-_CONFIG_KINDS = {
-    f.name: f.type.split(" |")[0] for f in ExperimentConfig.__dataclass_fields__.values()
+def _int_list(text):
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+# annotation kind -> (flag parser, accepted value types, name in messages);
+# a key's kind is the first name of its annotation ("int | None" -> "int")
+_KINDS = {
+    "int": (int, int, "an integer"),
+    "float": (float, (int, float), "a number"),
+    "str": (str, str, "a string"),
+    "tuple": (_int_list, (list, tuple), "a list"),
 }
-_KIND_TYPES = {"int": int, "float": (int, float), "str": str}
-_KIND_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
+_CONFIG_KINDS = {f.name: f.type.split(" |")[0] for f in fields(ExperimentConfig)}
 
 
 def _is_kind(value, kind) -> bool:
-    return not isinstance(value, bool) and isinstance(value, _KIND_TYPES[kind])
+    return not isinstance(value, bool) and isinstance(value, _KINDS[kind][1])
 
 
 def load_config(experiment: str, path: str | None, overrides: dict) -> ExperimentConfig:
@@ -151,27 +165,20 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
     data = {k: v for k, v in data.items() if v is not None}
     for key, value in data.items():
         kind = _CONFIG_KINDS[key]
-        if kind != "tuple":
-            if not _is_kind(value, kind):
-                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}")
-            continue
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, not {value!r}")
-        bad = [x for x in value if not _is_kind(x, "int")]
-        if bad:
-            raise ConfigError(f"{key} must list integers, not {bad!r}")
-        data[key] = tuple(value)
+        if not _is_kind(value, kind):
+            raise ConfigError(f"{key} must be {_KINDS[kind][2]}, not {value!r}")
+        if kind == "tuple":
+            bad = [x for x in value if not _is_kind(x, "int")]
+            if bad:
+                raise ConfigError(f"{key} must list integers, not {bad!r}")
+            data[key] = tuple(value)
     cfg = ExperimentConfig(**data)
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if cfg.d < 2:
-        raise ConfigError("d must be at least 2")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if cfg.window_degree < 0:
-        raise ConfigError("window_degree must be >= 0")
-    if cfg.window_radius_sq < 1:
-        raise ConfigError("window_radius_sq must be >= 1")
+    for f in fields(cfg):
+        low, value = f.metadata.get("low"), getattr(cfg, f.name)
+        if low is not None and value < low:
+            raise ConfigError(f"{f.name} must be >= {low}")
     if cfg.momentum is not None and len(cfg.momentum) != cfg.d:
         raise ConfigError(
             f"momentum {cfg.momentum} does not have {cfg.d} components"
@@ -640,10 +647,6 @@ def _write_failures(cfg: ExperimentConfig, failures):
 # --------------------------------------------------------------------- main
 
 
-def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fermibose",
@@ -652,36 +655,13 @@ def build_parser():
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="YAML config file")
-    parser.add_argument("--out", help="output directory (default runs/)")
-    parser.add_argument("--threads", type=int, help="worker processes")
-    parser.add_argument(
-        "--seed", type=int, help="seed for sampled audit states"
-    )
-    parser.add_argument("--d", type=int, help="lattice dimension")
-    parser.add_argument("--alpha", type=float, help="coupling exponent")
-    parser.add_argument(
-        "--radii", type=_int_list, help="comma-separated fermi_radius_sq sweep"
-    )
-    parser.add_argument(
-        "--particles", type=_int_list, help="comma-separated magic N sweep"
-    )
-    parser.add_argument("--potential", help="potential file path")
-    parser.add_argument("--window-radius-sq", type=int, dest="window_radius_sq")
-    parser.add_argument("--window-degree", type=int, dest="window_degree")
-    parser.add_argument("--max-radius-sq", type=int, dest="max_radius_sq")
-    parser.add_argument("--kmax-sq", type=int, dest="kmax_sq")
-    parser.add_argument(
-        "--cutoff-radius-sq", type=int, dest="cutoff_radius_sq"
-    )
-    parser.add_argument(
-        "--momentum", type=_int_list, help="total momentum sector"
-    )
-    parser.add_argument(
-        "--cutoff-momentum", type=float, dest="cutoff_momentum"
-    )
-    parser.add_argument("--n-states", type=int, dest="n_states")
-    parser.add_argument("--exact-dim-limit", type=int, dest="exact_dim_limit")
-    parser.add_argument("--solver-tol", type=float, dest="solver_tol")
+    for f in fields(ExperimentConfig)[1:]:  # every key but experiment
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=_KINDS[_CONFIG_KINDS[f.name]][0],
+            help=f.metadata["help"],
+        )
     return parser
 
 

@@ -665,6 +665,10 @@ def ground_state(
     tolerance tol from a fixed start vector, so it returns the same result
     on every call, and "auto" switches to it at DENSE_LIMIT.
     """
+    if method not in ("auto", "dense", "iterative"):
+        raise ValueError(
+            f"method must be 'auto', 'dense' or 'iterative', not {method!r}"
+        )
     import scipy.linalg
     import scipy.sparse.linalg
 

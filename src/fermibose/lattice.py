@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 Momentum = tuple  # tuple[int, ...] in lattice units
 
@@ -156,10 +156,6 @@ class GasConfig:
         """k_F in physical units, 2*pi*sqrt(fermi_radius_sq)."""
         return TWO_PI * math.sqrt(self.fermi_radius_sq)
 
-    def inside(self, n: Momentum) -> bool:
-        """|2*pi*n| <= k_F, exactly."""
-        return norm_sq(n) <= self.fermi_radius_sq
-
 
 @lru_cache(maxsize=None)
 def fermi_ball(config: GasConfig) -> tuple:
@@ -196,13 +192,6 @@ class CrescentSet:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def __contains__(self, p) -> bool:
-        return p in self._member_set
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
 
 
 @lru_cache(maxsize=None)

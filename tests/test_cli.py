@@ -8,6 +8,7 @@ suite, read back through the CSV text to pin the formatting contract.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -468,6 +469,10 @@ def test_momentum_dimension_checked(tmp_path):
         ("bounds", [], "radii: [1, 2.5]\n", "radii must list integers, not [2.5]"),
         ("bounds", ["--radii", "1"], "alpha: low\n", "alpha must be a number"),
         ("bounds", [], "radii: [1\n", "is not valid YAML"),
+        ("crescent-audit", ["--kmax-sq", "0"], None, "kmax_sq must be >= 1"),
+        ("h2-audit", ["--n-states", "0"], None, "n_states must be >= 1"),
+        ("h2-audit", ["--seed", "-1"], None, "seed must be >= 0"),
+        ("magic", ["--max-radius-sq", "-1"], None, "max_radius_sq must be >= 0"),
     ],
     ids=[
         "window-degree",
@@ -480,6 +485,10 @@ def test_momentum_dimension_checked(tmp_path):
         "radii-float",
         "alpha-word",
         "yaml-syntax",
+        "kmax-sq",
+        "n-states",
+        "seed",
+        "max-radius-sq",
     ],
 )
 def test_bad_window_and_sweep_config_rejected(
@@ -493,6 +502,90 @@ def test_bad_window_and_sweep_config_rejected(
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Every flag with its parsed type and, where pinned, its --help text.
+FLAGS = {
+    "--d": (int, "lattice dimension"),
+    "--alpha": (float, "coupling exponent"),
+    "--radii": (tuple, "comma-separated fermi_radius_sq sweep"),
+    "--particles": (tuple, "comma-separated magic N sweep"),
+    "--potential": (str, "potential file path"),
+    "--window-radius-sq": (int, None),
+    "--window-degree": (int, None),
+    "--max-radius-sq": (int, None),
+    "--kmax-sq": (int, None),
+    "--cutoff-radius-sq": (int, None),
+    "--momentum": (tuple, "total momentum sector"),
+    "--cutoff-momentum": (float, None),
+    "--n-states": (int, None),
+    "--exact-dim-limit": (int, None),
+    "--solver-tol": (float, None),
+    "--seed": (int, "seed for sampled audit states"),
+    "--threads": (int, "worker processes"),
+    "--out": (str, "output directory (default runs/)"),
+}
+SAMPLE_TEXT = {int: ("3", 3), float: ("0.5", 0.5), str: ("x", "x"), tuple: ("1,2", (1, 2))}
+
+
+def test_parser_options_are_the_config_fields():
+    options = [a for a in cli.build_parser()._actions if a.option_strings]
+    dests = {a.dest for a in options} - {"help"}
+    keys = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert dests == keys - {"experiment"} | {"config"}
+    flags = {a.option_strings[0]: a for a in options if a.dest in keys}
+    assert sorted(flags) == sorted(FLAGS)
+    for flag, (_, help_text) in FLAGS.items():
+        assert flags[flag].dest == flag[2:].replace("-", "_")
+        assert flags[flag].help
+        if help_text is not None:
+            assert flags[flag].help == help_text
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_each_flag_parses_into_its_kind(flag):
+    kind = FLAGS[flag][0]
+    text, value = SAMPLE_TEXT[kind]
+    args = vars(cli.build_parser().parse_args(["magic", flag, text]))
+    key = flag[2:].replace("-", "_")
+    assert type(args[key]) is kind and args[key] == value
+    # the parsed value passes load_config's type check
+    assert getattr(cli.load_config("magic", None, {key: value}), key) == value
+
+
+BOUNDED = {
+    "d": 2,
+    "window_radius_sq": 1,
+    "window_degree": 0,
+    "max_radius_sq": 0,
+    "kmax_sq": 1,
+    "n_states": 1,
+    "seed": 0,
+    "threads": 1,
+}
+
+
+def test_bounded_keys_are_the_schema_lows():
+    lows = {
+        f.name: f.metadata["low"]
+        for f in dataclasses.fields(cli.ExperimentConfig)
+        if f.metadata.get("low") is not None
+    }
+    assert lows == BOUNDED
+
+
+@pytest.mark.parametrize("key", sorted(BOUNDED))
+def test_bounded_key_accepts_its_low(tmp_path, key):
+    low = BOUNDED[key]
+    flag = "--" + key.replace("_", "-")
+    args = vars(cli.build_parser().parse_args(["magic", flag, str(low)]))
+    del args["experiment"], args["config"]
+    assert getattr(cli.load_config("magic", None, args), key) == low
+    cfgfile = tmp_path / "low.yaml"
+    cfgfile.write_text(f"{key}: {low}\n")
+    assert getattr(cli.load_config("magic", str(cfgfile), {}), key) == low
+    with pytest.raises(cli.ConfigError, match=f"^{key} must be >= {low}$"):
+        cli.load_config("magic", None, {key: low - 1})
 
 
 def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):

@@ -436,6 +436,12 @@ def test_ground_state_dense_vs_iterative(small2, unit4):
     assert abs(dense.energy - it.energy) < 1e-8 * max(abs(dense.energy), 1.0)
 
 
+@pytest.mark.parametrize("method", ["Dense", "lanczos", ""])
+def test_ground_state_rejects_unknown_method(small2, unit4, method):
+    with pytest.raises(ValueError, match="'auto', 'dense' or 'iterative'"):
+        F.ground_state(small2, unit4, cutoff_radius_sq=4, method=method)
+
+
 def test_auto_method_switches_at_dense_limit(small2, unit4, monkeypatch):
     # the cutoff-4 sector of the 5-particle gas has dimension 51
     monkeypatch.setattr(F, "DENSE_LIMIT", 51)

@@ -109,7 +109,7 @@ def test_crescent_frozen_example():
     c = lat.crescent((1, 0), cfg)
     assert set(c.members) == {(1, 0), (0, 1), (0, -1)}
     assert c.size == 3
-    assert (1, 0) in c and (0, 0) not in c
+    assert (1, 0) in c.members and (0, 0) not in c.members
 
 
 def test_crescent_matches_oracle():
