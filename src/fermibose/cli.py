@@ -42,10 +42,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _key(default, help, low=None):
+def _key(default, help, low=None, above=None):
     """A config key: its default, its --help text and its lowest valid
-    value (None: unbounded)."""
-    return field(default=default, metadata={"help": help, "low": low})
+    value, or the value it must exceed (None: unbounded)."""
+    return field(default=default, metadata={"help": help, "low": low, "above": above})
 
 
 @dataclass
@@ -60,12 +60,12 @@ class ExperimentConfig:
     window_degree: int = _key(2, "largest window monomial degree", low=0)
     max_radius_sq: int = _key(25, "magic table extent", low=0)
     kmax_sq: int = _key(16, "crescent audit shift extent", low=1)
-    cutoff_radius_sq: int | None = _key(None, "exact-diagonalization pool")
+    cutoff_radius_sq: int | None = _key(None, "exact-diagonalization pool", low=0)
     momentum: tuple | None = _key(None, "total momentum sector")
-    cutoff_momentum: float | None = _key(None, "h2 audit scale K")
+    cutoff_momentum: float | None = _key(None, "h2 audit scale K", low=TWO_PI)
     n_states: int = _key(20, "h2 audit rows per radius", low=1)
-    exact_dim_limit: int = _key(4000, "largest sector dimension solved")
-    solver_tol: float = _key(1e-9, "eigensolver residual tolerance")
+    exact_dim_limit: int = _key(4000, "largest sector dimension solved", low=1)
+    solver_tol: float = _key(1e-9, "eigensolver residual tolerance", above=0)
     seed: int = _key(0, "seed for sampled audit states", low=0)
     threads: int = _key(1, "worker processes", low=1)
     out: str = _key("runs", "output directory (default runs/)")
@@ -176,9 +176,14 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     for f in fields(cfg):
-        low, value = f.metadata.get("low"), getattr(cfg, f.name)
+        low, above = f.metadata.get("low"), f.metadata.get("above")
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
         if low is not None and value < low:
             raise ConfigError(f"{f.name} must be >= {low}")
+        if above is not None and value <= above:
+            raise ConfigError(f"{f.name} must be > {above}")
     if cfg.momentum is not None and len(cfg.momentum) != cfg.d:
         raise ConfigError(
             f"momentum {cfg.momentum} does not have {cfg.d} components"

@@ -532,38 +532,71 @@ def _momentum_combinations(modes, n, momentum):
     """The n-subsets of modes summing to momentum, in the order of
     itertools.combinations(modes, n).
 
-    reach[i][j] is the set of total momenta of j modes drawn from
-    modes[i:], kept for the j a branch at index i can still need; the
-    depth-first walk takes modes[i] only when the rest of the momentum
-    stays reachable, so every branch it enters ends in a determinant.
+    A momentum q is coded as the integer sum_c q_c base^c, which is linear
+    and, with base above twice every coordinate difference compared here,
+    injective.  reach[i][j] holds the sorted codes of the totals of j
+    modes drawn from modes[i:], for the j a prefix that may still take
+    modes[i] can need; table[j] stacks them over i as i * width + code, so
+    one searchsorted tests every candidate of a depth.  Each pass extends
+    all live prefixes at once by every later mode whose remaining momentum
+    stays reachable, so every prefix kept ends in a determinant; parents
+    keep their order and a parent's extensions ascend, so the prefixes
+    stay in lexicographic order of their mode indices.
     """
     m = len(modes)
-    reach = [{} for _ in range(m + 1)]
-    reach[m][0] = {(0,) * len(modes[0])}
-    for i in range(m - 1, -1, -1):
-        after = reach[i + 1]
-        for j in range(max(0, n - i), min(n, m - i) + 1):
-            got = set(after.get(j, ()))
-            if j:
-                got.update(add(modes[i], q) for q in after[j - 1])
-            reach[i][j] = got
-    basis = []
-    chosen = []
+    pts = np.array(modes, dtype=np.int64).reshape(m, -1)
+    d = pts.shape[1]
+    top = n * int(np.abs(pts).max(initial=0))  # bounds a coordinate of any total
+    if n > m or max(map(abs, momentum), default=0) > top:
+        return []
+    # a remaining momentum is within 2 top of 0 and a total within top
+    base = 6 * top + 1
+    width = base**d  # above twice any code compared
+    if (m + 1) * width >= 2**62:
+        raise ValueError("momentum codes overflow int64; tighten the cutoff")
+    weights = base ** np.arange(d, dtype=np.int64)
+    code = pts @ weights
+    empty = np.zeros(0, dtype=np.int64)
+    reach = {0: np.zeros(1, dtype=np.int64)}  # reach[m]: the empty total
+    stacks = [[] for _ in range(n + 1)]
+    for i in range(m, -1, -1):
+        if i < m:  # reach[i] from reach[i + 1]: skip modes[i] or take it
+            reach = {
+                j: np.union1d(reach.get(j, empty), code[i] + reach[j - 1])
+                if j
+                else reach[0]
+                for j in range(max(0, n - i), min(n, m - i) + 1)
+            }
+        for j, codes in reach.items():
+            stacks[j].append(i * width + codes)
+    table = [np.concatenate(stack[::-1]) for stack in stacks]
 
-    def descend(start, left, rest):
-        if not left:
-            basis.append(tuple(chosen))
-            return
-        for i in range(start, m - left + 1):
-            remain = sub(rest, modes[i])
-            if remain in reach[i + 1][left - 1]:
-                chosen.append(modes[i])
-                descend(i + 1, left - 1, remain)
-                chosen.pop()
+    def reachable(j, key):
+        at = np.searchsorted(table[j], key)
+        return table[j][np.minimum(at, len(table[j]) - 1)] == key
 
-    if momentum in reach[0].get(n, ()):
-        descend(0, n, momentum)
-    return basis
+    rest = np.array([np.dot(momentum, weights)], dtype=np.int64)
+    if not reachable(n, rest)[0]:
+        return []
+    start = np.zeros(1, dtype=np.int64)  # first mode each prefix may take
+    picks, parents = [], []
+    for left in range(n, 0, -1):
+        count = m - left + 1 - start
+        parent = np.repeat(np.arange(len(start)), count)
+        first = np.cumsum(count) - count
+        i = np.arange(len(parent)) - np.repeat(first - start, count)
+        remain = rest[parent] - code[i]
+        keep = reachable(left - 1, (i + 1) * width + remain)
+        parent, i, rest = parent[keep], i[keep], remain[keep]
+        picks.append(i)
+        parents.append(parent)
+        start = i + 1
+    objects = np.fromiter(modes, dtype=object, count=m)
+    columns, row = [], np.arange(len(rest))  # traced back from the last mode
+    for pick, parent in zip(picks[::-1], parents[::-1]):
+        columns.append(objects[pick[row]].tolist())
+        row = parent[row]
+    return list(zip(*columns[::-1]))
 
 
 def hamiltonian_matrix(config, pot, basis):

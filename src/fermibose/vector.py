@@ -31,8 +31,16 @@ class SparseVector:
 
     @classmethod
     def finish(cls, acc: dict):
-        """The vector of accumulated amplitudes, exact zeros dropped, pruned."""
-        return cls({key: v for key, v in acc.items() if v != 0}).pruned()
+        """The vector of accumulated amplitudes, exact zeros dropped, pruned.
+
+        acc becomes the vector's terms unless it holds an exact zero: the
+        caller hands over a fresh accumulator and keeps no reference.
+        """
+        if 0 in acc.values():
+            acc = {key: v for key, v in acc.items() if v != 0}
+        vec = cls.__new__(cls)
+        vec.terms = acc
+        return vec.pruned()
 
     def norm_sq(self) -> float:
         return sum((a * a.conjugate()).real for a in self.terms.values())
@@ -69,11 +77,13 @@ class SparseVector:
         return self * -1.0
 
     def pruned(self, tol: float = DROP_TOL):
+        """Drops amplitudes at or below tol * norm; self when none is."""
         if not self.terms:
             return self
         cut = tol * self.norm()
-        kept = {key: v for key, v in self.terms.items() if abs(v) > cut}
-        return type(self)(kept) if len(kept) != len(self.terms) else self
+        if min(map(abs, self.terms.values())) > cut:
+            return self
+        return type(self)({key: v for key, v in self.terms.items() if abs(v) > cut})
 
     def normalized(self):
         n = self.norm()

@@ -3,7 +3,9 @@
 apply_exc_number and expectation are the direct forms of the excitation
 number and of a Rayleigh quotient; potential_from_function truncates a
 coefficient function and reports a finite window on what it dropped;
-gram_matrix is the factorial Gram of a monomial list as a dense matrix.
+gram_matrix is the factorial Gram of a monomial list as a dense matrix;
+momentum_combinations is the depth-first sector walk that
+fock._momentum_combinations replaces with a numpy pass per depth.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from fermibose.boson import monomial_norm_sq
 from fermibose.fock import FermionVector, Potential, excitation_count
-from fermibose.lattice import TWO_PI, GasConfig, ball_points, norm_sq
+from fermibose.lattice import TWO_PI, GasConfig, add, ball_points, norm_sq, sub
 
 
 def apply_exc_number(config: GasConfig, vec: FermionVector) -> FermionVector:
@@ -63,3 +65,41 @@ def potential_from_function(fn, d: int, cutoff_radius_sq: int, probe_radius_sq=N
 
 def gram_matrix(monomials) -> np.ndarray:
     return np.diag([monomial_norm_sq(m) for m in monomials])
+
+
+def momentum_combinations(modes, n, momentum):
+    """The n-subsets of modes summing to momentum, in the order of
+    itertools.combinations(modes, n).
+
+    reach[i][j] is the set of total momenta of j modes drawn from
+    modes[i:], kept for the j a branch at index i can still need; the
+    depth-first walk takes modes[i] only when the rest of the momentum
+    stays reachable, so every branch it enters ends in a determinant.
+    """
+    m = len(modes)
+    reach = [{} for _ in range(m + 1)]
+    reach[m][0] = {(0,) * len(modes[0])}
+    for i in range(m - 1, -1, -1):
+        after = reach[i + 1]
+        for j in range(max(0, n - i), min(n, m - i) + 1):
+            got = set(after.get(j, ()))
+            if j:
+                got.update(add(modes[i], q) for q in after[j - 1])
+            reach[i][j] = got
+    basis = []
+    chosen = []
+
+    def descend(start, left, rest):
+        if not left:
+            basis.append(tuple(chosen))
+            return
+        for i in range(start, m - left + 1):
+            remain = sub(rest, modes[i])
+            if remain in reach[i + 1][left - 1]:
+                chosen.append(modes[i])
+                descend(i + 1, left - 1, remain)
+                chosen.pop()
+
+    if momentum in reach[0].get(n, ()):
+        descend(0, n, momentum)
+    return basis

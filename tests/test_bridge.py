@@ -173,6 +173,24 @@ def test_intertwine_residual_shrinks_with_crescents():
         prev = cur
 
 
+@pytest.mark.parametrize(
+    "d, r",
+    [(2, r) for r in range(1, 21) if L.is_occupied_radius(2, r)]
+    + [(3, r) for r in range(1, 4)],
+)
+def test_unit_window_residuals_are_two_over_min_crescent(d, r):
+    """On the unit degree-2 window, max|eps| and the annihilator residual
+    are both the closed form 2 / min|C_k|: the decay that acceptance 6
+    fits is crescent counting."""
+    window = B.TruncationWindow.from_radius(d, 1, 2)
+    config = L.GasConfig(d=d, fermi_radius_sq=r)
+    want = 2.0 / min(L.crescent(k, config).size for k in window.modes)
+    eps = BR.isometry_audit(window, config).max_abs_eps
+    residual = BR.intertwine_residual(window, config).annihilator_max
+    assert eps == pytest.approx(want, rel=1e-12, abs=0)
+    assert residual == pytest.approx(want, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------- remainder audit
 
 

@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from fermibose import cli, fock
+from fermibose.lattice import TWO_PI
 
 
 def run_cli(*argv):
@@ -473,6 +474,32 @@ def test_momentum_dimension_checked(tmp_path):
         ("h2-audit", ["--n-states", "0"], None, "n_states must be >= 1"),
         ("h2-audit", ["--seed", "-1"], None, "seed must be >= 0"),
         ("magic", ["--max-radius-sq", "-1"], None, "max_radius_sq must be >= 0"),
+        (
+            "exact",
+            ["--radii", "1", "--exact-dim-limit", "0"],
+            None,
+            "exact_dim_limit must be >= 1",
+        ),
+        (
+            "exact",
+            ["--radii", "1,2", "--cutoff-radius-sq", "-1"],
+            None,
+            "cutoff_radius_sq must be >= 0",
+        ),
+        (
+            "h2-audit",
+            ["--radii", "1", "--cutoff-momentum", "-1"],
+            None,
+            f"cutoff_momentum must be >= {TWO_PI}",
+        ),
+        (
+            "h2-audit",
+            ["--radii", "1"],
+            "cutoff_momentum: 6\n",
+            f"cutoff_momentum must be >= {TWO_PI}",
+        ),
+        ("exact", ["--radii", "1", "--solver-tol", "-1"], None, "solver_tol must be > 0"),
+        ("exact", ["--radii", "1", "--solver-tol", "0"], None, "solver_tol must be > 0"),
     ],
     ids=[
         "window-degree",
@@ -489,6 +516,12 @@ def test_momentum_dimension_checked(tmp_path):
         "n-states",
         "seed",
         "max-radius-sq",
+        "exact-dim-limit",
+        "cutoff-radius-sq",
+        "cutoff-momentum",
+        "cutoff-momentum-below-two-pi",
+        "solver-tol-negative",
+        "solver-tol-zero",
     ],
 )
 def test_bad_window_and_sweep_config_rejected(
@@ -525,7 +558,8 @@ FLAGS = {
     "--threads": (int, "worker processes"),
     "--out": (str, "output directory (default runs/)"),
 }
-SAMPLE_TEXT = {int: ("3", 3), float: ("0.5", 0.5), str: ("x", "x"), tuple: ("1,2", (1, 2))}
+# sample values that meet every key's lower bound
+SAMPLE_TEXT = {int: ("3", 3), float: ("7.5", 7.5), str: ("x", "x"), tuple: ("1,2", (1, 2))}
 
 
 def test_parser_options_are_the_config_fields():
@@ -562,6 +596,9 @@ BOUNDED = {
     "n_states": 1,
     "seed": 0,
     "threads": 1,
+    "exact_dim_limit": 1,
+    "cutoff_radius_sq": 0,
+    "cutoff_momentum": TWO_PI,
 }
 
 
@@ -572,6 +609,16 @@ def test_bounded_keys_are_the_schema_lows():
         if f.metadata.get("low") is not None
     }
     assert lows == BOUNDED
+    above = {
+        f.name: f.metadata["above"]
+        for f in dataclasses.fields(cli.ExperimentConfig)
+        if f.metadata.get("above") is not None
+    }
+    assert above == {"solver_tol": 0}
+
+
+def test_solver_tol_accepts_any_positive_value():
+    assert cli.load_config("exact", None, {"solver_tol": 5e-324}).solver_tol == 5e-324
 
 
 @pytest.mark.parametrize("key", sorted(BOUNDED))

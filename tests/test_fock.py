@@ -501,6 +501,38 @@ def test_sector_basis_matches_combination_filter(d, r, cutoff, momentum):
     assert F.sector_basis(config, cutoff, momentum) == want
 
 
+@pytest.mark.parametrize(
+    "d, r, cutoff, momentum, dim",
+    [
+        (2, 13, 16, (0, 0), 2104),
+        (2, 17, 18, (0, 0), 4127),
+        (3, 1, 3, (1, 0, 0), 6488),
+        (2, 2, 5, (1, -1), 4525),
+        (2, 2, 5, (9, 9), 0),  # inside the coded range, reached by no total
+        (2, 2, 5, (40, 0), 0),  # beyond every total
+        (2, 0, 0, (0, 0), 1),  # r=0: one particle, one mode
+        (2, 0, 2, (1, 0), 1),
+        (2, 5, 5, (0, 0), 1),  # cutoff at the Fermi radius: the filled ball
+        (2, 5, 5, (1, 0), 0),
+    ],
+)
+def test_sector_basis_matches_oracle_walk(d, r, cutoff, momentum, dim):
+    """Same determinants in the same order as the depth-first walk, on
+    sectors too large for the combination filter."""
+    config = L.GasConfig(d=d, fermi_radius_sq=r)
+    basis = F.sector_basis(config, cutoff, momentum)
+    assert len(basis) == dim
+    modes = L.ball_points(d, cutoff)
+    assert basis == O.momentum_combinations(modes, L.particle_count(config), momentum)
+
+
+def test_momentum_codes_refuse_int64_overflow():
+    # base 601 in 8 components: the codes would need 601^8 > 2^62
+    modes = [(0,) * 8, (100,) * 8]
+    with pytest.raises(ValueError, match="overflow int64"):
+        F._momentum_combinations(modes, 1, (0,) * 8)
+
+
 def test_ground_state_deterministic(small2, unit4):
     a = F.ground_state(small2, unit4, cutoff_radius_sq=4)
     b = F.ground_state(small2, unit4, cutoff_radius_sq=4)

@@ -33,3 +33,17 @@ def test_frame_rows_in_first_seen_order():
     assert keys == ["b", "a"]
     assert matrix.format == "csr"
     assert np.array_equal(matrix.toarray(), [[9.0, 2.0, 0.0], [1.0, 3.0, 0.0]])
+
+
+def test_finish_and_pruned_keep_the_term_order():
+    acc = {"c": 3.0 + 0j, "a": 0j, "b": 4.0 + 0j, "d": -1e-9 + 0j}
+    vec = F.FermionVector.finish(acc)
+    assert list(vec.terms.items()) == [("c", 3.0 + 0j), ("b", 4.0 + 0j), ("d", -1e-9 + 0j)]
+    fresh = {"b": 1j, "a": 2.0 + 0j}
+    vec = F.FermionVector.finish(fresh)
+    assert vec.terms is fresh  # nothing to drop: the accumulator is the vector
+    assert vec.pruned() is vec
+    # an amplitude exactly at tol * norm = 0.6 * 5 = 3 is dropped
+    vec = F.FermionVector({"y": 4.0 + 0j, "x": 3.0 + 0j, "z": 0j})
+    assert list(vec.pruned(0.6).terms.items()) == [("y", 4.0 + 0j)]
+    assert list(vec.pruned(0.5).terms.items()) == [("y", 4.0 + 0j), ("x", 3.0 + 0j)]
