@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -231,37 +232,86 @@ def _d_terms(g, dk: FermionVector, x2: FermionVector) -> float:
     return g * (2.0 * x2.inner(dk).real + dk.norm_sq())
 
 
-def h2_quadratic_parts(config: GasConfig, pot, psi: FermionVector):
-    """(kinetic, interaction) pieces of <psi|H2 psi> / ||psi||^2.
+# (config, potential d, potential items, monomial a, monomial b) -> the three
+# scalars <Phi a|Phi b>, <Phi a|:T: Phi b> and <Phi a|V2 Phi b>, with V2
+# the d_k terms of H2; kept for a <= b, the other order is the conjugate.
+_PAIR_TERMS = {}
 
-    Uses the adjoint split <psi|X^dag Y psi> = <X psi|Y psi> so the large
-    intermediate vectors are applied once per mode.
+
+def _fill_pair_terms(config: GasConfig, pot, key, pairs):
+    """The _PAIR_TERMS entries of the monomial pairs (a, b).
+
+    V2 between two images is sum_k g_k (<x2_a|d_b> + <d_a|x2_b> +
+    <d_a|d_b>) with d = d_k Phi m and x2 = (b_{-k}^dag + b_k) Phi m: each
+    image gets one move pass per mode, and its parts are dropped before
+    the next mode.
     """
-    nsq = psi.norm_sq()
-    if nsq == 0.0:
-        raise ValueError("empty state")
-    inter = 0.0
-    for _, g, dk, x2 in _mode_parts(config, pot, psi):
-        inter += _d_terms(g, dk, x2)
-    return _kinetic_sum(config, psi) / nsq, inter / nsq
+    monos = sorted(set(chain.from_iterable(pairs)))
+    images = {m: phi_monomial_image(config, m) for m in monos}
+    kinetic = {m: fock.apply_normal_t(config, images[m]) for m in monos}
+    inter = dict.fromkeys(pairs, 0.0)
+    for parts in zip(*(_mode_parts(config, pot, images[m]) for m in monos)):
+        parts = dict(zip(monos, parts))
+        for a, b in pairs:
+            _, g, da, xa = parts[a]
+            _, _, db, xb = parts[b]
+            inter[a, b] += g * (xa.inner(db) + da.inner(xb) + da.inner(db))
+    for a, b in pairs:
+        _PAIR_TERMS[key + (a, b)] = (
+            complex(images[a].inner(images[b])),
+            complex(images[a].inner(kinetic[b])),
+            complex(inter[a, b]),
+        )
+
+
+def _h2_forms(f: BosonVector, config: GasConfig, pot):
+    """(||psi||^2, <psi|:T: psi>, <psi|V2 psi>) at psi = Phi(f), as the
+    Hermitian forms sum_ab conj(f_a) f_b M_ab over the monomials of f.
+
+    H2 conserves momentum, so only pairs of equal total momentum enter.
+    """
+    groups = {}
+    for m in f.terms:
+        groups.setdefault(total_momentum(m, config.d), []).append(m)
+    pairs = [
+        (a, b) if a <= b else (b, a)
+        for group in groups.values()
+        for i, a in enumerate(group)
+        for b in group[i:]
+    ]
+    # the potential by content: a process pool pickles a fresh copy of it
+    # into every job, so its identity would never repeat
+    key = (config, pot.d, tuple(pot.nonzero_items()))
+    missing = [p for p in pairs if key + p not in _PAIR_TERMS]
+    if missing:
+        _fill_pair_terms(config, pot, key, missing)
+    forms = [0.0, 0.0, 0.0]
+    for a, b in pairs:
+        w = (1.0 if a == b else 2.0) * f.terms[a].conjugate() * f.terms[b]
+        for i, entry in enumerate(_PAIR_TERMS[key + (a, b)]):
+            forms[i] += (w * entry).real
+    return forms
 
 
 def h2_expectation_audit(
-    psi: FermionVector,
+    f: BosonVector,
     window: TruncationWindow,
     config: GasConfig,
     pot,
     cutoff_momentum: float,
 ) -> H2Audit:
-    """Exact |<psi|H2 psi>| / ||psi||^2 against its a priori estimate.
+    """Exact |<psi|H2 psi>| / ||psi||^2 at psi = Phi(f) against its a
+    priori estimate.
 
-    psi must come from the window (degree <= m, modes below the momentum
-    cutoff); the estimate is
+    Every monomial of f must lie in the window (degree <= m, modes below
+    the momentum cutoff); the estimate is
 
         (2 k_F K + K^2) m
         + lambda sum_k |vhat(k)| (8 m sqrt(m+1) |C_k|^(1/2) + 4 m^2)
 
-    with K = cutoff_momentum, valid for 2 pi <= K <= k_F.
+    with K = cutoff_momentum, valid for 2 pi <= K <= k_F.  The norm and
+    both parts are forms over cached monomial-pair terms (_h2_forms), so
+    states drawn from one window share their move passes.
     """
     kf = config.fermi_momentum
     K = float(cutoff_momentum)
@@ -272,8 +322,14 @@ def h2_expectation_audit(
         raise ValueError(
             f"window mode of size {worst} violates the cutoff {K}"
         )
+    outside = set(f.terms).difference(window_monomials(window))
+    if outside:
+        raise ValueError(f"monomials {sorted(outside)} lie outside the window")
+    nsq, kin, inter = _h2_forms(f, config, pot)
+    if nsq == 0.0:
+        raise ValueError("empty state")
+    kin, inter = kin / nsq, inter / nsq
     m = window.max_degree
-    kin, inter = h2_quadratic_parts(config, pot, psi)
     value = abs(kin + inter)
     lam = coupling(config)
     bound = (2.0 * kf * K + K * K) * m

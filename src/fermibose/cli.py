@@ -343,8 +343,7 @@ def _h2_row(cfg, pot, r, state):
     try:
         rng = np.random.default_rng((cfg.seed, r, state))
         f = boson.random_boson_vector(window, rng, n_terms=4)
-        psi = bridge.phi_map(f, config)
-        audit = bridge.h2_expectation_audit(psi, window, config, pot, cutoff)
+        audit = bridge.h2_expectation_audit(f, window, config, pot, cutoff)
     except ValueError as exc:
         return [prefix + [None, None, None, f"skipped: {exc}"]], []
     row = prefix + [

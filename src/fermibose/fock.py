@@ -35,7 +35,6 @@ import numpy as np
 from .lattice import (
     GasConfig,
     TWO_PI_SQ,
-    add,
     ball_points,
     coupling,
     crescent,
@@ -50,46 +49,6 @@ from .lattice import (
 from .vector import SparseVector
 
 # ------------------------------------------------------------ determinants
-
-
-def annihilate(det, p):
-    """Apply a_p to a single determinant.
-
-    Returns (sign, new_det) or None when p is unoccupied.
-    """
-    for i, m in enumerate(det):
-        if m == p:
-            return (-1 if i & 1 else 1), det[:i] + det[i + 1 :]
-    return None
-
-
-def create(det, p):
-    """Apply a_p^dag to a single determinant.
-
-    Returns (sign, new_det) or None when p is already occupied.
-    """
-    key = mode_key(p)
-    for i, m in enumerate(det):
-        k = mode_key(m)
-        if k == key:
-            return None
-        if k > key:
-            return (-1 if i & 1 else 1), det[:i] + (p,) + det[i:]
-    i = len(det)
-    return (-1 if i & 1 else 1), det + (p,)
-
-
-def move(det, src, dst):
-    """Apply a_dst^dag a_src to a determinant, composing the two signs."""
-    hit = annihilate(det, src)
-    if hit is None:
-        return None
-    s1, reduced = hit
-    hit = create(reduced, dst)
-    if hit is None:
-        return None
-    s2, out = hit
-    return s1 * s2, out
 
 
 def determinant(modes) -> tuple:
@@ -134,24 +93,6 @@ def _accumulate(acc, det, amp):
 # ----------------------------------------------------- operator applications
 
 
-def apply_annihilator(p, vec: FermionVector) -> FermionVector:
-    acc = {}
-    for det, amp in vec.terms.items():
-        hit = annihilate(det, p)
-        if hit is not None:
-            _accumulate(acc, hit[1], hit[0] * amp)
-    return _finish(acc)
-
-
-def apply_creator(p, vec: FermionVector) -> FermionVector:
-    acc = {}
-    for det, amp in vec.terms.items():
-        hit = create(det, p)
-        if hit is not None:
-            _accumulate(acc, hit[1], hit[0] * amp)
-    return _finish(acc)
-
-
 class _KeyMemo(dict):
     """mode -> mode_key(mode), filled on first use.  It holds only the
     modes a run touches: the cutoff ball and the potential's shifts."""
@@ -174,9 +115,10 @@ def _moves(items, k, r=None, keep=None):
     maps the side a kept move starts on to the side it must end on; the
     source is tested before p-k is built.
 
-    Each yield equals move(det, p, p-k): the target's slot j in det
-    without p is one bisect on the determinant's mode keys, and the sign
-    (-1)^(i+j) is that of a_p at slot i times that of a_{p-k}^dag at j.
+    Each yield is a_{p-k}^dag a_p applied to det: the target's slot j in
+    det without p is one bisect on the determinant's mode keys, and the
+    sign (-1)^(i+j) is that of a_p at slot i times that of a_{p-k}^dag at
+    j.
     """
     targets = {}  # p -> (p-k, mode_key(p-k), side)
     for det, tag in items:
@@ -260,61 +202,6 @@ def apply_normal_t(config: GasConfig, vec: FermionVector) -> FermionVector:
     acc = {
         det: amp * kinetic_excess(config, det) for det, amp in vec.terms.items()
     }
-    return _finish(acc)
-
-
-def excitation_count(config: GasConfig, det) -> float:
-    """Eigenvalue of the excitation number: (holes + outside particles)/2.
-
-    Integer on determinants with the configured particle number, where the
-    two halves agree.
-    """
-    r = config.fermi_radius_sq
-    inside = sum(1 for p in det if norm_sq(p) <= r)
-    holes = particle_count(config) - inside
-    outside = len(det) - inside
-    return 0.5 * (holes + outside)
-
-
-def apply_exc_weight(config: GasConfig, vec: FermionVector, shift=0.0, power=0.5):
-    """Diagonal map multiplying each determinant by (exc + shift)^power.
-
-    apply_exc_weight(cfg, v) is the square root of the excitation number,
-    used for the norm bounds on b and b^dag.
-    """
-    acc = {
-        det: amp * (excitation_count(config, det) + shift) ** power
-        for det, amp in vec.terms.items()
-    }
-    return _finish(acc)
-
-
-def apply_normal_commutator(k, q, config: GasConfig, vec: FermionVector) -> FermionVector:
-    """Normal-ordered part of [b_k, b_q^dag].
-
-    Two hole/particle exchange sums restricted by the Fermi surface; the
-    scalar part |C_k| delta_{kq} is not included.  The operator annihilates
-    the filled ball and is negative semidefinite at k == q.
-    """
-    r = config.fermi_radius_sq
-    cq = crescent(q, config).members
-    acc = {}
-    for det, amp in vec.terms.items():
-        for p in cq:
-            t = add(sub(p, k), q)
-            if norm_sq(t) <= r:
-                # -a_p a_t^dag, creation first
-                hit = create(det, t)
-                if hit is not None:
-                    s1, mid = hit
-                    hit = annihilate(mid, p)
-                    if hit is not None:
-                        _accumulate(acc, hit[1], -s1 * hit[0] * amp)
-            if norm_sq(add(p, k)) > r:
-                # -a_{p+q}^dag a_{p+k}
-                hit = move(det, add(p, k), add(p, q))
-                if hit is not None:
-                    _accumulate(acc, hit[1], -hit[0] * amp)
     return _finish(acc)
 
 
@@ -463,34 +350,6 @@ def apply_h(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVec
     out = e_n0(config, pot) * vec + apply_normal_t(config, vec)
     for k, v in pot.nonzero_items():
         out = out + (lam * v) * apply_rho(neg(k), apply_rho(k, vec))
-    return out
-
-
-def apply_h1(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVector:
-    """Dominant pair part: lambda sum_k vhat(k)(b_k^dag + b_-k)(b_-k^dag + b_k)."""
-    lam = coupling(config)
-    out = FermionVector()
-    for k, v in pot.nonzero_items():
-        mid = apply_b_dag(neg(k), config, vec) + apply_b(k, config, vec)
-        out = out + (lam * v) * (
-            apply_b_dag(k, config, mid) + apply_b(neg(k), config, mid)
-        )
-    return out
-
-
-def apply_h2(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVector:
-    """Remainder: :T: plus every interaction term involving d_k.
-
-    H = E_0 + H1 + H2 holds exactly on the configured sector.
-    """
-    lam = coupling(config)
-    out = apply_normal_t(config, vec)
-    for k, v in pot.nonzero_items():
-        dk, b_dag, b = apply_rho_parts(k, config, vec)
-        tail = apply_b_dag(k, config, dk) + apply_b(neg(k), config, dk)
-        mid = b_dag + b + dk
-        tail = tail + apply_d(neg(k), config, mid)
-        out = out + (lam * v) * tail
     return out
 
 
@@ -732,29 +591,3 @@ def ground_state(
     return GroundStateResult(
         energy=energy, vector=out, dimension=dim, method=how, residual=residual
     )
-
-
-# ------------------------------------------------------------ random states
-
-
-def random_fermion_vector(
-    config: GasConfig,
-    rng,
-    n_dets: int = 4,
-    pool_radius_sq=None,
-    n_particles=None,
-):
-    """Random normalized vector: a few determinants drawn from a mode pool
-    around the Fermi ball, with complex gaussian amplitudes."""
-    if pool_radius_sq is None:
-        pool_radius_sq = config.fermi_radius_sq + 4
-    pool = ball_points(config.d, pool_radius_sq)
-    n = particle_count(config) if n_particles is None else n_particles
-    if n > len(pool):
-        raise ValueError("mode pool smaller than the particle number")
-    terms = {}
-    while len(terms) < n_dets:
-        picks = rng.choice(len(pool), size=n, replace=False)
-        det = determinant(pool[i] for i in picks)
-        terms[det] = complex(rng.standard_normal(), rng.standard_normal())
-    return FermionVector(terms).normalized()

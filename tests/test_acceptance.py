@@ -58,20 +58,20 @@ def test_acceptance_1_identity_suite():
         window = B.TruncationWindow.from_radius(d, 1, 2)
 
         for _ in range(n_vectors):
-            v = F.random_fermion_vector(config, rng)
+            v = O.random_fermion_vector(config, rng)
             p = pool[rng.integers(len(pool))]
             q = pool[rng.integers(len(pool))]
             # anticommutators
-            x = F.apply_annihilator(p, F.apply_annihilator(q, v)) + F.apply_annihilator(
-                q, F.apply_annihilator(p, v)
+            x = O.apply_annihilator(p, O.apply_annihilator(q, v)) + O.apply_annihilator(
+                q, O.apply_annihilator(p, v)
             )
             worst = max(worst, x.norm())
-            x = F.apply_creator(p, F.apply_creator(q, v)) + F.apply_creator(
-                q, F.apply_creator(p, v)
+            x = O.apply_creator(p, O.apply_creator(q, v)) + O.apply_creator(
+                q, O.apply_creator(p, v)
             )
             worst = max(worst, x.norm())
-            x = F.apply_annihilator(p, F.apply_creator(q, v)) + F.apply_creator(
-                q, F.apply_annihilator(p, v)
+            x = O.apply_annihilator(p, O.apply_creator(q, v)) + O.apply_creator(
+                q, O.apply_annihilator(p, v)
             )
             expect = v if p == q else F.FermionVector()
             worst = max(worst, rel_err(x, expect))
@@ -91,7 +91,7 @@ def test_acceptance_1_identity_suite():
             lhs = F.apply_b(k, config, F.apply_b_dag(k2, config, v)) - F.apply_b_dag(
                 k2, config, F.apply_b(k, config, v)
             )
-            rhs = F.apply_normal_commutator(k, k2, config, v)
+            rhs = O.apply_normal_commutator(k, k2, config, v)
             if k == k2:
                 rhs = rhs + float(L.crescent(k, config).size) * v
             worst = max(worst, rel_err(lhs, rhs))
@@ -103,7 +103,7 @@ def test_acceptance_1_identity_suite():
             q = shifts[rng.integers(len(shifts))]
             worst = max(worst, F.apply_d(k, config, ground).norm())
             worst = max(
-                worst, F.apply_normal_commutator(k, q, config, ground).norm()
+                worst, O.apply_normal_commutator(k, q, config, ground).norm()
             )
 
         # creation direction of the excitation map commutes exactly
@@ -203,11 +203,11 @@ def test_acceptance_5_inequality_audits():
         rng = np.random.default_rng(5005 + d)
         shifts = [k for k in L.ball_points(d, 2) if any(k)]
         for _ in range(60):
-            v = F.random_fermion_vector(config, rng)
+            v = O.random_fermion_vector(config, rng)
             k = shifts[rng.integers(len(shifts))]
             ck = math.sqrt(L.crescent(k, config).size)
-            half = F.apply_exc_weight(config, v, shift=0.0, power=0.5).norm()
-            half_up = F.apply_exc_weight(config, v, shift=1.0, power=0.5).norm()
+            half = O.apply_exc_weight(config, v, shift=0.0, power=0.5).norm()
+            half_up = O.apply_exc_weight(config, v, shift=1.0, power=0.5).norm()
             checks = (
                 ("b", F.apply_b(k, config, v).norm(), ck * half),
                 ("b_dag", F.apply_b_dag(k, config, v).norm(), ck * half_up),
@@ -230,8 +230,7 @@ def test_acceptance_5_inequality_audits():
         rng = np.random.default_rng(5500 + 10 * config.d + config.fermi_radius_sq)
         for _ in range(n_states):
             f = B.random_boson_vector(window, rng, n_terms=4)
-            psi = BR.phi_map(f, config)
-            audit = BR.h2_expectation_audit(psi, window, config, pot, L.TWO_PI)
+            audit = BR.h2_expectation_audit(f, window, config, pot, L.TWO_PI)
             cases += 1
             if not audit.passed:
                 violations.append(

@@ -19,6 +19,8 @@ from fermibose import bridge as BR
 from fermibose import fock as F
 from fermibose import lattice as L
 
+import oracles as O
+
 K1 = (1, 0)
 
 
@@ -38,7 +40,7 @@ def test_phi_degree_one_normalized(small2):
     for k in window2().modes:
         image = BR.phi_monomial_image(small2, (k,))
         assert image.norm_sq() == pytest.approx(1.0, rel=1e-12)
-        assert F.excitation_count(small2, next(iter(image.terms))) == 1
+        assert O.excitation_count(small2, next(iter(image.terms))) == 1
 
 
 def test_phi_repeated_mode_norm(small2):
@@ -123,7 +125,7 @@ def commutator_expansion(k, mono, config):
         for q in reversed(mono[i + 1 :]):
             vec = BR.apply_phi_creator(q, config, vec)
         scale = 1.0 / math.sqrt(ck * L.crescent(qi, config).size)
-        vec = scale * F.apply_normal_commutator(k, qi, config, vec)
+        vec = scale * O.apply_normal_commutator(k, qi, config, vec)
         for q in reversed(mono[:i]):
             vec = BR.apply_phi_creator(q, config, vec)
         out = out + vec
@@ -196,17 +198,25 @@ def test_unit_window_residuals_are_two_over_min_crescent(d, r):
 
 def test_h2_kinetic_of_single_pair(small2, unit4):
     # the normalized pair state over the unit crescent costs 5/3 (2 pi)^2
+    f = B.BosonVector.from_monomial((K1,))
+    audit = BR.h2_expectation_audit(f, window2(m=2), small2, unit4, L.TWO_PI)
+    assert audit.kinetic_part == pytest.approx(5.0 / 3.0 * L.TWO_PI**2, rel=1e-12)
     psi = BR.phi_monomial_image(small2, (K1,))
-    kin, _ = BR.h2_quadratic_parts(small2, unit4, psi)
+    kin, _ = O.h2_quadratic_parts(small2, unit4, psi)
     assert kin == pytest.approx(5.0 / 3.0 * L.TWO_PI**2, rel=1e-12)
 
 
 def test_h2_parts_vanish_on_ground(small2, unit4):
-    kin, inter = BR.h2_quadratic_parts(small2, unit4, F.psi0(small2))
+    audit = BR.h2_expectation_audit(
+        B.BosonVector.vacuum(), window2(m=2), small2, unit4, L.TWO_PI
+    )
+    assert audit.kinetic_part == 0.0
+    assert audit.interaction_part == 0.0
+    kin, inter = O.h2_quadratic_parts(small2, unit4, F.psi0(small2))
     assert kin == 0.0
     assert inter == 0.0
     with pytest.raises(ValueError):
-        BR.h2_quadratic_parts(small2, unit4, F.FermionVector())
+        O.h2_quadratic_parts(small2, unit4, F.FermionVector())
 
 
 def test_h2_audit_passes_on_window_states(unit4, rng):
@@ -214,8 +224,7 @@ def test_h2_audit_passes_on_window_states(unit4, rng):
     window = window2(m=2)
     for _ in range(10):
         f = B.random_boson_vector(window, rng, 4)
-        psi = BR.phi_map(f, config)
-        audit = BR.h2_expectation_audit(psi, window, config, unit4, L.TWO_PI)
+        audit = BR.h2_expectation_audit(f, window, config, unit4, L.TWO_PI)
         assert audit.passed
         assert audit.value == pytest.approx(
             abs(audit.kinetic_part + audit.interaction_part)
@@ -223,16 +232,87 @@ def test_h2_audit_passes_on_window_states(unit4, rng):
 
 
 def test_h2_audit_validates_cutoff(small2, unit4):
-    psi = BR.phi_monomial_image(small2, (K1,))
+    f = B.BosonVector.from_monomial((K1,))
     with pytest.raises(ValueError, match="outside"):
-        BR.h2_expectation_audit(psi, window2(m=2), small2, unit4, 1.0)
+        BR.h2_expectation_audit(f, window2(m=2), small2, unit4, 1.0)
     with pytest.raises(ValueError, match="outside"):
         BR.h2_expectation_audit(
-            psi, window2(m=2), small2, unit4, 3 * small2.fermi_momentum
+            f, window2(m=2), small2, unit4, 3 * small2.fermi_momentum
         )
     wide = B.TruncationWindow.from_radius(2, 2, 2)
     with pytest.raises(ValueError, match="violates"):
-        BR.h2_expectation_audit(psi, wide, small2, unit4, L.TWO_PI)
+        BR.h2_expectation_audit(f, wide, small2, unit4, L.TWO_PI)
+
+
+def _h2_states(window, seed):
+    """The vacuum, one (k, -k) pair and two random monomials, then every
+    window monomial at once, all with complex gaussian amplitudes."""
+    rng = np.random.default_rng(seed)
+    monos = B.window_monomials(window)
+    k = window.modes[-1]
+    head = [(), (L.neg(k), k)] if window.max_degree >= 2 else [(), (k,)]
+    picks = rng.choice(range(1, len(monos)), size=2, replace=False)
+    for chosen in (head + [monos[i] for i in picks], monos):
+        terms = {
+            B.monomial(m): complex(rng.standard_normal(), rng.standard_normal())
+            for m in chosen
+        }
+        yield B.BosonVector(terms)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "d, r, window_radius_sq", [(2, 4, 2), (3, 1, 1)], ids=["d2", "d3"]
+)
+def test_h2_audit_equals_the_vector_oracle(d, r, window_radius_sq, degree, alpha):
+    """The pair forms over f equal <psi|H2 psi> / ||psi||^2 computed on
+    the vector psi = Phi(f) with each of d_k, b_{-k}^dag, b_k applied on
+    its own.  On the unit window with the unit potential every pair of
+    distinct monomials has zero terms; the wider potential, and in d=2
+    the wider window, give the degree-2 states nonzero cross terms."""
+    config = L.GasConfig(d=d, fermi_radius_sq=r, alpha=alpha)
+    pot = F.unit_potential(d, radius_sq=2)
+    window = B.TruncationWindow.from_radius(d, window_radius_sq, degree)
+    cutoff = L.TWO_PI * math.sqrt(window_radius_sq)
+    for f in _h2_states(window, 100 * d + 10 * degree + int(-alpha)):
+        audit = BR.h2_expectation_audit(f, window, config, pot, cutoff)
+        kin, inter = O.h2_quadratic_parts(config, pot, BR.phi_map(f, config))
+        assert audit.kinetic_part == pytest.approx(kin, rel=1e-12, abs=0)
+        assert audit.interaction_part == pytest.approx(inter, rel=1e-12, abs=0)
+        assert audit.value == pytest.approx(abs(kin + inter), rel=1e-12, abs=0)
+
+
+def test_h2_audit_rejects_states_off_the_window(small2, unit4):
+    window = window2(m=1)
+    for mono in [(K1, K1), ((1, 1),)]:  # degree above 1, mode outside
+        f = B.BosonVector.vacuum() + B.BosonVector.from_monomial(mono)
+        with pytest.raises(ValueError, match="outside the window"):
+            BR.h2_expectation_audit(f, window, small2, unit4, L.TWO_PI)
+    for zero in [B.BosonVector(), B.BosonVector({(K1,): 0j})]:
+        with pytest.raises(ValueError, match="empty state"):
+            BR.h2_expectation_audit(zero, window, small2, unit4, L.TWO_PI)
+
+
+def test_h2_pair_terms_are_keyed_by_potential_content():
+    # a geometry no other test uses, so the pair cache starts cold
+    config = L.GasConfig(d=2, fermi_radius_sq=2, alpha=-0.5)
+    window = window2(m=2)
+    f = next(_h2_states(window, 7))
+    audits, sizes = [], []
+    for scale in (1.0, 1.0, 2.0):
+        pot = F.Potential(2, {k: scale for k in window.modes})
+        audits.append(BR.h2_expectation_audit(f, window, config, pot, L.TWO_PI))
+        sizes.append(len(BR._PAIR_TERMS))
+    first, again, doubled = audits
+    assert again == first
+    assert sizes[1] == sizes[0]  # an equal potential built anew hits
+    assert sizes[2] > sizes[1]
+    assert doubled.kinetic_part == first.kinetic_part
+    assert doubled.interaction_part != first.interaction_part
+    assert doubled.interaction_part == pytest.approx(
+        2.0 * first.interaction_part, rel=1e-14
+    )
 
 
 # ------------------------------------------------------------- trial energy

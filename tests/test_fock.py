@@ -25,7 +25,7 @@ import oracles as O
 
 
 def rvec(config, seed, n_dets=5, **kw):
-    return F.random_fermion_vector(config, np.random.default_rng(seed), n_dets, **kw)
+    return O.random_fermion_vector(config, np.random.default_rng(seed), n_dets, **kw)
 
 
 # ------------------------------------------------------------- primitives
@@ -43,18 +43,18 @@ def test_car_anticommutators(data):
     q = data.draw(st.sampled_from(MODES2))
     v = F.FermionVector.from_determinant(det)
     # {a_p, a_q} = 0
-    x = F.apply_annihilator(p, F.apply_annihilator(q, v)) + F.apply_annihilator(
-        q, F.apply_annihilator(p, v)
+    x = O.apply_annihilator(p, O.apply_annihilator(q, v)) + O.apply_annihilator(
+        q, O.apply_annihilator(p, v)
     )
     assert x.norm() == 0.0
     # {a_p^dag, a_q^dag} = 0
-    x = F.apply_creator(p, F.apply_creator(q, v)) + F.apply_creator(
-        q, F.apply_creator(p, v)
+    x = O.apply_creator(p, O.apply_creator(q, v)) + O.apply_creator(
+        q, O.apply_creator(p, v)
     )
     assert x.norm() == 0.0
     # {a_p, a_q^dag} = delta_pq
-    x = F.apply_annihilator(p, F.apply_creator(q, v)) + F.apply_creator(
-        q, F.apply_annihilator(p, v)
+    x = O.apply_annihilator(p, O.apply_creator(q, v)) + O.apply_creator(
+        q, O.apply_annihilator(p, v)
     )
     if p == q:
         assert (x - v).norm() == 0.0
@@ -74,7 +74,7 @@ def _ref_moves(items, k, r=None, keep=None):
             side = None if r is None else (L.norm_sq(p) <= r, L.norm_sq(t) <= r)
             if keep is not None and (side[0] not in keep or side[1] != keep[side[0]]):
                 continue
-            hit = F.move(det, p, t)
+            hit = O.move(det, p, t)
             if hit is not None:
                 yield tag, hit[0], hit[1], side
 
@@ -105,17 +105,17 @@ def test_determinant_canonicalization():
 
 def test_annihilate_create_signs():
     det = F.determinant([(0, 0), (0, 1), (1, 0)])
-    s, out = F.annihilate(det, (0, 1))
+    s, out = O.annihilate(det, (0, 1))
     assert s == -1 and out == ((0, 0), (1, 0))
-    s, out = F.create(out, (0, -1))
+    s, out = O.create(out, (0, -1))
     assert s == -1 and out == ((0, 0), (0, -1), (1, 0))
-    assert F.annihilate(det, (5, 5)) is None
-    assert F.create(det, (0, 0)) is None
+    assert O.annihilate(det, (5, 5)) is None
+    assert O.create(det, (0, 0)) is None
 
 
 def test_vector_arithmetic(small2, rng):
-    v = F.random_fermion_vector(small2, rng, 6)
-    w = F.random_fermion_vector(small2, rng, 6)
+    v = O.random_fermion_vector(small2, rng, 6)
+    w = O.random_fermion_vector(small2, rng, 6)
     assert v.norm() == pytest.approx(1.0)
     assert (v + w - w - v).norm() < 1e-12
     assert abs((2.5 * v).norm() - 2.5) < 1e-12
@@ -146,7 +146,7 @@ def test_psi0_is_killed_by_every_excitation_annihilator(small2, small3):
             assert F.apply_b(k, cfg, g).norm() == 0.0
             assert F.apply_d(k, cfg, g).norm() == 0.0
             for q in ks[:4]:
-                assert F.apply_normal_commutator(k, q, cfg, g).norm() == 0.0
+                assert O.apply_normal_commutator(k, q, cfg, g).norm() == 0.0
         assert F.apply_normal_t(cfg, g).norm() == 0.0
         assert O.apply_exc_number(cfg, g).norm() == 0.0
 
@@ -188,7 +188,7 @@ def _rho_parts_vectors(cfg, seed):
     and phi images of every window monomial up to degree 2 superposed, so
     that b_{-k}^dag (degree m -> m+1) and b_k (m+2 -> m+1) meet too."""
     rng = np.random.default_rng(seed)
-    yield F.random_fermion_vector(cfg, rng, 60, pool_radius_sq=cfg.fermi_radius_sq + 1)
+    yield O.random_fermion_vector(cfg, rng, 60, pool_radius_sq=cfg.fermi_radius_sq + 1)
     window = B.TruncationWindow.from_radius(cfg.d, 1, 2)
     monos = B.window_monomials(window)
     f = B.BosonVector.from_monomial(monos[0])  # the vacuum
@@ -263,7 +263,7 @@ def test_commutator_identity(small2, small3):
                 lhs = F.apply_b(k, cfg, F.apply_b_dag(q, cfg, v)) - F.apply_b_dag(
                     q, cfg, F.apply_b(k, cfg, v)
                 )
-                rhs = F.apply_normal_commutator(k, q, cfg, v)
+                rhs = O.apply_normal_commutator(k, q, cfg, v)
                 if k == q:
                     rhs = rhs + float(L.crescent_size(k, cfg)) * v
                 assert (lhs - rhs).norm() < 1e-12
@@ -272,7 +272,7 @@ def test_commutator_identity(small2, small3):
 def test_normal_commutator_negative_at_equal_shift(small2):
     for seed in range(5):
         v = rvec(small2, 30 + seed, n_dets=7)
-        val = v.inner(F.apply_normal_commutator((1, 0), (1, 0), small2, v))
+        val = v.inner(O.apply_normal_commutator((1, 0), (1, 0), small2, v))
         assert abs(val.imag) < 1e-12
         assert val.real <= 1e-12
 
@@ -283,8 +283,8 @@ def test_excitation_norm_bounds(small2, small3):
         ks = [k for k in L.ball_points(cfg.d, 2) if any(k)]
         for seed in range(6):
             v = rvec(cfg, 100 + seed, n_dets=6)
-            half = F.apply_exc_weight(cfg, v, shift=0.0)
-            half1 = F.apply_exc_weight(cfg, v, shift=1.0)
+            half = O.apply_exc_weight(cfg, v, shift=0.0)
+            half1 = O.apply_exc_weight(cfg, v, shift=1.0)
             full = O.apply_exc_number(cfg, v)
             for k in ks:
                 ck = math.sqrt(L.crescent_size(k, cfg))
@@ -293,7 +293,7 @@ def test_excitation_norm_bounds(small2, small3):
                 assert F.apply_d(k, cfg, v).norm() <= 2 * full.norm() + 1e-10
                 for q in ks[:3]:
                     assert (
-                        F.apply_normal_commutator(k, q, cfg, v).norm()
+                        O.apply_normal_commutator(k, q, cfg, v).norm()
                         <= 2 * full.norm() + 1e-10
                     )
 
@@ -303,7 +303,7 @@ def test_hamiltonian_split(small2, small3, unit4, unit6):
         for seed in range(3):
             v = rvec(cfg, 40 + seed)
             lhs = F.apply_h(cfg, pot, v)
-            rhs = F.e_n0(cfg, pot) * v + F.apply_h1(cfg, pot, v) + F.apply_h2(
+            rhs = F.e_n0(cfg, pot) * v + O.apply_h1(cfg, pot, v) + O.apply_h2(
                 cfg, pot, v
             )
             assert (lhs - rhs).norm() < 1e-10 * max(lhs.norm(), 1.0)
@@ -560,7 +560,7 @@ def _ref_rho(k, vec):
     acc = {}
     for det, amp in vec.terms.items():
         for p in det:
-            hit = F.move(det, p, L.sub(p, k))
+            hit = O.move(det, p, L.sub(p, k))
             if hit is not None:
                 F._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
@@ -574,7 +574,7 @@ def _ref_b(k, config, vec):
             if L.norm_sq(p) > r:
                 t = L.sub(p, k)
                 if L.norm_sq(t) <= r:
-                    hit = F.move(det, p, t)
+                    hit = O.move(det, p, t)
                     if hit is not None:
                         F._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
@@ -588,7 +588,7 @@ def _ref_b_dag(k, config, vec):
             if L.norm_sq(p) <= r:
                 t = L.add(p, k)
                 if L.norm_sq(t) > r:
-                    hit = F.move(det, p, t)
+                    hit = O.move(det, p, t)
                     if hit is not None:
                         F._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
@@ -601,7 +601,7 @@ def _ref_d(k, config, vec):
         for p in det:
             t = L.sub(p, k)
             if (L.norm_sq(p) <= r) == (L.norm_sq(t) <= r):
-                hit = F.move(det, p, t)
+                hit = O.move(det, p, t)
                 if hit is not None:
                     F._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
@@ -609,7 +609,7 @@ def _ref_d(k, config, vec):
 
 def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
     """The tuple-move assembly; moves=F._moves is the fast tuple kernel,
-    which test_move_kernel_matches_move pins to F.move."""
+    which test_move_kernel_matches_move pins to O.move."""
     index = {det: i for i, det in enumerate(basis)}
     dim = len(basis)
     diag = np.empty(dim)
