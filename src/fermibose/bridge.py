@@ -174,12 +174,16 @@ def intertwine_residual(
         image = phi_monomial_image(config, mono)
         worst = 0.0
         for k in modes:
-            f = BosonVector.from_monomial(mono)
+            # Phi e_k mono = count(k) Phi(mono with one k removed)
+            rhs = FermionVector()
+            if k in mono:
+                i = mono.index(k)
+                reduced = mono[:i] + mono[i + 1 :]
+                rhs = mono.count(k) * phi_monomial_image(config, reduced)
             lhs = apply_phi_annihilator(k, config, image)
-            rhs = phi_map(boson.apply_boson_annihilator(k, f), config)
             worst = max(worst, (lhs - rhs).norm())
             lhs_c = apply_phi_creator(k, config, image)
-            rhs_c = phi_map(boson.apply_boson_creator(k, f), config)
+            rhs_c = phi_monomial_image(config, boson.monomial(mono + (k,)))
             cre_max = max(cre_max, (lhs_c - rhs_c).norm())
         per[mono] = worst
         ann_max = max(ann_max, worst)
@@ -268,7 +272,9 @@ def _h2_forms(f: BosonVector, config: GasConfig, pot):
     """(||psi||^2, <psi|:T: psi>, <psi|V2 psi>) at psi = Phi(f), as the
     Hermitian forms sum_ab conj(f_a) f_b M_ab over the monomials of f.
 
-    H2 conserves momentum, so only pairs of equal total momentum enter.
+    H2 conserves momentum and moves the number of holes by at most one,
+    and Phi m has exactly deg m holes, so only pairs of equal total
+    momentum whose degrees differ by at most one enter.
     """
     groups = {}
     for m in f.terms:
@@ -278,6 +284,7 @@ def _h2_forms(f: BosonVector, config: GasConfig, pot):
         for group in groups.values()
         for i, a in enumerate(group)
         for b in group[i:]
+        if abs(len(a) - len(b)) <= 1
     ]
     # the potential by content: a process pool pickles a fresh copy of it
     # into every job, so its identity would never repeat

@@ -210,30 +210,34 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, rows):
+    """Write rows, dicts from column name to value, as a CSV table whose
+    header is the first row's keys.  A row with other keys, or the same
+    keys in another order, is refused before anything is written."""
+    header = list(rows[0])
+    for row in rows:
+        if list(row) != header:
+            raise ValueError(f"row columns {list(row)} differ from the header {header}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
-
-
-def _k_columns(d, prefix="k"):
-    return [f"{prefix}_{i + 1}" for i in range(d)]
+        writer.writerows([fmt(x) for x in row.values()] for row in rows)
 
 
 # -------------------------------------------------------------- row workers
 #
-# Each takes (cfg, pot, r, state) and returns (rows, failures); a process
-# pool pickles the config and the potential with every row.
+# Each takes (cfg, pot, r, state) and returns (rows, failures), every row
+# a dict from column name to value; a process pool pickles the config and
+# the potential with every row.
 
 
-def _gas_prefix(config: GasConfig):
-    return [
-        config.fermi_radius_sq,
-        config.fermi_momentum,
-        lattice.particle_count(config),
-    ]
+def _gas(config: GasConfig) -> dict:
+    """The leading columns of every sweep row."""
+    return {
+        "fermi_radius_sq": config.fermi_radius_sq,
+        "k_f": config.fermi_momentum,
+        "n_particles": lattice.particle_count(config),
+    }
 
 
 def _cutoff(cfg: ExperimentConfig, r: int) -> int:
@@ -283,38 +287,40 @@ def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum):
 def _bounds_row(cfg, pot, r, state):
     config = cfg.gas(r)
     lower, upper = fock.trivial_bounds(config, pot)
-    return [_gas_prefix(config) + [lower, upper, upper - lower]], []
+    row = _gas(config) | {"e_n0": lower, "upper_filled": upper, "gap": upper - lower}
+    return [row], []
 
 
 def _exact_row(cfg, pot, r, state):
     config = cfg.gas(r)
     cutoff = _cutoff(cfg, r)
     momentum = cfg.momentum or (0,) * cfg.d
-    prefix = _gas_prefix(config) + [cutoff] + list(momentum)
     res, status, failures = _solve(cfg, pot, config, cutoff, momentum)
-    if res is None:
-        cells = [None] * 4
-    else:
-        cells = [res.dimension, res.method, res.energy, res.residual]
-    return [prefix + cells + [status]], failures
+    row = _gas(config) | {"cutoff_radius_sq": cutoff}
+    row |= {f"momentum_{i + 1}": p for i, p in enumerate(momentum)}
+    row |= {
+        "dimension": None if res is None else res.dimension,
+        "method": None if res is None else res.method,
+        "energy": None if res is None else res.energy,
+        "residual": None if res is None else res.residual,
+        "status": status,
+    }
+    return [row], failures
 
 
 def _isometry_row(cfg, pot, r, state):
     config = cfg.gas(r)
     window = cfg.window()
     report = bridge.isometry_audit(window, config)
-    min_crescent = min(
-        lattice.crescent(k, config).size for k in window.modes
-    )
-    row = _gas_prefix(config) + [
-        boson.window_dim(window),
-        min_crescent,
-        report.max_abs_eps,
-        report.operator_norm_bound,
-        bridge.isometry_shape_constant(report, config),
-    ]
+    row = _gas(config) | {
+        "window_dim": boson.window_dim(window),
+        "min_crescent": min(lattice.crescent(k, config).size for k in window.modes),
+        "max_abs_eps": report.max_abs_eps,
+        "operator_norm_bound": report.operator_norm_bound,
+        "shape_constant": bridge.isometry_shape_constant(report, config),
+    }
     for deg in range(window.max_degree + 1):
-        row.append(report.max_abs_by_degree.get(deg, 0.0))
+        row[f"eps_deg_{deg}"] = report.max_abs_by_degree.get(deg, 0.0)
     return [row], []
 
 
@@ -326,9 +332,12 @@ def _intertwine_row(cfg, pot, r, state):
     for mono, val in report.per_monomial.items():
         deg = len(mono)
         by_degree[deg] = max(by_degree.get(deg, 0.0), val)
-    row = _gas_prefix(config) + [report.annihilator_max, report.creator_max]
+    row = _gas(config) | {
+        "annihilator_max": report.annihilator_max,
+        "creator_max": report.creator_max,
+    }
     for deg in range(window.max_degree + 1):
-        row.append(by_degree.get(deg, 0.0))
+        row[f"res_deg_{deg}"] = by_degree.get(deg, 0.0)
     return [row], []
 
 
@@ -339,27 +348,30 @@ def _h2_row(cfg, pot, r, state):
     if cutoff is None:
         cutoff = TWO_PI * math.sqrt(cfg.window_radius_sq)
     failures = []
-    prefix = _gas_prefix(config) + [state, cutoff]
     try:
         rng = np.random.default_rng((cfg.seed, r, state))
         f = boson.random_boson_vector(window, rng, n_terms=4)
         audit = bridge.h2_expectation_audit(f, window, config, pot, cutoff)
     except ValueError as exc:
-        return [prefix + [None, None, None, f"skipped: {exc}"]], []
-    row = prefix + [
-        audit.value,
-        audit.bound,
-        audit.bound - audit.value,
-        "ok" if audit.passed else "violated",
-    ]
-    if not audit.passed:
-        failures.append(
-            {
-                "invariant": "h2.expectation_bound",
-                "row": {"fermi_radius_sq": r, "state": state},
-                "detail": f"value {audit.value} exceeds bound {audit.bound}",
-            }
-        )
+        audit, status = None, f"skipped: {exc}"
+    else:
+        status = "ok" if audit.passed else "violated"
+        if not audit.passed:
+            failures.append(
+                {
+                    "invariant": "h2.expectation_bound",
+                    "row": {"fermi_radius_sq": r, "state": state},
+                    "detail": f"value {audit.value} exceeds bound {audit.bound}",
+                }
+            )
+    row = _gas(config) | {
+        "state": state,
+        "cutoff_momentum": cutoff,
+        "value": None if audit is None else audit.value,
+        "bound": None if audit is None else audit.bound,
+        "margin": None if audit is None else audit.bound - audit.value,
+        "status": status,
+    }
     return [row], failures
 
 
@@ -369,15 +381,15 @@ def _trial_row(cfg, pot, r, state):
     weights = boson.hb_weights(config, pot)
     res = boson.hb_min_truncated(weights, cfg.window())
     report = bridge.trial_energy(res.argmin, config, pot)
-    row = _gas_prefix(config) + [
-        lower,
-        upper,
-        lower + res.value,
-        report.raw,
-        report.bosonic_prediction,
-        report.discrepancy,
-        report.identity_gap,
-    ]
+    row = _gas(config) | {
+        "e_n0": lower,
+        "upper_filled": upper,
+        "upper_bosonic_min": lower + res.value,
+        "trial_energy": report.raw,
+        "bosonic_prediction": report.bosonic_prediction,
+        "discrepancy": report.discrepancy,
+        "identity_gap": report.identity_gap,
+    }
     return [row], []
 
 
@@ -388,15 +400,15 @@ def _scaling_row(cfg, pot, r, state):
     sub = bridge.subspace_upper_bound(cfg.window(), config, pot)
     res, status, failures = _solve(cfg, pot, config, _cutoff(cfg, r), None)
     scale = float(n) ** (1.0 - cfg.alpha - 1.0 / cfg.d)
-    row = _gas_prefix(config) + [
-        lower,
-        upper,
-        sub.value,
-        None if res is None else res.energy,
-        (upper - lower) / scale,
-        (sub.value - lower) / scale,
-        status,
-    ]
+    row = _gas(config) | {
+        "e_n0": lower,
+        "upper_filled": upper,
+        "upper_subspace": sub.value,
+        "exact_energy": None if res is None else res.energy,
+        "ratio_filled": (upper - lower) / scale,
+        "ratio_subspace": (sub.value - lower) / scale,
+        "exact_status": status,
+    }
     return [row], failures
 
 
@@ -414,14 +426,10 @@ def _timed_row(job):
 
 
 def _run_magic(cfg: ExperimentConfig):
-    rows = []
-    for r in range(cfg.max_radius_sq + 1):
-        if r > 0 and not lattice.is_occupied_radius(cfg.d, r):
-            continue
-        config = cfg.gas(r)
-        rows.append(
-            [r, config.fermi_momentum, lattice.particle_count(config)]
-        )
+    rows = [
+        {"radius_sq": r, "k_f": cfg.gas(r).fermi_momentum, "n_particles": n}
+        for r, n in lattice.magic_numbers(cfg.d, cfg.max_radius_sq)
+    ]
     return rows, [], {}
 
 
@@ -429,7 +437,9 @@ def _run_crescent_audit(cfg: ExperimentConfig):
     radii = cfg.resolved_radii()
     audit = lattice.audit_crescent_bounds(cfg.d, radii, cfg.kmax_sq)
     rows = [
-        [r, n] + list(k) + [size, ratio]
+        {"fermi_radius_sq": r, "n_particles": n}
+        | {f"k_{i + 1}": x for i, x in enumerate(k)}
+        | {"crescent_size": size, "ratio": ratio}
         for r, n, k, size, ratio in audit.rows
     ]
     failures = [
@@ -454,100 +464,25 @@ def _run_crescent_audit(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its CSV header and either a per-row worker run
-    once per radius (once per radius and state when per_state) or a
-    runner for the whole table."""
+    """One experiment: a per-row worker run once per radius (once per
+    radius and state when per_state) or a runner for the whole table."""
 
-    header: Callable[[ExperimentConfig], list]
     row: Callable | None = None
     table: Callable | None = None
     needs_potential: bool = False
     per_state: bool = False
 
 
-_GAS = ["fermi_radius_sq", "k_f", "n_particles"]
-
-
-def _degree_columns(cfg, prefix):
-    return [f"{prefix}_deg_{j}" for j in range(cfg.window_degree + 1)]
-
-
 EXPERIMENTS = {
-    "magic": Experiment(
-        lambda cfg: ["radius_sq", "k_f", "n_particles"], table=_run_magic
-    ),
-    "crescent-audit": Experiment(
-        lambda cfg: ["fermi_radius_sq", "n_particles"]
-        + _k_columns(cfg.d)
-        + ["crescent_size", "ratio"],
-        table=_run_crescent_audit,
-    ),
-    "bounds": Experiment(
-        lambda cfg: _GAS + ["e_n0", "upper_filled", "gap"],
-        _bounds_row,
-        needs_potential=True,
-    ),
-    "exact": Experiment(
-        lambda cfg: _GAS
-        + ["cutoff_radius_sq"]
-        + _k_columns(cfg.d, "momentum")
-        + ["dimension", "method", "energy", "residual", "status"],
-        _exact_row,
-        needs_potential=True,
-    ),
-    "isometry": Experiment(
-        lambda cfg: _GAS
-        + [
-            "window_dim",
-            "min_crescent",
-            "max_abs_eps",
-            "operator_norm_bound",
-            "shape_constant",
-        ]
-        + _degree_columns(cfg, "eps"),
-        _isometry_row,
-    ),
-    "intertwine": Experiment(
-        lambda cfg: _GAS
-        + ["annihilator_max", "creator_max"]
-        + _degree_columns(cfg, "res"),
-        _intertwine_row,
-    ),
-    "h2-audit": Experiment(
-        lambda cfg: _GAS
-        + ["state", "cutoff_momentum", "value", "bound", "margin", "status"],
-        _h2_row,
-        needs_potential=True,
-        per_state=True,
-    ),
-    "trial": Experiment(
-        lambda cfg: _GAS
-        + [
-            "e_n0",
-            "upper_filled",
-            "upper_bosonic_min",
-            "trial_energy",
-            "bosonic_prediction",
-            "discrepancy",
-            "identity_gap",
-        ],
-        _trial_row,
-        needs_potential=True,
-    ),
-    "scaling": Experiment(
-        lambda cfg: _GAS
-        + [
-            "e_n0",
-            "upper_filled",
-            "upper_subspace",
-            "exact_energy",
-            "ratio_filled",
-            "ratio_subspace",
-            "exact_status",
-        ],
-        _scaling_row,
-        needs_potential=True,
-    ),
+    "magic": Experiment(table=_run_magic),
+    "crescent-audit": Experiment(table=_run_crescent_audit),
+    "bounds": Experiment(_bounds_row, needs_potential=True),
+    "exact": Experiment(_exact_row, needs_potential=True),
+    "isometry": Experiment(_isometry_row),
+    "intertwine": Experiment(_intertwine_row),
+    "h2-audit": Experiment(_h2_row, needs_potential=True, per_state=True),
+    "trial": Experiment(_trial_row, needs_potential=True),
+    "scaling": Experiment(_scaling_row, needs_potential=True),
 }
 
 
@@ -560,7 +495,6 @@ def run(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     warnings = cfg.warnings()
     experiment = EXPERIMENTS[cfg.experiment]
-    header = experiment.header(cfg)
     row_seconds = []
 
     if experiment.table is not None:
@@ -598,7 +532,7 @@ def run(cfg: ExperimentConfig) -> int:
             row_seconds.append(round(seconds, 6))
 
     csv_name = f"{cfg.experiment}.csv"
-    write_csv(os.path.join(cfg.out, csv_name), header, rows)
+    write_csv(os.path.join(cfg.out, csv_name), rows)
     _write_failures(cfg, failures)
 
     manifest = {

@@ -281,6 +281,8 @@ def test_h2_audit_equals_the_vector_oracle(d, r, window_radius_sq, degree, alpha
         assert audit.kinetic_part == pytest.approx(kin, rel=1e-12, abs=0)
         assert audit.interaction_part == pytest.approx(inter, rel=1e-12, abs=0)
         assert audit.value == pytest.approx(abs(kin + inter), rel=1e-12, abs=0)
+    # pairs whose degrees differ by two or more have only zero terms
+    assert all(abs(len(a) - len(b)) <= 1 for *_, a, b in BR._PAIR_TERMS)
 
 
 def test_h2_audit_rejects_states_off_the_window(small2, unit4):

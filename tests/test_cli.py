@@ -355,6 +355,19 @@ def test_sweep_header_rows_and_pool(tmp_path, experiment):
     ).read_bytes()
 
 
+def test_write_csv_header_is_the_first_rows_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    good = [{"r": 1, "e": 0.5, "status": "ok"}, {"r": 2, "e": None, "status": "skipped"}]
+    cli.write_csv(path, good)
+    assert path.read_text() == "r,e,status\n1,0.5,ok\n2,,skipped\n"
+    missing = good + [{"r": 3, "status": "ok"}]
+    reordered = good + [{"r": 3, "status": "ok", "e": 1.0}]
+    for rows in (missing, reordered):
+        with pytest.raises(ValueError, match="differ from the header"):
+            cli.write_csv(tmp_path / "bad.csv", rows)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 # -------------------------------------------------------- config handling
 
 
