@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import boson, fock
-from .lattice import GasConfig, TWO_PI, coupling, crescent, norm_sq, total_momentum
+from .lattice import GasConfig, TWO_PI, coupling, crescent, neg, norm_sq, total_momentum
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
 from .vector import frame
@@ -66,14 +66,6 @@ def apply_phi_creator(k, config: GasConfig, vec: FermionVector) -> FermionVector
     return (1.0 / math.sqrt(size)) * fock.apply_b_dag(k, config, vec)
 
 
-def _columns(vectors):
-    """(keys, CSR matrix) with one column per vector, rows over their keys."""
-    return frame(
-        ((j, amp, key) for j, vec in enumerate(vectors) for key, amp in vec.terms.items()),
-        len(vectors),
-    )
-
-
 def _gram(p, q=None):
     """Re(P^dag Q) as a dense array; Q defaults to P."""
     return (p.conj().T @ (p if q is None else q)).real.toarray()
@@ -88,7 +80,8 @@ class IsometryReport:
 
     eps is the matrix of <phi(m_i), phi(m_j)> minus the bosonic Gram, in
     the monomial order of `monomials`.  Entries between monomials of
-    different degree or total momentum vanish identically and are skipped.
+    different degree or total momentum vanish identically: their images
+    share no determinant.
     operator_norm_bound is the crude bound dim * max|eps| on the deviation
     of Phi^* Phi from the identity in the normalized basis.
     """
@@ -103,30 +96,19 @@ class IsometryReport:
 
 def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryReport:
     monos = window_monomials(window)
-    d = config.d
-    n = len(monos)
-    groups = {}
-    for i, m in enumerate(monos):
-        key = (len(m), total_momentum(m, d))
-        groups.setdefault(key, []).append(i)
-    eps = np.zeros((n, n))
-    for indices in groups.values():
-        _, p = _columns([phi_monomial_image(config, monos[i]) for i in indices])
-        norms = [boson.monomial_norm_sq(monos[i]) for i in indices]
-        eps[np.ix_(indices, indices)] = _gram(p) - np.diag(norms)
-    max_abs = float(np.max(np.abs(eps))) if n else 0.0
-    by_degree = {}
-    for (deg, _), indices in groups.items():
-        block = eps[np.ix_(indices, indices)]
-        cur = by_degree.get(deg, 0.0)
-        by_degree[deg] = max(cur, float(np.max(np.abs(block))))
+    _, p = frame([phi_monomial_image(config, m) for m in monos])
+    eps = _gram(p) - np.diag([boson.monomial_norm_sq(m) for m in monos])
+    by_degree = {}  # monos ascend in degree, so the keys do too
+    for m, row_max in zip(monos, np.max(np.abs(eps), axis=1)):
+        by_degree[len(m)] = max(by_degree.get(len(m), 0.0), float(row_max))
+    max_abs = max(by_degree.values())
     return IsometryReport(
         window=window,
         monomials=monos,
         eps=eps,
         max_abs_eps=max_abs,
-        operator_norm_bound=n * max_abs,
-        max_abs_by_degree=dict(sorted(by_degree.items())),
+        operator_norm_bound=len(monos) * max_abs,
+        max_abs_by_degree=by_degree,
     )
 
 
@@ -149,7 +131,7 @@ def isometry_shape_constant(report: IsometryReport, config: GasConfig) -> float:
 class IntertwineReport:
     """Exact residuals of phi against the bosonic ladder on a window.
 
-    annihilator_max is max over window monomials and the given modes of
+    annihilator_max is max over window monomials and window modes of
     ||(phi_k Phi - Phi e_k) mono|| / ||mono||; the creation direction is an
     operator identity, so creator_max only measures rounding noise.
     """
@@ -161,35 +143,33 @@ class IntertwineReport:
     per_monomial: dict = field(default_factory=dict)
 
 
-def intertwine_residual(
-    window: TruncationWindow, config: GasConfig, modes=None
-) -> IntertwineReport:
-    if modes is None:
-        modes = window.modes
-    monos = window_monomials(window)
+def intertwine_residual(window: TruncationWindow, config: GasConfig) -> IntertwineReport:
+    """One move pass of rho_k per (monomial, mode k) gives both directions:
+    b_k for the annihilator at k and b_{-k}^dag for the creator at -k,
+    which the negation-closed window also holds."""
     ann_max = 0.0
     cre_max = 0.0
     per = {}
-    for mono in monos:
+    for mono in window_monomials(window):
         image = phi_monomial_image(config, mono)
         worst = 0.0
-        for k in modes:
+        for k in window.modes:
+            _, b_dag, b = fock.apply_rho_parts(k, config, image)
+            scale = 1.0 / math.sqrt(crescent(k, config).size)  # |C_k| = |C_{-k}|
             # Phi e_k mono = count(k) Phi(mono with one k removed)
             rhs = FermionVector()
             if k in mono:
                 i = mono.index(k)
                 reduced = mono[:i] + mono[i + 1 :]
                 rhs = mono.count(k) * phi_monomial_image(config, reduced)
-            lhs = apply_phi_annihilator(k, config, image)
-            worst = max(worst, (lhs - rhs).norm())
-            lhs_c = apply_phi_creator(k, config, image)
-            rhs_c = phi_monomial_image(config, boson.monomial(mono + (k,)))
-            cre_max = max(cre_max, (lhs_c - rhs_c).norm())
+            worst = max(worst, (scale * b - rhs).norm())
+            rhs_c = phi_monomial_image(config, boson.monomial(mono + (neg(k),)))
+            cre_max = max(cre_max, (scale * b_dag - rhs_c).norm())
         per[mono] = worst
         ann_max = max(ann_max, worst)
     return IntertwineReport(
         window=window,
-        modes=tuple(modes),
+        modes=window.modes,
         annihilator_max=ann_max,
         creator_max=cre_max,
         per_monomial=per,
@@ -437,7 +417,7 @@ def subspace_upper_bound(
     sector_values = {}
     dropped = 0
     for momentum, group in sorted(blocks.items()):
-        dets, p = _columns([phi_monomial_image(config, m) for m in group])
+        dets, p = frame([phi_monomial_image(config, m) for m in group])
         gram = _gram(p)
         ham = _gram(p, fock.hamiltonian_matrix(config, pot, dets) @ p)
         w, u = np.linalg.eigh(gram)

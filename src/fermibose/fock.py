@@ -17,7 +17,8 @@ Momentum transfer convention: rho_k = sum_p a_{p-k}^dag a_p, i.e. applying
 rho_k lowers the total momentum of a determinant by k.  The quasi-bosonic
 pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
-for k != 0, and apply_rho_parts returns the three pieces from one pass.
+for k != 0.  apply_rho_parts returns the three pieces from one pass, and
+apply_b, apply_b_dag and apply_d each take their piece of it.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -105,15 +106,13 @@ class _KeyMemo(dict):
 _KEYS = _KeyMemo()
 
 
-def _moves(items, k, r=None, keep=None):
+def _moves(items, k, r=None):
     """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
 
     Yields (tag, sign, image, side) for every move that lands on an
     unoccupied mode, determinant by determinant and particle by particle.
     With r, side is the pair (|p|^2 <= r, |p-k|^2 <= r): the sides of the
-    Fermi ball the move starts and ends on; without r it is None.  keep
-    maps the side a kept move starts on to the side it must end on; the
-    source is tested before p-k is built.
+    Fermi ball the move starts and ends on; without r it is None.
 
     Each yield is a_{p-k}^dag a_p applied to det: the target's slot j in
     det without p is one bisect on the determinant's mode keys, and the
@@ -125,8 +124,6 @@ def _moves(items, k, r=None, keep=None):
         keys = [_KEYS[p] for p in det]
         occupied = set(det)
         for i, p in enumerate(det):
-            if keep is not None and (keys[i][0] <= r) not in keep:
-                continue
             hit = targets.get(p)
             if hit is None:
                 t = sub(p, k)
@@ -134,8 +131,6 @@ def _moves(items, k, r=None, keep=None):
                 side = None if r is None else (keys[i][0] <= r, key_t[0] <= r)
                 hit = targets[p] = (t, key_t, side)
             t, key_t, side = hit
-            if keep is not None and keep[side[0]] != side[1]:
-                continue
             if t in occupied:
                 if t == p:
                     yield tag, 1, det, side
@@ -149,48 +144,39 @@ def _moves(items, k, r=None, keep=None):
             yield tag, (-1 if (i + j) & 1 else 1), out, side
 
 
-def _apply_moves(k, vec: FermionVector, r=None, keep=None) -> FermionVector:
-    acc = {}
-    for amp, sign, out, _ in _moves(vec.terms.items(), k, r, keep):
-        _accumulate(acc, out, sign * amp)
-    return _finish(acc)
-
-
 def apply_rho(k, vec: FermionVector) -> FermionVector:
     """Density mode rho_k = sum_p a_{p-k}^dag a_p; rho_0 counts particles."""
-    return _apply_moves(k, vec)
-
-
-def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
-    """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
-    return _apply_moves(k, vec, config.fermi_radius_sq, {False: True})
-
-
-def apply_b_dag(k, config: GasConfig, vec: FermionVector) -> FermionVector:
-    """Pair creator b_k^dag = sum_{p in C_k} a_{p+k}^dag a_p."""
-    return _apply_moves(neg(k), vec, config.fermi_radius_sq, {True: False})
-
-
-def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
-    """Surface-preserving part d_k of rho_k (both sides of the move inside,
-    or both outside, the Fermi ball)."""
-    return _apply_moves(k, vec, config.fermi_radius_sq, {True: True, False: False})
+    acc = {}
+    for amp, sign, out, _ in _moves(vec.terms.items(), k):
+        _accumulate(acc, out, sign * amp)
+    return _finish(acc)
 
 
 def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
     """(d_k vec, b_{-k}^dag vec, b_k vec) from one pass over the moves of
     rho_k, each move sent by its sides: same side to d_k, inside to
-    outside to b_{-k}^dag, outside to inside to b_k.
-
-    Every part is filled in the order its own apply_* function visits the
-    moves, so each equals apply_d(k), apply_b_dag(-k) and apply_b(k)
-    amplitude for amplitude.
-    """
+    outside to b_{-k}^dag, outside to inside to b_k."""
     d, b_dag, b = {}, {}, {}
     route = {(True, True): d, (False, False): d, (True, False): b_dag, (False, True): b}
     for amp, sign, out, side in _moves(vec.terms.items(), k, config.fermi_radius_sq):
         _accumulate(route[side], out, sign * amp)
     return _finish(d), _finish(b_dag), _finish(b)
+
+
+def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
+    """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
+    return apply_rho_parts(k, config, vec)[2]
+
+
+def apply_b_dag(k, config: GasConfig, vec: FermionVector) -> FermionVector:
+    """Pair creator b_k^dag = sum_{p in C_k} a_{p+k}^dag a_p."""
+    return apply_rho_parts(neg(k), config, vec)[1]
+
+
+def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
+    """Surface-preserving part d_k of rho_k (both sides of the move inside,
+    or both outside, the Fermi ball)."""
+    return apply_rho_parts(k, config, vec)[0]
 
 
 def kinetic_excess(config: GasConfig, det) -> float:
@@ -261,9 +247,6 @@ class Potential:
             for k, v in sorted(self.vhat.items(), key=lambda kv: mode_key(kv[0]))
             if any(k) and v != 0.0
         ]
-
-    def support_radius_sq(self) -> int:
-        return max((norm_sq(k) for k, _ in self.nonzero_items()), default=0)
 
     def __repr__(self):
         return f"Potential(d={self.d}, {len(self.vhat)} modes)"

@@ -2,9 +2,9 @@
 
 SparseVector carries the arithmetic shared by fock.FermionVector (keys are
 determinants) and boson.BosonVector (keys are monomials).  frame() turns
-the terms of many vectors, or any (column, amplitude, key) stream, into a
-sparse matrix; every Gram matrix of phi images is built through it, and
-it is the one place here that imports scipy.
+many vectors into a sparse matrix with one column each; every Gram matrix
+of phi images is built through it, and it is the one place here that
+imports scipy.
 """
 
 from __future__ import annotations
@@ -98,19 +98,19 @@ class SparseVector:
         return f"{type(self).__name__}({len(self.terms)} terms, norm={self.norm():.6g})"
 
 
-def frame(entries, ncols: int):
-    """(keys, CSR matrix) from (column, amplitude, key) triples.
+def frame(vectors):
+    """(keys, CSR matrix) with one column per vector, in order.
 
-    Rows are the distinct keys in first-seen order; amplitudes that meet
-    at one (row, column) are summed.
+    Rows are the distinct keys in first-seen order, vector by vector.
     """
     import scipy.sparse
 
     rows, cols, data = [], [], []
     index = {}
-    for j, amp, key in entries:
-        rows.append(index.setdefault(key, len(index)))
-        cols.append(j)
-        data.append(amp)
-    matrix = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(len(index), ncols))
+    for j, vec in enumerate(vectors):
+        for key, amp in vec.terms.items():
+            rows.append(index.setdefault(key, len(index)))
+            cols.append(j)
+            data.append(amp)
+    matrix = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(len(index), len(vectors)))
     return list(index), matrix.tocsr()

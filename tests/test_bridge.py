@@ -80,8 +80,9 @@ def test_isometry_small_window_frozen(small2):
 
 
 def test_isometry_skipped_blocks_really_vanish(small2):
-    # the audit only computes entries within one (degree, momentum) group;
-    # spot check with explicit inner products that the skipped ones are zero
+    # images of different degree or total momentum share no determinant, so
+    # the audit's one frame gives zero entries between them; spot check that
+    # with explicit inner products
     cases = [
         ((), ((1, 0), (-1, 0))),  # same momentum, different degree
         (((1, 0),), ((0, 1),)),  # same degree, different momentum
@@ -153,15 +154,47 @@ def test_intertwine_residual_matches_commutator_expansion(small2, mono):
         assert ((lhs - rhs) - oracle).norm() < 1e-12
 
 
-def test_intertwine_report(small2):
-    report = BR.intertwine_residual(window2(m=2), small2)
+def _ref_intertwine(window, config):
+    """(per_monomial, annihilator_max, creator_max) from two passes per
+    (monomial, mode k): phi_k and phi_k^dag applied separately."""
+    per, cre_max = {}, 0.0
+    for mono in B.window_monomials(window):
+        image = BR.phi_monomial_image(config, mono)
+        worst = 0.0
+        for k in window.modes:
+            rhs = F.FermionVector()
+            if k in mono:
+                i = mono.index(k)
+                reduced = mono[:i] + mono[i + 1 :]
+                rhs = mono.count(k) * BR.phi_monomial_image(config, reduced)
+            lhs = BR.apply_phi_annihilator(k, config, image)
+            worst = max(worst, (lhs - rhs).norm())
+            lhs_c = BR.apply_phi_creator(k, config, image)
+            rhs_c = BR.phi_monomial_image(config, B.monomial(mono + (k,)))
+            cre_max = max(cre_max, (lhs_c - rhs_c).norm())
+        per[mono] = worst
+    return per, max(per.values()), cre_max
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["d2", "d3"])
+def test_intertwine_report(d):
+    window = B.TruncationWindow.from_radius(d, 1, 2)
+    config = L.GasConfig(d=d, fermi_radius_sq=1, alpha=-1.0)
+    report = BR.intertwine_residual(window, config)
+    per, ann_max, cre_max = _ref_intertwine(window, config)
+    assert report.per_monomial == per
+    assert report.annihilator_max == ann_max
+    assert report.creator_max == cre_max
+    assert report.modes == window.modes
     assert report.creator_max < 1e-12
     assert report.per_monomial[()] == 0.0
     # the worst residual comes from annihilating the doubled mode
+    k1 = (1,) + (0,) * (d - 1)
     assert report.annihilator_max == pytest.approx(
-        report.per_monomial[(K1, K1)], rel=1e-12
+        report.per_monomial[(k1, k1)], rel=1e-12
     )
-    assert report.annihilator_max == pytest.approx(2.0 / 3.0, rel=1e-6)
+    want = 2.0 / min(L.crescent(k, config).size for k in window.modes)
+    assert report.annihilator_max == pytest.approx(want, rel=1e-12)
 
 
 def test_intertwine_residual_shrinks_with_crescents():

@@ -20,6 +20,7 @@ from fermibose import boson as B
 from fermibose import bridge as BR
 from fermibose import fock as F
 from fermibose import lattice as L
+from fermibose.vector import frame
 
 import oracles as O
 
@@ -63,17 +64,13 @@ def test_car_anticommutators(data):
 
 
 POOLS = {d: L.ball_points(d, 8) for d in (2, 3)}
-# keep maps of rho, b, b^dag and d, as the apply_* functions pass them
-KEEPS = [None, {False: True}, {True: False}, {True: True, False: False}]
 
 
-def _ref_moves(items, k, r=None, keep=None):
+def _ref_moves(items, k, r=None):
     for det, tag in items:
         for p in det:
             t = L.sub(p, k)
             side = None if r is None else (L.norm_sq(p) <= r, L.norm_sq(t) <= r)
-            if keep is not None and (side[0] not in keep or side[1] != keep[side[0]]):
-                continue
             hit = O.move(det, p, t)
             if hit is not None:
                 yield tag, hit[0], hit[1], side
@@ -89,9 +86,8 @@ def test_move_kernel_matches_move(data):
     items = [(F.determinant(occ), tag) for tag, occ in enumerate(dets)]
     k = data.draw(st.sampled_from(pool))
     r = data.draw(st.sampled_from([None, 1, 2, 4, 5]))
-    keep = None if r is None else data.draw(st.sampled_from(KEEPS))
-    got = list(F._moves(items, k, r, keep))
-    want = list(_ref_moves(items, k, r, keep))
+    got = list(F._moves(items, k, r))
+    want = list(_ref_moves(items, k, r))
     assert got == want
     assert [type(sign) for _, sign, _, _ in got] == [int] * len(got)
 
@@ -380,7 +376,7 @@ def test_potential_from_function_tail():
     pot, tail = O.potential_from_function(
         lambda k: math.exp(-L.norm_sq(k)), 2, cutoff_radius_sq=2
     )
-    assert pot.support_radius_sq() == 2
+    assert max(L.norm_sq(k) for k, _ in pot.nonzero_items()) == 2
     assert tail.discarded_weight > 0.0
     assert tail.probe_radius_sq == 8
 
@@ -682,7 +678,7 @@ def _phi_blocks(d, r):
     for m in B.window_monomials(B.TruncationWindow.from_radius(d, 1, 2)):
         groups.setdefault(L.total_momentum(m, d), []).append(m)
     return config, {
-        momentum: BR._columns([BR.phi_monomial_image(config, m) for m in group])[0]
+        momentum: frame([BR.phi_monomial_image(config, m) for m in group])[0]
         for momentum, group in groups.items()
     }
 

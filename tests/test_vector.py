@@ -6,7 +6,7 @@ import numpy as np
 
 from fermibose import boson as B
 from fermibose import fock as F
-from fermibose.vector import frame
+from fermibose.vector import SparseVector, frame
 
 
 def test_arithmetic_keeps_the_subclass():
@@ -28,11 +28,17 @@ def test_arithmetic_keeps_the_subclass():
 
 
 def test_frame_rows_in_first_seen_order():
-    entries = [(1, 2.0, "b"), (0, 1.0, "a"), (1, 3.0, "a"), (0, 4.0, "b"), (0, 5.0, "b")]
-    keys, matrix = frame(entries, 3)
-    assert keys == ["b", "a"]
+    vectors = [
+        SparseVector({"b": 2.0, "a": 1.0}),
+        SparseVector(),
+        SparseVector({"c": 4.0, "a": 3.0, "b": 5.0}),
+    ]
+    keys, matrix = frame(vectors)
+    assert keys == ["b", "a", "c"]
     assert matrix.format == "csr"
-    assert np.array_equal(matrix.toarray(), [[9.0, 2.0, 0.0], [1.0, 3.0, 0.0]])
+    assert np.array_equal(
+        matrix.toarray(), [[2.0, 0.0, 5.0], [1.0, 0.0, 3.0], [0.0, 0.0, 4.0]]
+    )
 
 
 def test_finish_and_pruned_keep_the_term_order():
