@@ -208,7 +208,7 @@ def hb_weights(config: GasConfig, pot) -> dict:
     """g_k = (N^-alpha / 2) |C_k| vhat(k) on the potential support."""
     lam = coupling(config)
     return {
-        k: lam * crescent(k, config).size * v for k, v in pot.nonzero_items()
+        k: lam * len(crescent(k, config)) * v for k, v in pot.nonzero_items()
     }
 
 

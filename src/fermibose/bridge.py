@@ -52,18 +52,20 @@ def phi_map(f: BosonVector, config: GasConfig) -> FermionVector:
     return out
 
 
-def apply_phi_annihilator(k, config: GasConfig, vec: FermionVector) -> FermionVector:
-    size = crescent(k, config).size
+def _phi_scale(k, config: GasConfig) -> float:
+    """|C_k|^(-1/2), the normalisation of phi_k = |C_k|^(-1/2) b_k."""
+    size = len(crescent(k, config))
     if size == 0:
         raise ValueError(f"mode {k} has an empty crescent; phi_k is undefined")
-    return (1.0 / math.sqrt(size)) * fock.apply_b(k, config, vec)
+    return 1.0 / math.sqrt(size)
+
+
+def apply_phi_annihilator(k, config: GasConfig, vec: FermionVector) -> FermionVector:
+    return _phi_scale(k, config) * fock.apply_b(k, config, vec)
 
 
 def apply_phi_creator(k, config: GasConfig, vec: FermionVector) -> FermionVector:
-    size = crescent(k, config).size
-    if size == 0:
-        raise ValueError(f"mode {k} has an empty crescent; phi_k is undefined")
-    return (1.0 / math.sqrt(size)) * fock.apply_b_dag(k, config, vec)
+    return _phi_scale(k, config) * fock.apply_b_dag(k, config, vec)
 
 
 def _gram(p, q=None):
@@ -86,7 +88,6 @@ class IsometryReport:
     of Phi^* Phi from the identity in the normalized basis.
     """
 
-    window: TruncationWindow
     monomials: list
     eps: np.ndarray
     max_abs_eps: float
@@ -103,7 +104,6 @@ def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryRepor
         by_degree[len(m)] = max(by_degree.get(len(m), 0.0), float(row_max))
     max_abs = max(by_degree.values())
     return IsometryReport(
-        window=window,
         monomials=monos,
         eps=eps,
         max_abs_eps=max_abs,
@@ -136,8 +136,6 @@ class IntertwineReport:
     operator identity, so creator_max only measures rounding noise.
     """
 
-    window: TruncationWindow
-    modes: tuple
     annihilator_max: float
     creator_max: float
     per_monomial: dict = field(default_factory=dict)
@@ -155,7 +153,7 @@ def intertwine_residual(window: TruncationWindow, config: GasConfig) -> Intertwi
         worst = 0.0
         for k in window.modes:
             _, b_dag, b = fock.apply_rho_parts(k, config, image)
-            scale = 1.0 / math.sqrt(crescent(k, config).size)  # |C_k| = |C_{-k}|
+            scale = _phi_scale(k, config)  # |C_k| = |C_{-k}|
             # Phi e_k mono = count(k) Phi(mono with one k removed)
             rhs = FermionVector()
             if k in mono:
@@ -168,8 +166,6 @@ def intertwine_residual(window: TruncationWindow, config: GasConfig) -> Intertwi
         per[mono] = worst
         ann_max = max(ann_max, worst)
     return IntertwineReport(
-        window=window,
-        modes=window.modes,
         annihilator_max=ann_max,
         creator_max=cre_max,
         per_monomial=per,
@@ -321,7 +317,7 @@ def h2_expectation_audit(
     lam = coupling(config)
     bound = (2.0 * kf * K + K * K) * m
     for k, v in pot.nonzero_items():
-        ck = crescent(k, config).size
+        ck = len(crescent(k, config))
         bound += lam * abs(v) * (
             8.0 * m * math.sqrt(m + 1.0) * math.sqrt(ck) + 4.0 * m * m
         )

@@ -314,7 +314,7 @@ def _isometry_row(cfg, pot, r, state):
     report = bridge.isometry_audit(window, config)
     row = _gas(config) | {
         "window_dim": boson.window_dim(window),
-        "min_crescent": min(lattice.crescent(k, config).size for k in window.modes),
+        "min_crescent": min(len(lattice.crescent(k, config)) for k in window.modes),
         "max_abs_eps": report.max_abs_eps,
         "operator_norm_bound": report.operator_norm_bound,
         "shape_constant": bridge.isometry_shape_constant(report, config),
@@ -555,7 +555,7 @@ def run(cfg: ExperimentConfig) -> int:
     }
     manifest.update(manifest_extras)
     with open(os.path.join(cfg.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=_json_default)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
     for line in warnings:
@@ -567,12 +567,6 @@ def run(cfg: ExperimentConfig) -> int:
         )
         return 1
     return 0
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer, np.floating)):
-        return float(obj)
-    return list(obj)
 
 
 def _write_failures(cfg: ExperimentConfig, failures):

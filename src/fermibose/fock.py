@@ -320,7 +320,7 @@ def trivial_bounds(config: GasConfig, pot: Potential):
     expectation E_0 + lambda sum_k vhat(k) |C_k|."""
     lam = coupling(config)
     e0 = e_n0(config, pot)
-    gap = lam * sum(v * crescent(k, config).size for k, v in pot.nonzero_items())
+    gap = lam * sum(v * len(crescent(k, config)) for k, v in pot.nonzero_items())
     return e0, e0 + gap
 
 
@@ -519,7 +519,7 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(piv) / piv)
 
 
-DENSE_LIMIT = 2000  # "auto" solves sectors this large and up by Lanczos
+DENSE_LIMIT = 2000  # sectors this large and up are solved by Lanczos
 
 
 def ground_state(
@@ -527,7 +527,6 @@ def ground_state(
     pot: Potential,
     cutoff_radius_sq: int,
     momentum=None,
-    method: str = "auto",
     tol: float = 1e-9,
     basis_limit: int = 200_000,
 ) -> GroundStateResult:
@@ -535,15 +534,11 @@ def ground_state(
     of determinants over modes |p|^2 <= cutoff_radius_sq.
 
     The restricted energy is a variational upper bound for the full ground
-    energy and never drops below e_n0.  method is "auto", "dense" or
-    "iterative"; the iterative path is restarted Lanczos with residual
-    tolerance tol from a fixed start vector, so it returns the same result
-    on every call, and "auto" switches to it at DENSE_LIMIT.
+    energy and never drops below e_n0.  Sectors below DENSE_LIMIT are
+    solved densely, larger ones by restarted Lanczos with residual
+    tolerance tol from a fixed start vector, so every call returns the
+    same result.
     """
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(
-            f"method must be 'auto', 'dense' or 'iterative', not {method!r}"
-        )
     import scipy.linalg
     import scipy.sparse.linalg
 
@@ -552,20 +547,16 @@ def ground_state(
     if dim == 0:
         raise ValueError("empty sector")
     h = hamiltonian_matrix(config, pot, basis)
-    use_dense = method == "dense" or (method == "auto" and dim < DENSE_LIMIT)
-    if method == "iterative" and dim < 6:
-        use_dense = True  # Lanczos needs room; exact solve is exact anyway
-    if use_dense:
-        w, u = scipy.linalg.eigh(h.toarray())
-        energy, vec = float(w[0]), u[:, 0]
+    if dim < DENSE_LIMIT:
         how = "dense"
+        w, u = scipy.linalg.eigh(h.toarray())
     else:
+        how = "iterative"
         v0 = np.random.default_rng(0).standard_normal(dim)
         w, u = scipy.sparse.linalg.eigsh(
             h, k=1, which="SA", tol=tol, maxiter=max(5000, 100 * dim), v0=v0
         )
-        energy, vec = float(w[0]), u[:, 0]
-        how = "iterative"
+    energy, vec = float(w[0]), u[:, 0]
     vec = _canonical_phase(vec)
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     out = FermionVector(

@@ -76,15 +76,6 @@ def ball_points(d: int, radius_sq: int) -> tuple:
     return tuple(pts)
 
 
-@lru_cache(maxsize=None)
-def shell_sizes(d: int, max_radius_sq: int) -> tuple:
-    """Number of lattice points at each exact squared radius 0..max_radius_sq."""
-    counts = [0] * (max_radius_sq + 1)
-    for p in ball_points(d, max_radius_sq):
-        counts[norm_sq(p)] += 1
-    return tuple(counts)
-
-
 def magic_numbers(d: int, max_radius_sq: int) -> list:
     """Occupied radii and their closed-ball counts.
 
@@ -93,19 +84,16 @@ def magic_numbers(d: int, max_radius_sq: int) -> list:
     the closed ball of that radius.  These N are exactly the particle
     numbers with a unique free ground state.
     """
-    out = []
-    total = 0
-    for r, c in enumerate(shell_sizes(d, max_radius_sq)):
-        total += c
-        if c > 0:
-            out.append((r, total))
-    return out
+    ends = {}  # mode order is radial first, so each shell's last point wins
+    for n, p in enumerate(ball_points(d, max_radius_sq), 1):
+        ends[norm_sq(p)] = n
+    return list(ends.items())
 
 
 def is_occupied_radius(d: int, radius_sq: int) -> bool:
-    if radius_sq < 0:
-        return False
-    return shell_sizes(d, radius_sq)[radius_sq] > 0
+    """Whether some lattice point has |n|^2 == radius_sq: the last point
+    of the ball in mode order lies on its outermost occupied shell."""
+    return radius_sq >= 0 and norm_sq(ball_points(d, radius_sq)[-1]) == radius_sq
 
 
 @dataclass(frozen=True)
@@ -157,7 +145,6 @@ class GasConfig:
         return TWO_PI * math.sqrt(self.fermi_radius_sq)
 
 
-@lru_cache(maxsize=None)
 def fermi_ball(config: GasConfig) -> tuple:
     """The occupied modes of the free ground state, in mode order."""
     return ball_points(config.d, config.fermi_radius_sq)
@@ -178,34 +165,16 @@ def kinetic_ground_sum(config: GasConfig) -> float:
     return TWO_PI_SQ * sum(norm_sq(p) for p in fermi_ball(config))
 
 
-@dataclass(frozen=True)
-class CrescentSet:
-    """C_k: modes inside the Fermi ball pushed outside by a shift of k.
-
-    members are in mode order.  size == 0 exactly when k == 0.
-    """
-
-    k: Momentum
-    fermi_radius_sq: int
-    members: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 @lru_cache(maxsize=None)
-def crescent(k: Momentum, config: GasConfig) -> CrescentSet:
-    """C_k = { p : |p| <= k_F, |p + k| > k_F }."""
+def crescent(k: Momentum, config: GasConfig) -> tuple:
+    """C_k = { p : |p| <= k_F, |p + k| > k_F }, in mode order.
+
+    Empty exactly when k == 0.
+    """
     if len(k) != config.d:
         raise ValueError(f"momentum {k} has wrong dimension for d={config.d}")
     r = config.fermi_radius_sq
-    members = tuple(p for p in fermi_ball(config) if norm_sq(add(p, k)) > r)
-    return CrescentSet(k=k, fermi_radius_sq=r, members=members)
-
-
-def crescent_size(k: Momentum, config: GasConfig) -> int:
-    return crescent(k, config).size
+    return tuple(p for p in fermi_ball(config) if norm_sq(add(p, k)) > r)
 
 
 def crescent_ratio(k: Momentum, config: GasConfig) -> float:
@@ -221,12 +190,12 @@ def crescent_ratio(k: Momentum, config: GasConfig) -> float:
         raise ValueError("crescent ratio needs k != 0 and k_F > 0")
     kf = math.sqrt(r)
     scale = kf ** (config.d - 1) * min(math.sqrt(nk), kf)
-    return crescent_size(k, config) / scale
+    return len(crescent(k, config)) / scale
 
 
 def covers_ball_with_opposite(k: Momentum, config: GasConfig) -> bool:
     """Whether C_k together with C_-k exhausts the whole Fermi ball."""
-    got = set(crescent(k, config).members) | set(crescent(neg(k), config).members)
+    got = set(crescent(k, config)) | set(crescent(neg(k), config))
     return got == set(fermi_ball(config))
 
 
@@ -240,8 +209,6 @@ class CrescentAudit:
     hard geometric identity, each with a short reason.
     """
 
-    d: int
-    radii: tuple
     ratio_low: float
     ratio_high: float
     low_witness: tuple  # (radius_sq, k)
@@ -271,10 +238,10 @@ def audit_crescent_bounds(d: int, radii, kmax_sq: int) -> CrescentAudit:
         config = GasConfig(d=d, fermi_radius_sq=r)
         n_part = particle_count(config)
         for k in ks:
-            size = crescent_size(k, config)
+            size = len(crescent(k, config))
             if size == 0:
                 failures.append((r, k, "empty crescent for nonzero shift"))
-            if size != crescent_size(neg(k), config):
+            if size != len(crescent(neg(k), config)):
                 failures.append((r, k, "|C_k| != |C_-k|"))
             covered = covers_ball_with_opposite(k, config)
             if (norm_sq(k) > r) != covered:
@@ -286,8 +253,6 @@ def audit_crescent_bounds(d: int, radii, kmax_sq: int) -> CrescentAudit:
             if ratio > hi:
                 hi, hi_wit = ratio, (r, k)
     return CrescentAudit(
-        d=d,
-        radii=tuple(radii),
         ratio_low=lo,
         ratio_high=hi,
         low_witness=lo_wit,

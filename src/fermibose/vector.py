@@ -2,9 +2,9 @@
 
 SparseVector carries the arithmetic shared by fock.FermionVector (keys are
 determinants) and boson.BosonVector (keys are monomials).  frame() turns
-many vectors into a sparse matrix with one column each; every Gram matrix
-of phi images is built through it, and it is the one place here that
-imports scipy.
+many vectors into a sparse matrix with one column each; the isometry and
+subspace-bound Gram matrices are built through it (the H2 pair terms take
+SparseVector.inner), and it is the one place here that imports scipy.
 """
 
 from __future__ import annotations

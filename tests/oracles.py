@@ -153,7 +153,7 @@ def apply_normal_commutator(k, q, config: GasConfig, vec: FermionVector) -> Ferm
     the filled ball and is negative semidefinite at k == q.
     """
     r = config.fermi_radius_sq
-    cq = crescent(q, config).members
+    cq = crescent(q, config)
     acc = {}
     for det, amp in vec.terms.items():
         for p in cq:

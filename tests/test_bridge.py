@@ -101,7 +101,7 @@ def test_isometry_eps_decays_with_crescents():
     for r in (1, 4, 9):
         config = L.GasConfig(d=2, fermi_radius_sq=r, alpha=-1.0)
         maxima.append(BR.isometry_audit(window, config).max_abs_eps)
-        csize = L.crescent(K1, config).size
+        csize = len(L.crescent(K1, config))
         assert maxima[-1] == pytest.approx(2.0 / csize, rel=1e-12)
     assert maxima[0] > maxima[1] > maxima[2]
 
@@ -119,13 +119,13 @@ def test_isometry_shape_constant(small2):
 def commutator_expansion(k, mono, config):
     """sum_i phi*_{q_1}..phi*_{q_{i-1}} :[phi_k, phi*_{q_i}]: phi*_{q_{i+1}}..
     applied to the filled ball, built from the pair primitives."""
-    ck = L.crescent(k, config).size
+    ck = len(L.crescent(k, config))
     out = F.FermionVector()
     for i, qi in enumerate(mono):
         vec = F.psi0(config)
         for q in reversed(mono[i + 1 :]):
             vec = BR.apply_phi_creator(q, config, vec)
-        scale = 1.0 / math.sqrt(ck * L.crescent(qi, config).size)
+        scale = 1.0 / math.sqrt(ck * len(L.crescent(qi, config)))
         vec = scale * O.apply_normal_commutator(k, qi, config, vec)
         for q in reversed(mono[:i]):
             vec = BR.apply_phi_creator(q, config, vec)
@@ -185,7 +185,6 @@ def test_intertwine_report(d):
     assert report.per_monomial == per
     assert report.annihilator_max == ann_max
     assert report.creator_max == cre_max
-    assert report.modes == window.modes
     assert report.creator_max < 1e-12
     assert report.per_monomial[()] == 0.0
     # the worst residual comes from annihilating the doubled mode
@@ -193,7 +192,7 @@ def test_intertwine_report(d):
     assert report.annihilator_max == pytest.approx(
         report.per_monomial[(k1, k1)], rel=1e-12
     )
-    want = 2.0 / min(L.crescent(k, config).size for k in window.modes)
+    want = 2.0 / min(len(L.crescent(k, config)) for k in window.modes)
     assert report.annihilator_max == pytest.approx(want, rel=1e-12)
 
 
@@ -219,7 +218,7 @@ def test_unit_window_residuals_are_two_over_min_crescent(d, r):
     fits is crescent counting."""
     window = B.TruncationWindow.from_radius(d, 1, 2)
     config = L.GasConfig(d=d, fermi_radius_sq=r)
-    want = 2.0 / min(L.crescent(k, config).size for k in window.modes)
+    want = 2.0 / min(len(L.crescent(k, config)) for k in window.modes)
     eps = BR.isometry_audit(window, config).max_abs_eps
     residual = BR.intertwine_residual(window, config).annihilator_max
     assert eps == pytest.approx(want, rel=1e-12, abs=0)

@@ -151,7 +151,7 @@ def test_rho_on_psi0_counts_crescent(small2):
     g = F.psi0(small2)
     for k in [(1, 0), (0, 1), (1, 1), (2, 0)]:
         assert F.apply_rho(k, g).norm_sq() == pytest.approx(
-            L.crescent_size(k, small2)
+            len(L.crescent(k, small2))
         )
 
 
@@ -261,7 +261,7 @@ def test_commutator_identity(small2, small3):
                 )
                 rhs = O.apply_normal_commutator(k, q, cfg, v)
                 if k == q:
-                    rhs = rhs + float(L.crescent_size(k, cfg)) * v
+                    rhs = rhs + float(len(L.crescent(k, cfg))) * v
                 assert (lhs - rhs).norm() < 1e-12
 
 
@@ -283,7 +283,7 @@ def test_excitation_norm_bounds(small2, small3):
             half1 = O.apply_exc_weight(cfg, v, shift=1.0)
             full = O.apply_exc_number(cfg, v)
             for k in ks:
-                ck = math.sqrt(L.crescent_size(k, cfg))
+                ck = math.sqrt(len(L.crescent(k, cfg)))
                 assert F.apply_b(k, cfg, v).norm() <= ck * half.norm() + 1e-10
                 assert F.apply_b_dag(k, cfg, v).norm() <= ck * half1.norm() + 1e-10
                 assert F.apply_d(k, cfg, v).norm() <= 2 * full.norm() + 1e-10
@@ -426,25 +426,16 @@ def test_ground_state_sandwich(small2, unit4):
     assert gs.residual < 1e-9 * max(abs(gs.energy), 1.0)
 
 
-def test_ground_state_dense_vs_iterative(small2, unit4):
-    dense = F.ground_state(small2, unit4, cutoff_radius_sq=4, method="dense")
-    it = F.ground_state(small2, unit4, cutoff_radius_sq=4, method="iterative")
-    assert abs(dense.energy - it.energy) < 1e-8 * max(abs(dense.energy), 1.0)
-
-
-@pytest.mark.parametrize("method", ["Dense", "lanczos", ""])
-def test_ground_state_rejects_unknown_method(small2, unit4, method):
-    with pytest.raises(ValueError, match="'auto', 'dense' or 'iterative'"):
-        F.ground_state(small2, unit4, cutoff_radius_sq=4, method=method)
-
-
-def test_auto_method_switches_at_dense_limit(small2, unit4, monkeypatch):
-    # the cutoff-4 sector of the 5-particle gas has dimension 51
-    monkeypatch.setattr(F, "DENSE_LIMIT", 51)
-    it = F.ground_state(small2, unit4, cutoff_radius_sq=4)
-    monkeypatch.setattr(F, "DENSE_LIMIT", 52)
-    dense = F.ground_state(small2, unit4, cutoff_radius_sq=4)
-    assert it.dimension == dense.dimension == 51
+@pytest.mark.parametrize(
+    "momentum, dim", [((0, 0), 51), ((1, 0), 45)], ids=["dim51", "dim45"]
+)
+def test_auto_method_switches_at_dense_limit(small2, unit4, monkeypatch, momentum, dim):
+    # cutoff-4 sectors of the 5-particle gas; Lanczos from dim = DENSE_LIMIT
+    monkeypatch.setattr(F, "DENSE_LIMIT", dim)
+    it = F.ground_state(small2, unit4, cutoff_radius_sq=4, momentum=momentum)
+    monkeypatch.setattr(F, "DENSE_LIMIT", dim + 1)
+    dense = F.ground_state(small2, unit4, cutoff_radius_sq=4, momentum=momentum)
+    assert it.dimension == dense.dimension == dim
     assert (it.method, dense.method) == ("iterative", "dense")
     assert it.energy == pytest.approx(dense.energy, rel=1e-9)
 
@@ -536,9 +527,10 @@ def test_ground_state_deterministic(small2, unit4):
     assert a.vector.terms == b.vector.terms
 
 
-def test_iterative_ground_state_deterministic(small2, unit4):
-    a = F.ground_state(small2, unit4, cutoff_radius_sq=4, method="iterative")
-    b = F.ground_state(small2, unit4, cutoff_radius_sq=4, method="iterative")
+def test_iterative_ground_state_deterministic(small2, unit4, monkeypatch):
+    monkeypatch.setattr(F, "DENSE_LIMIT", 51)  # the sector's dimension
+    a = F.ground_state(small2, unit4, cutoff_radius_sq=4)
+    b = F.ground_state(small2, unit4, cutoff_radius_sq=4)
     assert a.method == b.method == "iterative"
     assert a.residual == b.residual
     assert a.energy == b.energy

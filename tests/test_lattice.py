@@ -82,6 +82,21 @@ def test_magic_numbers_match_oracle():
         assert len(set(counts)) == len(counts)
 
 
+@pytest.mark.parametrize("d, rmax", [(2, 60), (3, 40)], ids=["d2", "d3"])
+def test_occupied_radii_match_brute_force(d, rmax):
+    reach = math.isqrt(rmax) + 1
+    occupied = {
+        sum(c * c for c in p)
+        for p in itertools.product(range(-reach, reach + 1), repeat=d)
+    }
+    occupied = {r for r in occupied if r <= rmax}
+    for r in range(-2, rmax + 1):
+        assert lat.is_occupied_radius(d, r) == (r in occupied)
+    assert [r for r, _ in lat.magic_numbers(d, rmax)] == sorted(occupied)
+    assert lat.magic_numbers(d, -1) == []
+    assert lat.magic_numbers(d, 0) == [(0, 1)]
+
+
 def test_gas_config_validation():
     with pytest.raises(ValueError):
         lat.GasConfig(d=1, fermi_radius_sq=1)
@@ -106,10 +121,7 @@ def test_from_particle_count_roundtrip():
 
 def test_crescent_frozen_example():
     cfg = lat.GasConfig(d=2, fermi_radius_sq=1)
-    c = lat.crescent((1, 0), cfg)
-    assert set(c.members) == {(1, 0), (0, 1), (0, -1)}
-    assert c.size == 3
-    assert (1, 0) in c.members and (0, 0) not in c.members
+    assert lat.crescent((1, 0), cfg) == ((0, -1), (0, 1), (1, 0))
 
 
 def test_crescent_matches_oracle():
@@ -117,13 +129,13 @@ def test_crescent_matches_oracle():
         for r, _ in lat.magic_numbers(d, rmax):
             cfg = lat.GasConfig(d=d, fermi_radius_sq=r)
             for k in lat.ball_points(d, kmax):
-                got = set(lat.crescent(k, cfg).members)
-                assert got == crescent_oracle(d, r, k)
+                want = sorted(crescent_oracle(d, r, k), key=lat.mode_key)
+                assert lat.crescent(k, cfg) == tuple(want)
 
 
 def test_crescent_zero_shift_empty():
     cfg = lat.GasConfig(d=3, fermi_radius_sq=2)
-    assert lat.crescent((0, 0, 0), cfg).size == 0
+    assert len(lat.crescent((0, 0, 0), cfg)) == 0
     with pytest.raises(ValueError):
         lat.crescent_ratio((0, 0, 0), cfg)
 
@@ -142,9 +154,9 @@ def _signed_permutations(k):
 )
 def test_crescent_lattice_symmetry(k, r):
     cfg = lat.GasConfig(d=2, fermi_radius_sq=r)
-    size = lat.crescent_size(k, cfg)
+    size = len(lat.crescent(k, cfg))
     for g in _signed_permutations(k):
-        assert lat.crescent_size(g, cfg) == size
+        assert len(lat.crescent(g, cfg)) == size
 
 
 def test_crescent_union_covers_iff_long_shift():
@@ -161,7 +173,7 @@ def test_crescent_union_covers_iff_long_shift():
 def test_crescent_saturates_beyond_diameter():
     cfg = lat.GasConfig(d=2, fermi_radius_sq=4)
     # |k| > 2 k_F moves every ball point outside
-    assert lat.crescent((5, 0), cfg).size == lat.particle_count(cfg)
+    assert len(lat.crescent((5, 0), cfg)) == lat.particle_count(cfg)
 
 
 def test_kinetic_ground_sum():
