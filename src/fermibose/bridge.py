@@ -403,26 +403,36 @@ def subspace_upper_bound(
     window: TruncationWindow, config: GasConfig, pot
 ) -> SubspaceBound:
     """Rayleigh-Ritz on each total-momentum block of the images: Gram
-    Re(P^dag P) and Hamiltonian Re(P^dag H P), with H the sector matrix
-    fock.hamiltonian_matrix over the determinants of the block."""
-    monos = window_monomials(window)
+    Re(P^dag P) and Hamiltonian Re(P^dag H P).
+
+    One frame P holds every image, block by block in momentum order, and
+    H = fock.hamiltonian_matrix over all its determinants: one assembly
+    and one pair of forms per call.  H conserves momentum and images of
+    different total momentum share no determinant, so both forms are
+    block diagonal and each block is solved on its own diagonal slice,
+    which holds the values a per-block assembly would.
+    """
     blocks = {}
-    for m in monos:
+    for m in window_monomials(window):
         blocks.setdefault(total_momentum(m, config.d), []).append(m)
+    blocks = sorted(blocks.items())
+    monos = [m for _, group in blocks for m in group]
+    dets, p = frame([phi_monomial_image(config, m) for m in monos])
+    gram = _gram(p)
+    ham = _gram(p, fock.hamiltonian_matrix(config, pot, dets) @ p)
     best = math.inf
     sector_values = {}
     dropped = 0
-    for momentum, group in sorted(blocks.items()):
-        dets, p = frame([phi_monomial_image(config, m) for m in group])
-        gram = _gram(p)
-        ham = _gram(p, fock.hamiltonian_matrix(config, pot, dets) @ p)
-        w, u = np.linalg.eigh(gram)
+    end = 0
+    for momentum, group in blocks:
+        start, end = end, end + len(group)
+        w, u = np.linalg.eigh(gram[start:end, start:end])
         keep = w > PIVOT_TOL * max(w[-1], 0.0)
         dropped += int(len(group) - keep.sum())
         if not keep.any():
             continue
         basis = u[:, keep] / np.sqrt(w[keep])
-        hw = basis.T @ ham @ basis
+        hw = basis.T @ ham[start:end, start:end] @ basis
         vals = np.linalg.eigvalsh(hw)
         sector_values[momentum] = float(vals[0])
         best = min(best, float(vals[0]))

@@ -18,7 +18,8 @@ rho_k lowers the total momentum of a determinant by k.  The quasi-bosonic
 pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
 for k != 0.  apply_rho_parts returns the three pieces from one pass, and
-apply_b, apply_b_dag and apply_d each take their piece of it.
+apply_b, apply_b_dag and apply_d each take their piece of the same pass,
+which skips the moves of the other two before building their images.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -104,15 +105,18 @@ class _KeyMemo(dict):
 
 
 _KEYS = _KeyMemo()
+_HELD = object()  # a target every determinant in _moves holds
 
 
-def _moves(items, k, r=None):
+def _moves(items, k, r=None, sides=None):
     """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
 
     Yields (tag, sign, image, side) for every move that lands on an
     unoccupied mode, determinant by determinant and particle by particle.
     With r, side is the pair (|p|^2 <= r, |p-k|^2 <= r): the sides of the
-    Fermi ball the move starts and ends on; without r it is None.
+    Fermi ball the move starts and ends on; without r it is None.  With
+    sides too, a move whose side is not in sides is skipped before its
+    image is built; the moves yielded keep their order.
 
     Each yield is a_{p-k}^dag a_p applied to det: the target's slot j in
     det without p is one bisect on the determinant's mode keys, and the
@@ -122,13 +126,15 @@ def _moves(items, k, r=None):
     targets = {}  # p -> (p-k, mode_key(p-k), side)
     for det, tag in items:
         keys = [_KEYS[p] for p in det]
-        occupied = set(det)
+        occupied = {_HELD, *det}
         for i, p in enumerate(det):
             hit = targets.get(p)
             if hit is None:
                 t = sub(p, k)
                 key_t = _KEYS[t]
                 side = None if r is None else (keys[i][0] <= r, key_t[0] <= r)
+                if sides is not None and side not in sides:
+                    t = _HELD  # an unwanted move is dropped as a blocked one
                 hit = targets[p] = (t, key_t, side)
             t, key_t, side = hit
             if t in occupied:
@@ -152,31 +158,45 @@ def apply_rho(k, vec: FermionVector) -> FermionVector:
     return _finish(acc)
 
 
+# the sides of the Fermi ball (start inside, end inside) of a move of
+# rho_k, by the part of rho_k it belongs to
+_D_SIDES = ((True, True), (False, False))
+_B_DAG_SIDES = ((True, False),)
+_B_SIDES = ((False, True),)
+
+
+def _split(k, config: GasConfig, vec: FermionVector, *parts):
+    """The parts of rho_k vec, one per tuple of sides in parts, from one
+    pass over the moves of rho_k: each move goes to the part that holds
+    its sides, and a move no part holds is never built."""
+    accs = [{} for _ in parts]
+    route = {side: acc for sides, acc in zip(parts, accs) for side in sides}
+    for amp, sign, out, side in _moves(vec.terms.items(), k, config.fermi_radius_sq, route):
+        _accumulate(route[side], out, sign * amp)
+    return [_finish(acc) for acc in accs]
+
+
 def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
     """(d_k vec, b_{-k}^dag vec, b_k vec) from one pass over the moves of
     rho_k, each move sent by its sides: same side to d_k, inside to
     outside to b_{-k}^dag, outside to inside to b_k."""
-    d, b_dag, b = {}, {}, {}
-    route = {(True, True): d, (False, False): d, (True, False): b_dag, (False, True): b}
-    for amp, sign, out, side in _moves(vec.terms.items(), k, config.fermi_radius_sq):
-        _accumulate(route[side], out, sign * amp)
-    return _finish(d), _finish(b_dag), _finish(b)
+    return tuple(_split(k, config, vec, _D_SIDES, _B_DAG_SIDES, _B_SIDES))
 
 
 def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
-    return apply_rho_parts(k, config, vec)[2]
+    return _split(k, config, vec, _B_SIDES)[0]
 
 
 def apply_b_dag(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair creator b_k^dag = sum_{p in C_k} a_{p+k}^dag a_p."""
-    return apply_rho_parts(neg(k), config, vec)[1]
+    return _split(neg(k), config, vec, _B_DAG_SIDES)[0]
 
 
 def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Surface-preserving part d_k of rho_k (both sides of the move inside,
     or both outside, the Fermi ball)."""
-    return apply_rho_parts(k, config, vec)[0]
+    return _split(k, config, vec, _D_SIDES)[0]
 
 
 def kinetic_excess(config: GasConfig, det) -> float:
@@ -445,6 +465,11 @@ def hamiltonian_matrix(config, pot, basis):
     """Sparse PHP over the given determinant basis: the one matrix form of
     the Hamiltonian, which apply_h checks term by term.
 
+    The basis may be any set of determinants of one particle number.  H
+    conserves momentum, so over determinants of several total momenta
+    the matrix is block diagonal, and each diagonal block holds the
+    values of that block's own assembly.
+
     The interaction is assembled as lambda vhat(k) A_k^dag A_k where A_k is
     the exact rho_k matrix into dynamically registered image determinants,
     so truncation only happens at the outer projection: for vectors in the
@@ -465,47 +490,53 @@ def hamiltonian_matrix(config, pot, basis):
     table = sorted(set(modes).union(*shifted), key=mode_key)
     rank = {p: i for i, p in enumerate(table)}
     ranks = np.fromiter(
-        map(rank.__getitem__, chain.from_iterable(basis)), dtype=np.int64, count=dim * n
+        map(rank.__getitem__, chain.from_iterable(basis)), dtype=np.int32, count=dim * n
     ).reshape(dim, n)
     nsq = np.array([norm_sq(p) for p in table], dtype=np.int64)
     kinetic = TWO_PI_SQ * nsq[ranks].sum(axis=1) - kinetic_ground_sum(config)
     h = scipy.sparse.diags(e_n0(config, pot) + kinetic, format="csr")
-    rows, src = np.repeat(np.arange(dim), n), ranks.ravel()
-    bits = np.zeros((dim, (len(table) + 63) // 64), dtype=np.uint64)
-    np.bitwise_or.at(bits, (rows, src >> 6), _ONE << (src & 63).astype(np.uint64))
+    words = (len(table) + 63) // 64
+    occupied = np.zeros((dim, 64 * words), dtype=bool)
+    np.put_along_axis(occupied, ranks, True, axis=1)
+    # bit i of word w is rank 64 w + i
+    bits = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
     below = np.zeros(bits.shape, dtype=np.int64)  # set bits in the lower words
     np.cumsum(np.bitwise_count(bits[:, :-1]), axis=1, out=below[:, 1:])
-    slot = np.tile(np.arange(n), dim)
     sources = [rank[p] for p in modes]
     lam = coupling(config)
     for (_, v), targets in zip(items, shifted):
-        dst = np.full(len(table), -1, dtype=np.int64)  # rank of p-k at rank of p
+        dst = np.zeros(len(table), dtype=np.int32)  # rank of p-k at rank of p
         dst[sources] = [rank[t] for t in targets]
-        a = _rho_bitmask(bits, below, rows, slot, src, dst[src])
+        a = _rho_bitmask(bits, below, ranks, dst, occupied)
         h = h + (lam * v) * (a.T @ a)
+        del a  # not held through the next k's pass
     return h.tocsr()
 
 
 _ONE = np.uint64(1)
 
 
-def _rho_bitmask(bits, below, rows, slot, src, dst):
-    """A_k (images x determinants) from the moves src -> dst of particle
-    slot of determinant rows, as ranks; all (determinant, particle) pairs
-    in one vector pass.  A move into a free target from slot i has sign
-    (-1)^(i+j), j the occupied ranks below dst, less one if dst > src."""
+def _rho_bitmask(bits, below, ranks, dst, occupied):
+    """A_k (images x determinants) from the moves src -> dst[src] of the
+    particles of each determinant, ranks[row, slot] = src.  Only the moves
+    into a free target are gathered, all in one vector pass; such a move
+    from slot i has sign (-1)^(i+j), j the occupied ranks below dst, less
+    one if dst > src."""
     import scipy.sparse
 
-    word = bits[rows, dst >> 6]
+    free = ~np.take_along_axis(occupied[:, dst], ranks, axis=1)
+    rows, slot = np.divmod(np.flatnonzero(free), ranks.shape[1])
+    src = ranks[rows, slot]
+    dst = dst[src]
+    word = dst >> 6
     bit = _ONE << (dst & 63).astype(np.uint64)
-    free = np.flatnonzero((word & bit) == 0)
-    rows, src, dst, word, bit = (x[free] for x in (rows, src, dst, word, bit))
-    j = below[rows, dst >> 6] + np.bitwise_count(word & (bit - _ONE)) - (dst > src)
-    sign = 1 - 2 * ((slot[free] + j) & 1)
+    j = below[rows, word] + np.bitwise_count(bits[rows, word] & (bit - _ONE)) - (dst > src)
+    sign = 1 - 2 * ((slot + j) & 1)
     images = bits[rows]
-    at = np.arange(len(free))
+    at = np.arange(len(rows))
     images[at, src >> 6] ^= _ONE << (src & 63).astype(np.uint64)
-    images[at, dst >> 6] ^= bit
+    images[at, word] ^= bit
+    del free, slot, src, dst, word, bit, j, at  # not held through the sort
     keys = images.view(f"V{8 * images.shape[1]}") if images.shape[1] > 1 else images
     distinct, image = np.unique(keys.ravel(), return_inverse=True)
     return scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(bits)))

@@ -14,7 +14,10 @@ number and of a Rayleigh quotient; potential_from_function truncates a
 coefficient function and reports a finite window on what it dropped;
 gram_matrix is the factorial Gram of a monomial list as a dense matrix;
 momentum_combinations is the depth-first sector walk that
-fock._momentum_combinations replaces with a numpy pass per depth.
+fock._momentum_combinations replaces with a numpy pass per depth;
+subspace_upper_bound_per_block is the subspace bound with one frame and
+one Hamiltonian assembly per total-momentum block, which
+bridge.subspace_upper_bound replaces with one of each over all blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fermibose.boson import monomial_norm_sq
+from fermibose.boson import monomial_norm_sq, window_monomials
+from fermibose.bridge import PIVOT_TOL, SubspaceBound, _gram, phi_monomial_image
 from fermibose.fock import (
     FermionVector,
     Potential,
@@ -34,6 +38,7 @@ from fermibose.fock import (
     apply_normal_t,
     apply_rho_parts,
     determinant,
+    hamiltonian_matrix,
     kinetic_excess,
 )
 from fermibose.lattice import (
@@ -48,7 +53,9 @@ from fermibose.lattice import (
     norm_sq,
     particle_count,
     sub,
+    total_momentum,
 )
+from fermibose.vector import frame
 
 # ------------------------------------------------------------ determinants
 
@@ -332,3 +339,35 @@ def momentum_combinations(modes, n, momentum):
     if momentum in reach[0].get(n, ()):
         descend(0, n, momentum)
     return basis
+
+
+def subspace_upper_bound_per_block(window, config: GasConfig, pot: Potential) -> SubspaceBound:
+    """bridge.subspace_upper_bound block by block: each total-momentum
+    block gets its own frame, Hamiltonian over its own determinants and
+    Gram and Hamiltonian forms."""
+    monos = window_monomials(window)
+    blocks = {}
+    for m in monos:
+        blocks.setdefault(total_momentum(m, config.d), []).append(m)
+    best = math.inf
+    sector_values = {}
+    dropped = 0
+    for momentum, group in sorted(blocks.items()):
+        dets, p = frame([phi_monomial_image(config, m) for m in group])
+        gram = _gram(p)
+        ham = _gram(p, hamiltonian_matrix(config, pot, dets) @ p)
+        w, u = np.linalg.eigh(gram)
+        keep = w > PIVOT_TOL * max(w[-1], 0.0)
+        dropped += int(len(group) - keep.sum())
+        if not keep.any():
+            continue
+        basis = u[:, keep] / np.sqrt(w[keep])
+        vals = np.linalg.eigvalsh(basis.T @ ham @ basis)
+        sector_values[momentum] = float(vals[0])
+        best = min(best, float(vals[0]))
+    return SubspaceBound(
+        value=best,
+        sector_values=sector_values,
+        dimension=len(monos),
+        dropped_directions=dropped,
+    )

@@ -420,6 +420,29 @@ def test_subspace_bound_empty_potential(small2):
     assert bound.value == pytest.approx(L.kinetic_ground_sum(small2))
 
 
+# d = 2 unit window at degree 2, the scaling sweep's window; the radius-1
+# window at degree 4, whose r = 1 and r = 2 Grams drop 4 directions each;
+# d = 3 at degree 2
+@pytest.mark.parametrize(
+    "d, r, degree, dropped",
+    [(2, 5, 2, 0), (2, 17, 2, 0), (2, 20, 2, 0), (2, 1, 4, 4), (2, 2, 4, 4), (2, 5, 4, 0), (3, 2, 2, 0)],
+    ids=["d2-r5", "d2-r17", "d2-r20", "d2-r1-deg4", "d2-r2-deg4", "d2-r5-deg4", "d3-r2"],
+)
+def test_subspace_bound_equals_per_block_assembly(d, r, degree, dropped):
+    """One assembly over all momentum blocks gives, bit for bit, the
+    bound of one assembly per block: the union Hamiltonian is block
+    diagonal and its blocks hold the per-block values."""
+    config = L.GasConfig(d=d, fermi_radius_sq=r, alpha=-1.0)
+    window = B.TruncationWindow.from_radius(d, 1, degree)
+    pot = F.unit_potential(d)
+    got = BR.subspace_upper_bound(window, config, pot)
+    want = O.subspace_upper_bound_per_block(window, config, pot)
+    assert got.value == want.value
+    assert list(got.sector_values.items()) == list(want.sector_values.items())
+    assert got.dimension == want.dimension
+    assert got.dropped_directions == want.dropped_directions == dropped
+
+
 # ------------------------------------------------- the Gram paths, pinned
 #
 # Reference copies of the pairwise inner-product loops that the sparse

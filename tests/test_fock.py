@@ -697,6 +697,24 @@ def test_hamiltonian_assembly_matches_reference_on_phi_blocks(d, r, momenta, wor
     assert seen == words
 
 
+@pytest.mark.parametrize("d, r", [(2, 17), (3, 5)], ids=["d2-r17", "d3-r5"])
+def test_union_hamiltonian_is_block_diagonal(d, r):
+    """One assembly over the determinants of every momentum block is
+    block diagonal, and each diagonal block is that block's own assembly."""
+    config, blocks = _phi_blocks(d, r)
+    pot = F.unit_potential(d)
+    union = [det for momentum in sorted(blocks) for det in blocks[momentum]]
+    got = F.hamiltonian_matrix(config, pot, union)
+    block_of = np.repeat(np.arange(len(blocks)), [len(blocks[m]) for m in sorted(blocks)])
+    rows, cols = got.nonzero()
+    assert np.array_equal(block_of[rows], block_of[cols])
+    end = 0
+    for momentum in sorted(blocks):
+        start, end = end, end + len(blocks[momentum])
+        want = F.hamiltonian_matrix(config, pot, blocks[momentum])
+        _assert_same_csr(got[start:end, start:end], want)
+
+
 WIDE_POOLS = {2: L.ball_points(2, 72), 3: L.ball_points(3, 16)}
 
 
