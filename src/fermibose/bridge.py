@@ -142,9 +142,10 @@ class IntertwineReport:
 
 
 def intertwine_residual(window: TruncationWindow, config: GasConfig) -> IntertwineReport:
-    """One move pass of rho_k per (monomial, mode k) gives both directions:
-    b_k for the annihilator at k and b_{-k}^dag for the creator at -k,
-    which the negation-closed window also holds."""
+    """One move pass of rho_k per (monomial, mode k), with its d_k moves
+    skipped, gives both directions: b_k for the annihilator at k and
+    b_{-k}^dag for the creator at -k, which the negation-closed window also
+    holds."""
     ann_max = 0.0
     cre_max = 0.0
     per = {}
@@ -152,7 +153,7 @@ def intertwine_residual(window: TruncationWindow, config: GasConfig) -> Intertwi
         image = phi_monomial_image(config, mono)
         worst = 0.0
         for k in window.modes:
-            _, b_dag, b = fock.apply_rho_parts(k, config, image)
+            b_dag, b = fock.apply_b_parts(k, config, image)
             scale = _phi_scale(k, config)  # |C_k| = |C_{-k}|
             # Phi e_k mono = count(k) Phi(mono with one k removed)
             rhs = FermionVector()

@@ -184,10 +184,11 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
             raise ConfigError(f"{f.name} must be >= {low}")
         if above is not None and value <= above:
             raise ConfigError(f"{f.name} must be > {above}")
-    if cfg.momentum is not None and len(cfg.momentum) != cfg.d:
-        raise ConfigError(
-            f"momentum {cfg.momentum} does not have {cfg.d} components"
-        )
+    if cfg.momentum is not None:
+        if cfg.experiment != "exact":
+            raise ConfigError(f"momentum is read only by exact, not by {cfg.experiment}")
+        if len(cfg.momentum) != cfg.d:
+            raise ConfigError(f"momentum {cfg.momentum} does not have {cfg.d} components")
     return cfg
 
 

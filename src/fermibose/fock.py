@@ -183,6 +183,12 @@ def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
     return tuple(_split(k, config, vec, _D_SIDES, _B_DAG_SIDES, _B_SIDES))
 
 
+def apply_b_parts(k, config: GasConfig, vec: FermionVector):
+    """(b_{-k}^dag vec, b_k vec): the two parts of apply_rho_parts(k) that
+    cross the Fermi surface, from one pass that never builds a d_k move."""
+    return tuple(_split(k, config, vec, _B_DAG_SIDES, _B_SIDES))
+
+
 def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
     return _split(k, config, vec, _B_SIDES)[0]

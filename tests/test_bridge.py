@@ -207,22 +207,42 @@ def test_intertwine_residual_shrinks_with_crescents():
         prev = cur
 
 
-@pytest.mark.parametrize(
-    "d, r",
-    [(2, r) for r in range(1, 21) if L.is_occupied_radius(2, r)]
-    + [(3, r) for r in range(1, 4)],
+UNIT_WINDOW_CASES = (
+    [(2, r, 2) for r in range(1, 21) if L.is_occupied_radius(2, r)]
+    + [(3, r, 2) for r in range(1, 4)]
+    + [(2, r, 3) for r in (1, 2, 5, 13)]
+    + [(3, r, 3) for r in (1, 2)]
 )
-def test_unit_window_residuals_are_two_over_min_crescent(d, r):
-    """On the unit degree-2 window, max|eps| and the annihilator residual
-    are both the closed form 2 / min|C_k|: the decay that acceptance 6
-    fits is crescent counting."""
-    window = B.TruncationWindow.from_radius(d, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "d, r, degree",
+    UNIT_WINDOW_CASES,
+    ids=[f"{d}-{r}" + ("-deg3" if m == 3 else "") for d, r, m in UNIT_WINDOW_CASES],
+)
+def test_unit_window_residuals_are_two_over_min_crescent(d, r, degree):
+    """On the unit window, eps is -2/|C_k| at (k,k) and, at degree 3,
+    -(18/|C_k| - 12/|C_k|^2) at (k,k,k), so max|eps| is that closed form
+    at the smallest crescent; at degree 2 the annihilator residual is
+    2 / min|C_k| too: the decay that acceptance 6 fits is crescent
+    counting."""
+    window = B.TruncationWindow.from_radius(d, 1, degree)
     config = L.GasConfig(d=d, fermi_radius_sq=r)
-    want = 2.0 / min(len(L.crescent(k, config)) for k in window.modes)
-    eps = BR.isometry_audit(window, config).max_abs_eps
-    residual = BR.intertwine_residual(window, config).annihilator_max
-    assert eps == pytest.approx(want, rel=1e-12, abs=0)
-    assert residual == pytest.approx(want, rel=1e-12, abs=0)
+    report = BR.isometry_audit(window, config)
+    index = {m: i for i, m in enumerate(report.monomials)}
+    worst = 0.0
+    for k in window.modes:
+        c = len(L.crescent(k, config))
+        closed = {(k, k): -2.0 / c, (k, k, k): -(18.0 / c - 12.0 / c**2)}
+        for mono, want in closed.items():
+            if len(mono) <= degree:
+                eps = report.eps[index[mono], index[mono]]
+                assert eps == pytest.approx(want, rel=1e-12, abs=0)
+        worst = max(worst, -closed[(k,) * degree])
+    assert report.max_abs_eps == pytest.approx(worst, rel=1e-12, abs=0)
+    if degree == 2:
+        residual = BR.intertwine_residual(window, config).annihilator_max
+        assert residual == pytest.approx(worst, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------- remainder audit

@@ -474,6 +474,12 @@ def test_momentum_dimension_checked(tmp_path):
         ("magic", [], "particles: 5\n", "particles must be a list"),
         ("exact", ["--radii", "1"], "momentum: 0\n", "momentum must be a list"),
         (
+            "scaling",
+            ["--radii", "1,2", "--momentum", "1,0"],
+            None,
+            "momentum is read only by exact, not by scaling",
+        ),
+        (
             "trial",
             ["--radii", "1"],
             "window_degree: two\n",
@@ -520,6 +526,7 @@ def test_momentum_dimension_checked(tmp_path):
         "radii",
         "particles",
         "momentum",
+        "momentum-outside-exact",
         "window-degree-word",
         "radii-word",
         "radii-float",
@@ -596,8 +603,9 @@ def test_each_flag_parses_into_its_kind(flag):
     args = vars(cli.build_parser().parse_args(["magic", flag, text]))
     key = flag[2:].replace("-", "_")
     assert type(args[key]) is kind and args[key] == value
-    # the parsed value passes load_config's type check
-    assert getattr(cli.load_config("magic", None, {key: value}), key) == value
+    # the parsed value passes load_config's type check (in exact, the one
+    # experiment that reads every key)
+    assert getattr(cli.load_config("exact", None, {key: value}), key) == value
 
 
 BOUNDED = {
