@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import boson, fock
-from .lattice import GasConfig, TWO_PI, coupling, crescent, neg, norm_sq, total_momentum
+from .lattice import GasConfig, TWO_PI, coupling, crescent, norm_sq, total_momentum
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
 from .vector import frame
@@ -129,48 +129,37 @@ def isometry_shape_constant(report: IsometryReport, config: GasConfig) -> float:
 
 @dataclass
 class IntertwineReport:
-    """Exact residuals of phi against the bosonic ladder on a window.
+    """Exact residuals of phi against the bosonic annihilator on a window.
 
     annihilator_max is max over window monomials and window modes of
-    ||(phi_k Phi - Phi e_k) mono|| / ||mono||; the creation direction is an
-    operator identity, so creator_max only measures rounding noise.
+    ||(phi_k Phi - Phi e_k) mono|| / ||mono||; per_monomial holds each
+    monomial's max over the modes.  The creation direction is an operator
+    identity, phi_k^dag Phi = Phi e_k^dag, so it has no residual to audit.
     """
 
     annihilator_max: float
-    creator_max: float
     per_monomial: dict = field(default_factory=dict)
 
 
 def intertwine_residual(window: TruncationWindow, config: GasConfig) -> IntertwineReport:
-    """One move pass of rho_k per (monomial, mode k), with its d_k moves
-    skipped, gives both directions: b_k for the annihilator at k and
-    b_{-k}^dag for the creator at -k, which the negation-closed window also
-    holds."""
-    ann_max = 0.0
-    cre_max = 0.0
+    """phi_k Phi(mono) against count(k) Phi(mono with one k removed) for
+    every window monomial and mode k, phi_k from one b_k pass that skips
+    the other moves of rho_k.  Both images are of window monomials, so
+    the audit builds no image outside the window."""
     per = {}
     for mono in window_monomials(window):
         image = phi_monomial_image(config, mono)
         worst = 0.0
         for k in window.modes:
-            b_dag, b = fock.apply_b_parts(k, config, image)
-            scale = _phi_scale(k, config)  # |C_k| = |C_{-k}|
-            # Phi e_k mono = count(k) Phi(mono with one k removed)
-            rhs = FermionVector()
+            resid = _phi_scale(k, config) * fock.apply_b(k, config, image)
             if k in mono:
+                # Phi e_k mono = count(k) Phi(mono with one k removed)
                 i = mono.index(k)
-                reduced = mono[:i] + mono[i + 1 :]
-                rhs = mono.count(k) * phi_monomial_image(config, reduced)
-            worst = max(worst, (scale * b - rhs).norm())
-            rhs_c = phi_monomial_image(config, boson.monomial(mono + (neg(k),)))
-            cre_max = max(cre_max, (scale * b_dag - rhs_c).norm())
+                reduced = phi_monomial_image(config, mono[:i] + mono[i + 1 :])
+                resid = resid - mono.count(k) * reduced
+            worst = max(worst, resid.norm())
         per[mono] = worst
-        ann_max = max(ann_max, worst)
-    return IntertwineReport(
-        annihilator_max=ann_max,
-        creator_max=cre_max,
-        per_monomial=per,
-    )
+    return IntertwineReport(annihilator_max=max(per.values()), per_monomial=per)
 
 
 # --------------------------------------------------------- remainder audit

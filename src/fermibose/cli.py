@@ -333,10 +333,7 @@ def _intertwine_row(cfg, pot, r, state):
     for mono, val in report.per_monomial.items():
         deg = len(mono)
         by_degree[deg] = max(by_degree.get(deg, 0.0), val)
-    row = _gas(config) | {
-        "annihilator_max": report.annihilator_max,
-        "creator_max": report.creator_max,
-    }
+    row = _gas(config) | {"annihilator_max": report.annihilator_max}
     for deg in range(window.max_degree + 1):
         row[f"res_deg_{deg}"] = by_degree.get(deg, 0.0)
     return [row], []

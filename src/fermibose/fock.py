@@ -183,12 +183,6 @@ def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
     return tuple(_split(k, config, vec, _D_SIDES, _B_DAG_SIDES, _B_SIDES))
 
 
-def apply_b_parts(k, config: GasConfig, vec: FermionVector):
-    """(b_{-k}^dag vec, b_k vec): the two parts of apply_rho_parts(k) that
-    cross the Fermi surface, from one pass that never builds a d_k move."""
-    return tuple(_split(k, config, vec, _B_DAG_SIDES, _B_SIDES))
-
-
 def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
     return _split(k, config, vec, _B_SIDES)[0]
@@ -576,18 +570,19 @@ def ground_state(
     tolerance tol from a fixed start vector, so every call returns the
     same result.
     """
-    import scipy.linalg
-    import scipy.sparse.linalg
-
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
     if dim == 0:
         raise ValueError("empty sector")
     h = hamiltonian_matrix(config, pot, basis)
     if dim < DENSE_LIMIT:
+        import scipy.linalg
+
         how = "dense"
         w, u = scipy.linalg.eigh(h.toarray())
     else:
+        import scipy.sparse.linalg
+
         how = "iterative"
         v0 = np.random.default_rng(0).standard_normal(dim)
         w, u = scipy.sparse.linalg.eigsh(

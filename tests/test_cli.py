@@ -320,7 +320,7 @@ SWEEP_HEADERS = {
     + ["window_dim", "min_crescent", "max_abs_eps", "operator_norm_bound"]
     + ["shape_constant", "eps_deg_0", "eps_deg_1"],
     "intertwine": GAS
-    + ["annihilator_max", "creator_max", "res_deg_0", "res_deg_1"],
+    + ["annihilator_max", "res_deg_0", "res_deg_1"],
     "h2-audit": GAS
     + ["state", "cutoff_momentum", "value", "bound", "margin", "status"],
     "trial": GAS

@@ -199,8 +199,7 @@ PART = {(True, True): "d", (False, False): "d", (True, False): "b_dag", (False, 
 
 def test_rho_parts_equal_the_filtered_operators(small2, small3):
     """apply_rho_parts(k) is (apply_d(k), apply_b_dag(-k), apply_b(k)),
-    and apply_b_parts(k) its last two, amplitude for amplitude and in the
-    same term order."""
+    amplitude for amplitude and in the same term order."""
     names = ("d", "b_dag", "b")
     for cfg, seeds in ((small2, (1, 2)), (small3, (3,))):
         r = cfg.fermi_radius_sq
@@ -218,8 +217,6 @@ def test_rho_parts_equal_the_filtered_operators(small2, small3):
                     for name, got, want in zip(names, parts, refs):
                         assert list(got.terms.items()) == list(want.terms.items()), name
                     assert (parts[1] + parts[2]).terms == (refs[1] + refs[2]).terms
-                    for got, want in zip(F.apply_b_parts(k, cfg, v), parts[1:]):
-                        assert list(got.terms.items()) == list(want.terms.items())
                     shared += len(parts[1].terms.keys() & parts[2].terms.keys())
                     images = [
                         (PART[side], out)
