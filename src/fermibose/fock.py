@@ -17,9 +17,10 @@ Momentum transfer convention: rho_k = sum_p a_{p-k}^dag a_p, i.e. applying
 rho_k lowers the total momentum of a determinant by k.  The quasi-bosonic
 pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
-for k != 0.  apply_rho_parts returns the three pieces from one pass, and
-apply_b, apply_b_dag and apply_d each take their piece of the same pass,
-which skips the moves of the other two before building their images.
+for k != 0.  Every operator here and hamiltonian_matrix take their moves
+from one bitmask pass, _move_pass; apply_rho_parts routes each move of
+rho_k to its piece, and apply_b, apply_b_dag and apply_d drop the other
+pieces' moves before building images.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -28,7 +29,6 @@ so the operator applications load none of it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -87,116 +87,162 @@ def psi0(config: GasConfig) -> FermionVector:
 _finish = FermionVector.finish
 
 
-def _accumulate(acc, det, amp):
-    new = acc.get(det)
-    acc[det] = amp if new is None else new + amp
+# ------------------------------------------------------------- move kernel
+#
+# A determinant is a bitmask: bit i of word w is rank 64 w + i of a table of
+# modes in mode order, so bit order is sign order.
+
+
+def _rank_table(dets, shifts):
+    """(table, rank, nsq, dsts): the modes of dets and their shifts by -k,
+    k in shifts, in mode order; rank inverts table, nsq[i] = |table[i]|^2
+    and dsts[s][rank[p]] = rank[p - shifts[s]] for every mode p of dets."""
+    if len(set(map(len, dets))) > 1:
+        raise ValueError("determinants of different particle numbers")
+    modes = list(set().union(*dets))
+    shifted = [[sub(p, k) for p in modes] for k in shifts]
+    keys = sorted(map(mode_key, set(modes).union(*shifted)))
+    table = [key[1:] for key in keys]
+    rank = {p: i for i, p in enumerate(table)}
+    dsts = np.zeros((len(shifts), len(table)), dtype=np.int32)
+    for dst, targets in zip(dsts, shifted):
+        dst[[rank[p] for p in modes]] = [rank[t] for t in targets]
+    return table, rank, np.array([key[0] for key in keys], dtype=np.int64), dsts
+
+
+def _encode(dets, rank, width):
+    """(ranks, occupied, bits, below) of dets over a table of width modes:
+    ranks[row, slot] is the rank of the slot's mode, occupied[row] flags
+    the held ranks, bits[row] packs them into words and below[row, w]
+    counts the set bits under word w."""
+    ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(dets)), dtype=np.int32)
+    ranks = ranks.reshape(len(dets), len(dets[0]) if dets else 0)
+    occupied = np.zeros((len(dets), 64 * ((width + 63) // 64)), dtype=bool)
+    np.put_along_axis(occupied, ranks, True, axis=1)
+    bits = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
+    below = np.zeros(bits.shape, dtype=np.int64)
+    np.cumsum(np.bitwise_count(bits[:, :-1]), axis=1, out=below[:, 1:])
+    return ranks, occupied, bits, below
+
+
+def _move_pass(ranks, occupied, bits, below, dst, moving=None):
+    """(rows, slot, j, sign, keys, src) of every free move src -> dst[src]
+    of the encoded determinants, in (row, slot) order, from the sources
+    flagged by moving (all when None); keys[m] holds the image's words.
+    j is the target's slot in the determinant without the source: the
+    occupied ranks below the target, less one if it lies above the source.
+    A move from slot i has sign (-1)^(i+j); no other code computes it.  A
+    target that is its own source counts as free: rho_0 keeps each
+    determinant with sign +1, as then j = i and the two XORs cancel.
+    """
+    one, to = np.uint64(1), dst[ranks]
+    free = ~np.take_along_axis(occupied, to, axis=1) | (to == ranks)
+    if moving is not None:
+        free &= moving[ranks]
+    rows, slot = np.divmod(np.flatnonzero(free), ranks.shape[1])
+    src = ranks[rows, slot]
+    to = dst[src]
+    word = to >> 6
+    bit = one << (to & 63).astype(np.uint64)
+    j = below[rows, word] + np.bitwise_count(bits[rows, word] & (bit - one)) - (to > src)
+    sign = 1 - 2 * ((slot + j) & 1)
+    images = bits[rows]
+    at = np.arange(len(rows))
+    images[at, src >> 6] ^= one << (src & 63).astype(np.uint64)
+    images[at, word] ^= bit
+    if images.shape[1] > 1:  # one sortable, hashable key per image
+        images = images.view(f"V{8 * images.shape[1]}")
+    return rows, slot, j, sign, images.ravel(), src
+
+
+class _Images:
+    """The images of a stream of moves out of the determinants sources, as
+    the dict a move-by-move loop accumulates: images in first-seen order,
+    each amplitude the first move's value plus the later ones in order.
+    add takes each move's image key, amplitude, source row and slot, j
+    and target rank, and decodes only the images it has not seen."""
+
+    def __init__(self, sources, table):
+        self.sources, self.table = sources, table
+        self.index = {}  # image key -> term
+        self.dets, self.amps = [], np.zeros(0, dtype=complex)
+
+    def add(self, keys, values, rows, slot, j, to):
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        seen = np.argsort(first)
+        index, old = self.index, len(self.index)
+        term = np.empty(len(seen), dtype=np.int64)
+        term[seen] = [index.setdefault(key, len(index)) for key in distinct[seen].tolist()]
+        head = first[seen[term[seen] >= old]]  # the first moves of new images
+        for row, i, jj, t in zip(*(a[head].tolist() for a in (rows, slot, j, to))):
+            det, t = self.sources[row], self.table[t]
+            if jj >= i:
+                self.dets.append(det[:i] + det[i + 1 : jj + 1] + (t,) + det[jj + 1 :])
+            else:
+                self.dets.append(det[:jj] + (t,) + det[jj:i] + det[i + 1 :])
+        self.amps = np.concatenate([self.amps, values[head]])
+        rest = np.ones(len(values), dtype=bool)
+        rest[head] = False
+        np.add.at(self.amps, term[inverse[rest]], values[rest])
+
+    def vector(self):
+        self.index = None  # not held while the terms are built
+        return _finish(dict(zip(self.dets, self.amps.tolist())))
+
+
+_ROWS = 512  # determinants per move pass: a large vector goes in blocks
 
 
 # ----------------------------------------------------- operator applications
 
 
-class _KeyMemo(dict):
-    """mode -> mode_key(mode), filled on first use.  It holds only the
-    modes a run touches: the cutoff ball and the potential's shifts."""
-
-    def __missing__(self, p):
-        key = self[p] = mode_key(p)
-        return key
-
-
-_KEYS = _KeyMemo()
-_HELD = object()  # a target every determinant in _moves holds
-
-
-def _moves(items, k, r=None, sides=None):
-    """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
-
-    Yields (tag, sign, image, side) for every move that lands on an
-    unoccupied mode, determinant by determinant and particle by particle.
-    With r, side is the pair (|p|^2 <= r, |p-k|^2 <= r): the sides of the
-    Fermi ball the move starts and ends on; without r it is None.  With
-    sides too, a move whose side is not in sides is skipped before its
-    image is built; the moves yielded keep their order.
-
-    Each yield is a_{p-k}^dag a_p applied to det: the target's slot j in
-    det without p is one bisect on the determinant's mode keys, and the
-    sign (-1)^(i+j) is that of a_p at slot i times that of a_{p-k}^dag at
-    j.
-    """
-    targets = {}  # p -> (p-k, mode_key(p-k), side)
-    for det, tag in items:
-        keys = [_KEYS[p] for p in det]
-        occupied = {_HELD, *det}
-        for i, p in enumerate(det):
-            hit = targets.get(p)
-            if hit is None:
-                t = sub(p, k)
-                key_t = _KEYS[t]
-                side = None if r is None else (keys[i][0] <= r, key_t[0] <= r)
-                if sides is not None and side not in sides:
-                    t = _HELD  # an unwanted move is dropped as a blocked one
-                hit = targets[p] = (t, key_t, side)
-            t, key_t, side = hit
-            if t in occupied:
-                if t == p:
-                    yield tag, 1, det, side
-                continue
-            j = bisect_left(keys, key_t)
-            if j > i:
-                j -= 1
-                out = det[:i] + det[i + 1 : j + 1] + (t,) + det[j + 1 :]
-            else:
-                out = det[:j] + (t,) + det[j:i] + det[i + 1 :]
-            yield tag, (-1 if (i + j) & 1 else 1), out, side
+def _split(k, r, vec: FermionVector, route):
+    """The parts of rho_k vec from one move pass.  A move goes to part
+    route[c], c = 2 (starts inside) + (ends inside) the ball |p|^2 <= r,
+    and a move routed to -1 is never built."""
+    dets = list(vec.terms)
+    table, rank, nsq, (dst,) = _rank_table(dets, [k])
+    inside = (nsq <= r).astype(np.int8)
+    part = np.array(route, dtype=np.int8)[2 * inside + inside[dst]]
+    amps = np.fromiter(vec.terms.values(), dtype=complex, count=len(dets))
+    out = [_Images(dets, table) for _ in range(max(route) + 1)]
+    for start in range(0, len(dets), _ROWS):
+        encoded = _encode(dets[start : start + _ROWS], rank, len(table))
+        rows, slot, j, sign, keys, src = _move_pass(*encoded, dst, part >= 0)
+        rows += start
+        moves = (keys, amps[rows] * sign, rows, slot, j, dst[src])
+        for i, acc in enumerate(out):
+            pick = part[src] == i
+            acc.add(*(a[pick] for a in moves))
+    return [acc.vector() for acc in out]
 
 
 def apply_rho(k, vec: FermionVector) -> FermionVector:
     """Density mode rho_k = sum_p a_{p-k}^dag a_p; rho_0 counts particles."""
-    acc = {}
-    for amp, sign, out, _ in _moves(vec.terms.items(), k):
-        _accumulate(acc, out, sign * amp)
-    return _finish(acc)
-
-
-# the sides of the Fermi ball (start inside, end inside) of a move of
-# rho_k, by the part of rho_k it belongs to
-_D_SIDES = ((True, True), (False, False))
-_B_DAG_SIDES = ((True, False),)
-_B_SIDES = ((False, True),)
-
-
-def _split(k, config: GasConfig, vec: FermionVector, *parts):
-    """The parts of rho_k vec, one per tuple of sides in parts, from one
-    pass over the moves of rho_k: each move goes to the part that holds
-    its sides, and a move no part holds is never built."""
-    accs = [{} for _ in parts]
-    route = {side: acc for sides, acc in zip(parts, accs) for side in sides}
-    for amp, sign, out, side in _moves(vec.terms.items(), k, config.fermi_radius_sq, route):
-        _accumulate(route[side], out, sign * amp)
-    return [_finish(acc) for acc in accs]
+    return _split(k, 0, vec, (0, 0, 0, 0))[0]  # every side to one part
 
 
 def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
     """(d_k vec, b_{-k}^dag vec, b_k vec) from one pass over the moves of
     rho_k, each move sent by its sides: same side to d_k, inside to
     outside to b_{-k}^dag, outside to inside to b_k."""
-    return tuple(_split(k, config, vec, _D_SIDES, _B_DAG_SIDES, _B_SIDES))
+    return tuple(_split(k, config.fermi_radius_sq, vec, (0, 2, 1, 0)))
 
 
 def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
-    return _split(k, config, vec, _B_SIDES)[0]
+    return _split(k, config.fermi_radius_sq, vec, (-1, 0, -1, -1))[0]
 
 
 def apply_b_dag(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair creator b_k^dag = sum_{p in C_k} a_{p+k}^dag a_p."""
-    return _split(neg(k), config, vec, _B_DAG_SIDES)[0]
+    return _split(neg(k), config.fermi_radius_sq, vec, (-1, -1, 0, -1))[0]
 
 
 def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Surface-preserving part d_k of rho_k (both sides of the move inside,
     or both outside, the Fermi ball)."""
-    return _split(k, config, vec, _D_SIDES)[0]
+    return _split(k, config.fermi_radius_sq, vec, (0, -1, -1, 0))[0]
 
 
 def kinetic_excess(config: GasConfig, det) -> float:
@@ -470,76 +516,29 @@ def hamiltonian_matrix(config, pot, basis):
     the matrix is block diagonal, and each diagonal block holds the
     values of that block's own assembly.
 
-    The interaction is assembled as lambda vhat(k) A_k^dag A_k where A_k is
-    the exact rho_k matrix into dynamically registered image determinants,
-    so truncation only happens at the outer projection: for vectors in the
-    span of the basis, X^dag H Y is exactly <X|H Y>.  Determinants are
-    bitmasks over the ranks of their modes and p-k shifts in mode_key order
-    (bit order is sign order); A_k^dag A_k has integer entries, so it is
-    exact in any summation order.
+    The interaction is lambda vhat(k) A_k^dag A_k, A_k the exact rho_k
+    matrix into the images the move pass registers, so truncation only
+    happens at the outer projection: for vectors in the span of the
+    basis, X^dag H Y is exactly <X|H Y>.  The basis is encoded once, over
+    the rank table of its modes and their shifts; A_k^dag A_k has integer
+    entries, so it is exact in any summation order.
     """
     import scipy.sparse
 
-    dim = len(basis)
-    n = len(basis[0]) if dim else 0
-    if set(map(len, basis)) - {n}:
-        raise ValueError("determinants of different particle numbers")
     items = pot.nonzero_items()
-    modes = list(set().union(*basis))
-    shifted = [[sub(p, k) for p in modes] for k, _ in items]
-    table = sorted(set(modes).union(*shifted), key=mode_key)
-    rank = {p: i for i, p in enumerate(table)}
-    ranks = np.fromiter(
-        map(rank.__getitem__, chain.from_iterable(basis)), dtype=np.int32, count=dim * n
-    ).reshape(dim, n)
-    nsq = np.array([norm_sq(p) for p in table], dtype=np.int64)
-    kinetic = TWO_PI_SQ * nsq[ranks].sum(axis=1) - kinetic_ground_sum(config)
+    table, rank, nsq, dsts = _rank_table(basis, [k for k, _ in items])
+    encoded = _encode(basis, rank, len(table))
+    kinetic = TWO_PI_SQ * nsq[encoded[0]].sum(axis=1) - kinetic_ground_sum(config)
     h = scipy.sparse.diags(e_n0(config, pot) + kinetic, format="csr")
-    words = (len(table) + 63) // 64
-    occupied = np.zeros((dim, 64 * words), dtype=bool)
-    np.put_along_axis(occupied, ranks, True, axis=1)
-    # bit i of word w is rank 64 w + i
-    bits = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
-    below = np.zeros(bits.shape, dtype=np.int64)  # set bits in the lower words
-    np.cumsum(np.bitwise_count(bits[:, :-1]), axis=1, out=below[:, 1:])
-    sources = [rank[p] for p in modes]
     lam = coupling(config)
-    for (_, v), targets in zip(items, shifted):
-        dst = np.zeros(len(table), dtype=np.int32)  # rank of p-k at rank of p
-        dst[sources] = [rank[t] for t in targets]
-        a = _rho_bitmask(bits, below, ranks, dst, occupied)
+    for (_, v), dst in zip(items, dsts):
+        rows, _, _, sign, keys, _ = _move_pass(*encoded, dst)
+        distinct, image = np.unique(keys, return_inverse=True)
+        del keys  # not held through the product
+        a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
         h = h + (lam * v) * (a.T @ a)
         del a  # not held through the next k's pass
     return h.tocsr()
-
-
-_ONE = np.uint64(1)
-
-
-def _rho_bitmask(bits, below, ranks, dst, occupied):
-    """A_k (images x determinants) from the moves src -> dst[src] of the
-    particles of each determinant, ranks[row, slot] = src.  Only the moves
-    into a free target are gathered, all in one vector pass; such a move
-    from slot i has sign (-1)^(i+j), j the occupied ranks below dst, less
-    one if dst > src."""
-    import scipy.sparse
-
-    free = ~np.take_along_axis(occupied[:, dst], ranks, axis=1)
-    rows, slot = np.divmod(np.flatnonzero(free), ranks.shape[1])
-    src = ranks[rows, slot]
-    dst = dst[src]
-    word = dst >> 6
-    bit = _ONE << (dst & 63).astype(np.uint64)
-    j = below[rows, word] + np.bitwise_count(bits[rows, word] & (bit - _ONE)) - (dst > src)
-    sign = 1 - 2 * ((slot + j) & 1)
-    images = bits[rows]
-    at = np.arange(len(rows))
-    images[at, src >> 6] ^= _ONE << (src & 63).astype(np.uint64)
-    images[at, word] ^= bit
-    del free, slot, src, dst, word, bit, j, at  # not held through the sort
-    keys = images.view(f"V{8 * images.shape[1]}") if images.shape[1] > 1 else images
-    distinct, image = np.unique(keys.ravel(), return_inverse=True)
-    return scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(bits)))
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

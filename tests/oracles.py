@@ -15,6 +15,9 @@ coefficient function and reports a finite window on what it dropped;
 gram_matrix is the factorial Gram of a monomial list as a dense matrix;
 momentum_combinations is the depth-first sector walk that
 fock._momentum_combinations replaces with a numpy pass per depth;
+moves is the tuple move kernel (memoised mode keys, one bisect per move)
+that fock._move_pass replaces with one bitmask pass, kept as the fast
+reference for the tuple-move Hamiltonian assembly;
 subspace_upper_bound_per_block is the subspace bound with one frame and
 one Hamiltonian assembly per total-momentum block, which
 bridge.subspace_upper_bound replaces with one of each over all blocks.
@@ -23,6 +26,7 @@ bridge.subspace_upper_bound replaces with one of each over all blocks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +102,55 @@ def move(det, src, dst):
         return None
     s2, out = hit
     return s1 * s2, out
+
+
+class _KeyMemo(dict):
+    """mode -> mode_key(mode), filled on first use."""
+
+    def __missing__(self, p):
+        key = self[p] = mode_key(p)
+        return key
+
+
+_KEYS = _KeyMemo()
+
+
+def moves(items, k, r=None):
+    """The moves p -> p-k of sum_p a_{p-k}^dag a_p on (det, tag) pairs.
+
+    Yields (tag, sign, image, side) for every move that lands on an
+    unoccupied mode, determinant by determinant and particle by particle.
+    With r, side is the pair (|p|^2 <= r, |p-k|^2 <= r): the sides of the
+    Fermi ball the move starts and ends on; without r it is None.
+
+    Each yield is a_{p-k}^dag a_p applied to det: the target's slot j in
+    det without p is one bisect on the determinant's mode keys, and the
+    sign (-1)^(i+j) is that of a_p at slot i times that of a_{p-k}^dag at
+    j.
+    """
+    targets = {}  # p -> (p-k, mode_key(p-k), side)
+    for det, tag in items:
+        keys = [_KEYS[p] for p in det]
+        occupied = set(det)
+        for i, p in enumerate(det):
+            hit = targets.get(p)
+            if hit is None:
+                t = sub(p, k)
+                key_t = _KEYS[t]
+                side = None if r is None else (keys[i][0] <= r, key_t[0] <= r)
+                hit = targets[p] = (t, key_t, side)
+            t, key_t, side = hit
+            if t in occupied:
+                if t == p:
+                    yield tag, 1, det, side
+                continue
+            j = bisect_left(keys, key_t)
+            if j > i:
+                j -= 1
+                out = det[:i] + det[i + 1 : j + 1] + (t,) + det[j + 1 :]
+            else:
+                out = det[:j] + (t,) + det[j:i] + det[i + 1 :]
+            yield tag, (-1 if (i + j) & 1 else 1), out, side
 
 
 def _accumulate(acc, det, amp):

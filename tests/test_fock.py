@@ -86,7 +86,7 @@ def test_move_kernel_matches_move(data):
     items = [(F.determinant(occ), tag) for tag, occ in enumerate(dets)]
     k = data.draw(st.sampled_from(pool))
     r = data.draw(st.sampled_from([None, 1, 2, 4, 5]))
-    got = list(F._moves(items, k, r))
+    got = list(O.moves(items, k, r))
     want = list(_ref_moves(items, k, r))
     assert got == want
     assert [type(sign) for _, sign, _, _ in got] == [int] * len(got)
@@ -220,7 +220,7 @@ def test_rho_parts_equal_the_filtered_operators(small2, small3):
                     shared += len(parts[1].terms.keys() & parts[2].terms.keys())
                     images = [
                         (PART[side], out)
-                        for _, _, out, side in F._moves(v.terms.items(), k, r)
+                        for _, _, out, side in O.moves(v.terms.items(), k, r)
                     ]
                     # moves that add into an image another move already filled
                     merged += len(images) - len(set(images))
@@ -550,7 +550,7 @@ def _ref_rho(k, vec):
         for p in det:
             hit = O.move(det, p, L.sub(p, k))
             if hit is not None:
-                F._accumulate(acc, hit[1], hit[0] * amp)
+                O._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
 
 
@@ -564,7 +564,7 @@ def _ref_b(k, config, vec):
                 if L.norm_sq(t) <= r:
                     hit = O.move(det, p, t)
                     if hit is not None:
-                        F._accumulate(acc, hit[1], hit[0] * amp)
+                        O._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
 
 
@@ -578,7 +578,7 @@ def _ref_b_dag(k, config, vec):
                 if L.norm_sq(t) > r:
                     hit = O.move(det, p, t)
                     if hit is not None:
-                        F._accumulate(acc, hit[1], hit[0] * amp)
+                        O._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
 
 
@@ -591,12 +591,12 @@ def _ref_d(k, config, vec):
             if (L.norm_sq(p) <= r) == (L.norm_sq(t) <= r):
                 hit = O.move(det, p, t)
                 if hit is not None:
-                    F._accumulate(acc, hit[1], hit[0] * amp)
+                    O._accumulate(acc, hit[1], hit[0] * amp)
     return F._finish(acc)
 
 
 def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
-    """The tuple-move assembly; moves=F._moves is the fast tuple kernel,
+    """The tuple-move assembly; moves=O.moves is the fast tuple kernel,
     which test_move_kernel_matches_move pins to O.move."""
     index = {det: i for i, det in enumerate(basis)}
     dim = len(basis)
@@ -650,6 +650,42 @@ def test_move_operators_match_reference_loops(small2, small3):
                     assert list(got.terms.items()) == list(want.terms.items())
 
 
+def test_move_operators_in_blocks_match_reference_loops(small2, monkeypatch):
+    """A vector longer than F._ROWS goes through the pass in blocks.  With
+    blocks of seven determinants, images first met in one block recur in
+    later ones, and terms, order and sums still match the reference loops."""
+    monkeypatch.setattr(F, "_ROWS", 7)
+    crossed = 0
+    for vec in _rho_parts_vectors(small2, 1):
+        for k in L.ball_points(2, 2):
+            refs = (
+                _ref_d(k, small2, vec), _ref_b_dag(L.neg(k), small2, vec), _ref_b(k, small2, vec)
+            )
+            pairs = [
+                (F.apply_rho(k, vec), _ref_rho(k, vec)),
+                (F.apply_b(k, small2, vec), refs[2]),
+                (F.apply_b_dag(L.neg(k), small2, vec), refs[1]),
+                (F.apply_d(k, small2, vec), refs[0]),
+                *zip(F.apply_rho_parts(k, small2, vec), refs),
+            ]
+            for got, want in pairs:
+                assert list(got.terms.items()) == list(want.terms.items())
+            blocks = {}
+            for row, _, out, _ in O.moves(((det, row) for row, det in enumerate(vec.terms)), k):
+                blocks.setdefault(out, set()).add(row // 7)
+            crossed += sum(len(b) > 1 for b in blocks.values())
+    assert crossed > 0
+
+
+def test_operators_refuse_mixed_particle_numbers(small2):
+    five = L.fermi_ball(small2)
+    vec = F.FermionVector.from_determinant(five) + F.FermionVector.from_determinant(five[:4])
+    with pytest.raises(ValueError, match="different particle numbers"):
+        F.apply_rho((1, 0), vec)
+    with pytest.raises(ValueError, match="different particle numbers"):
+        F.apply_b((1, 0), small2, vec)
+
+
 def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit6):
     for config, pot, cutoff in ((small2, unit4, 4), (small3, unit6, 2)):
         basis = F.sector_basis(config, cutoff)
@@ -693,7 +729,7 @@ def test_hamiltonian_assembly_matches_reference_on_phi_blocks(d, r, momenta, wor
         basis = blocks[momentum]
         seen.add((len(_ranks(basis, pot)) + 63) // 64)
         got = F.hamiltonian_matrix(config, pot, basis)
-        _assert_same_csr(got, _ref_hamiltonian(config, pot, basis, F._moves))
+        _assert_same_csr(got, _ref_hamiltonian(config, pot, basis, O.moves))
     assert seen == words
 
 
@@ -754,4 +790,39 @@ def test_hamiltonian_assembly_across_word_boundaries(data):
     ))
     config = L.GasConfig(d=d, fermi_radius_sq=1)
     got = F.hamiltonian_matrix(config, pot, basis)
-    _assert_same_csr(got, _ref_hamiltonian(config, pot, basis, F._moves))
+    _assert_same_csr(got, _ref_hamiltonian(config, pot, basis, O.moves))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_move_operators_across_word_boundaries(data):
+    """The move operators against the reference loops, terms and order, on
+    vectors over more than 128 ranks: up to four determinants of 130-150
+    particles, a base and copies with one particle moved, with random
+    complex amplitudes; k = 0, the empty vector and one-determinant
+    vectors are among the draws."""
+    d = data.draw(st.sampled_from(sorted(WIDE_POOLS)))
+    pool = WIDE_POOLS[d]
+    order = data.draw(st.permutations(range(len(pool))))
+    base = F.determinant(pool[i] for i in order[: data.draw(st.integers(130, 150))])
+    dets = [base]
+    for _ in range(data.draw(st.integers(0, 3))):
+        p = data.draw(st.sampled_from(base))
+        q = data.draw(st.sampled_from([q for q in pool if q not in base]))
+        dets.append(F.determinant(set(base) - {p} | {q}))
+    dets = list(dict.fromkeys(dets))[: data.draw(st.integers(0, 4))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = F.FermionVector({det: complex(*rng.standard_normal(2)) for det in dets})
+    config = L.GasConfig(d=d, fermi_radius_sq=data.draw(st.sampled_from([1, 5, 9, 16])))
+    k = data.draw(st.sampled_from([(0,) * d, *L.ball_points(d, 5)]))
+    assert not dets or len(set().union(*dets)) > 128
+    pairs = [
+        (F.apply_rho(k, vec), _ref_rho(k, vec)),
+        (F.apply_b(k, config, vec), _ref_b(k, config, vec)),
+        (F.apply_b_dag(k, config, vec), _ref_b_dag(k, config, vec)),
+        (F.apply_d(k, config, vec), _ref_d(k, config, vec)),
+    ]
+    refs = (_ref_d(k, config, vec), _ref_b_dag(L.neg(k), config, vec), _ref_b(k, config, vec))
+    pairs += zip(F.apply_rho_parts(k, config, vec), refs)
+    for got, want in pairs:
+        assert list(got.terms.items()) == list(want.terms.items())
