@@ -34,7 +34,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import DROP_TOL, SparseVector
+from .vector import DROP_TOL, SparseVector, ordered_sum
 
 
 # ---------------------------------------------------------------- monomials
@@ -73,7 +73,7 @@ class BosonVector(SparseVector):
         return cls({monomial(mono): complex(amp)})
 
     def norm_sq(self) -> float:
-        return sum(
+        return ordered_sum(
             (a * a.conjugate()).real * monomial_norm_sq(m)
             for m, a in self.terms.items()
         )

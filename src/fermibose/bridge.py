@@ -25,7 +25,7 @@ from . import boson, fock
 from .lattice import GasConfig, TWO_PI, coupling, crescent, norm_sq, total_momentum
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
-from .vector import frame
+from .vector import frame, ordered_sum
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +151,7 @@ def intertwine_residual(window: TruncationWindow, config: GasConfig) -> Intertwi
         image = phi_monomial_image(config, mono)
         worst = 0.0
         for k in window.modes:
-            resid = _phi_scale(k, config) * fock.apply_b(k, config, image)
+            resid = apply_phi_annihilator(k, config, image)
             if k in mono:
                 # Phi e_k mono = count(k) Phi(mono with one k removed)
                 i = mono.index(k)
@@ -179,7 +179,7 @@ class H2Audit:
 
 def _kinetic_sum(config: GasConfig, psi: FermionVector) -> float:
     """<psi|:T: psi>, unnormalised."""
-    return sum(
+    return ordered_sum(
         (a * a.conjugate()).real * fock.kinetic_excess(config, det)
         for det, a in psi.terms.items()
     )

@@ -19,8 +19,8 @@ pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
 for k != 0.  Every operator here and hamiltonian_matrix take their moves
 from one bitmask pass, _move_pass; apply_rho_parts routes each move of
-rho_k to its piece, and apply_b, apply_b_dag and apply_d drop the other
-pieces' moves before building images.
+rho_k to its piece, apply_b, apply_b_dag and apply_d drop the others, and
+each piece's moves are registered once, by one np.unique on image keys.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -48,7 +48,7 @@ from .lattice import (
     particle_count,
     sub,
 )
-from .vector import SparseVector
+from .vector import SparseVector, ordered_sum
 
 # ------------------------------------------------------------ determinants
 
@@ -155,66 +155,64 @@ def _move_pass(ranks, occupied, bits, below, dst, moving=None):
     return rows, slot, j, sign, images.ravel(), src
 
 
-class _Images:
-    """The images of a stream of moves out of the determinants sources, as
-    the dict a move-by-move loop accumulates: images in first-seen order,
-    each amplitude the first move's value plus the later ones in order.
-    add takes each move's image key, amplitude, source row and slot, j
-    and target rank, and decodes only the images it has not seen."""
-
-    def __init__(self, sources, table):
-        self.sources, self.table = sources, table
-        self.index = {}  # image key -> term
-        self.dets, self.amps = [], np.zeros(0, dtype=complex)
-
-    def add(self, keys, values, rows, slot, j, to):
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        seen = np.argsort(first)
-        index, old = self.index, len(self.index)
-        term = np.empty(len(seen), dtype=np.int64)
-        term[seen] = [index.setdefault(key, len(index)) for key in distinct[seen].tolist()]
-        head = first[seen[term[seen] >= old]]  # the first moves of new images
-        for row, i, jj, t in zip(*(a[head].tolist() for a in (rows, slot, j, to))):
-            det, t = self.sources[row], self.table[t]
-            if jj >= i:
-                self.dets.append(det[:i] + det[i + 1 : jj + 1] + (t,) + det[jj + 1 :])
-            else:
-                self.dets.append(det[:jj] + (t,) + det[jj:i] + det[i + 1 :])
-        self.amps = np.concatenate([self.amps, values[head]])
-        rest = np.ones(len(values), dtype=bool)
-        rest[head] = False
-        np.add.at(self.amps, term[inverse[rest]], values[rest])
-
-    def vector(self):
-        self.index = None  # not held while the terms are built
-        return _finish(dict(zip(self.dets, self.amps.tolist())))
-
-
 _ROWS = 512  # determinants per move pass: a large vector goes in blocks
 
 
 # ----------------------------------------------------- operator applications
 
 
+def _register(moved, keys, values, decode):
+    """(decode at each image's first move, amplitudes) of the moves moved
+    flags, as a move-by-move loop sums them: images in first-move order,
+    each amplitude the first move's value plus the later ones in move
+    order.  keys, values and decode = (rows, slot, j, to) hold each move's
+    image key, amplitude, source row and slot, j and target rank."""
+    pick = np.flatnonzero(moved)
+    if not len(pick):
+        return [a[:0] for a in decode], values[:0]
+    _, first, inverse = np.unique(keys[pick], return_index=True, return_inverse=True)
+    values = values[pick]
+    amps = values[first]
+    rest = np.ones(len(values), dtype=bool)
+    rest[first] = False
+    np.add.at(amps, inverse[rest], values[rest])
+    seen = np.argsort(first)  # the images in order of their first move
+    return [a[pick[first[seen]]] for a in decode], amps[seen]
+
+
+def _decode(heads, amps, sources, table):
+    """The vector of registered images, each rebuilt from its first move."""
+    dets = []
+    for row, i, jj, t in zip(*(a.tolist() for a in heads)):
+        det, t = sources[row], table[t]
+        if jj >= i:
+            dets.append(det[:i] + det[i + 1 : jj + 1] + (t,) + det[jj + 1 :])
+        else:
+            dets.append(det[:jj] + (t,) + det[jj:i] + det[i + 1 :])
+    return _finish(dict(zip(dets, amps.tolist())))
+
+
 def _split(k, r, vec: FermionVector, route):
     """The parts of rho_k vec from one move pass.  A move goes to part
-    route[c], c = 2 (starts inside) + (ends inside) the ball |p|^2 <= r,
-    and a move routed to -1 is never built."""
+    route[c], c = 2 (starts inside) + (ends inside) the ball |p|^2 <= r, and
+    a move routed to -1 is never built.  The moves of all blocks of _ROWS
+    determinants are registered once per part, then freed before decoding."""
     dets = list(vec.terms)
     table, rank, nsq, (dst,) = _rank_table(dets, [k])
     inside = (nsq <= r).astype(np.int8)
     part = np.array(route, dtype=np.int8)[2 * inside + inside[dst]]
     amps = np.fromiter(vec.terms.values(), dtype=complex, count=len(dets))
-    out = [_Images(dets, table) for _ in range(max(route) + 1)]
-    for start in range(0, len(dets), _ROWS):
+    blocks = []
+    for start in range(0, len(dets) or 1, _ROWS):  # one empty block if no dets
         encoded = _encode(dets[start : start + _ROWS], rank, len(table))
         rows, slot, j, sign, keys, src = _move_pass(*encoded, dst, part >= 0)
         rows += start
-        moves = (keys, amps[rows] * sign, rows, slot, j, dst[src])
-        for i, acc in enumerate(out):
-            pick = part[src] == i
-            acc.add(*(a[pick] for a in moves))
-    return [acc.vector() for acc in out]
+        narrow = (rows.astype(np.int32), slot.astype(np.int16), j.astype(np.int16))
+        blocks.append((part[src], keys, amps[rows] * sign, *narrow, dst[src]))
+    side, keys, values, *decode = map(np.concatenate, zip(*blocks))
+    parts = [_register(side == i, keys, values, decode) for i in range(max(route) + 1)]
+    del blocks, side, keys, values, decode
+    return [_decode(*registered, dets, table) for registered in parts]
 
 
 def apply_rho(k, vec: FermionVector) -> FermionVector:
@@ -304,7 +302,7 @@ class Potential:
 
     def value_at_origin(self) -> float:
         """v(0) = sum over all modes of vhat(k)."""
-        return sum(self.vhat.values())
+        return ordered_sum(self.vhat.values())
 
     def nonzero_items(self):
         """(k, vhat(k)) for k != 0 with vhat(k) != 0, in mode order."""
@@ -386,7 +384,7 @@ def trivial_bounds(config: GasConfig, pot: Potential):
     expectation E_0 + lambda sum_k vhat(k) |C_k|."""
     lam = coupling(config)
     e0 = e_n0(config, pot)
-    gap = lam * sum(v * len(crescent(k, config)) for k, v in pot.nonzero_items())
+    gap = lam * ordered_sum(v * len(crescent(k, config)) for k, v in pot.nonzero_items())
     return e0, e0 + gap
 
 

@@ -15,6 +15,14 @@ import math
 DROP_TOL = 1e-14
 
 
+def ordered_sum(values) -> float:
+    """Floats added left to right, as sum() did before Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class SparseVector:
     """Finite sparse vector {key: amplitude} with orthonormal keys.
 
@@ -43,7 +51,7 @@ class SparseVector:
         return vec.pruned()
 
     def norm_sq(self) -> float:
-        return sum((a * a.conjugate()).real for a in self.terms.values())
+        return ordered_sum((a * a.conjugate()).real for a in self.terms.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())

@@ -519,6 +519,10 @@ def test_momentum_dimension_checked(tmp_path):
         ),
         ("exact", ["--radii", "1", "--solver-tol", "-1"], None, "solver_tol must be > 0"),
         ("exact", ["--radii", "1", "--solver-tol", "0"], None, "solver_tol must be > 0"),
+        ("bounds", ["--radii", "3"], None, "radii [3] are not occupied squared radii"),
+        ("bounds", ["--radii", "1", "--particles", "5"], None, "either radii or particles"),
+        ("bounds", ["--particles", "6"], None, "n=6 is not a magic number"),
+        ("crescent-audit", ["--radii", "3"], None, "radii [3] are not occupied"),
     ],
     ids=[
         "window-degree",
@@ -542,6 +546,10 @@ def test_momentum_dimension_checked(tmp_path):
         "cutoff-momentum-below-two-pi",
         "solver-tol-negative",
         "solver-tol-zero",
+        "radii-not-occupied",
+        "radii-and-particles",
+        "particles-not-magic",
+        "crescent-audit-radii",
     ],
 )
 def test_bad_window_and_sweep_config_rejected(
@@ -578,8 +586,9 @@ FLAGS = {
     "--threads": (int, "worker processes"),
     "--out": (str, "output directory (default runs/)"),
 }
-# sample values that meet every key's lower bound
-SAMPLE_TEXT = {int: ("3", 3), float: ("7.5", 7.5), str: ("x", "x"), tuple: ("1,2", (1, 2))}
+# sample values that meet every key's lower bound; 5 and 9 are both
+# occupied squared radii and magic particle counts in d = 2
+SAMPLE_TEXT = {int: ("3", 3), float: ("7.5", 7.5), str: ("x", "x"), tuple: ("5,9", (5, 9))}
 
 
 def test_parser_options_are_the_config_fields():

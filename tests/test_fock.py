@@ -650,6 +650,21 @@ def test_move_operators_match_reference_loops(small2, small3):
                     assert list(got.terms.items()) == list(want.terms.items())
 
 
+def _assert_operators_match_reference_loops(k, config, vec):
+    """All five operators at k against the reference loops, term by term
+    and in order."""
+    refs = (_ref_d(k, config, vec), _ref_b_dag(L.neg(k), config, vec), _ref_b(k, config, vec))
+    pairs = [
+        (F.apply_rho(k, vec), _ref_rho(k, vec)),
+        (F.apply_b(k, config, vec), refs[2]),
+        (F.apply_b_dag(L.neg(k), config, vec), refs[1]),
+        (F.apply_d(k, config, vec), refs[0]),
+        *zip(F.apply_rho_parts(k, config, vec), refs),
+    ]
+    for got, want in pairs:
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_move_operators_in_blocks_match_reference_loops(small2, monkeypatch):
     """A vector longer than F._ROWS goes through the pass in blocks.  With
     blocks of seven determinants, images first met in one block recur in
@@ -658,23 +673,38 @@ def test_move_operators_in_blocks_match_reference_loops(small2, monkeypatch):
     crossed = 0
     for vec in _rho_parts_vectors(small2, 1):
         for k in L.ball_points(2, 2):
-            refs = (
-                _ref_d(k, small2, vec), _ref_b_dag(L.neg(k), small2, vec), _ref_b(k, small2, vec)
-            )
-            pairs = [
-                (F.apply_rho(k, vec), _ref_rho(k, vec)),
-                (F.apply_b(k, small2, vec), refs[2]),
-                (F.apply_b_dag(L.neg(k), small2, vec), refs[1]),
-                (F.apply_d(k, small2, vec), refs[0]),
-                *zip(F.apply_rho_parts(k, small2, vec), refs),
-            ]
-            for got, want in pairs:
-                assert list(got.terms.items()) == list(want.terms.items())
+            _assert_operators_match_reference_loops(k, small2, vec)
             blocks = {}
             for row, _, out, _ in O.moves(((det, row) for row, det in enumerate(vec.terms)), k):
                 blocks.setdefault(out, set()).add(row // 7)
             crossed += sum(len(b) > 1 for b in blocks.values())
     assert crossed > 0
+
+
+def test_move_order_sums_cross_blocks(small2, monkeypatch):
+    """Three determinants, one per block, each moving once onto the same
+    image.  Their contributions 1, 1, 1e16 add up to 1e16 + 2 in move order
+    and to 1e16 in any other, and all five operators match the reference
+    loops, which add in move order."""
+    monkeypatch.setattr(F, "_ROWS", 1)
+    assert (1.0 + 1.0) + 1e16 != (1.0 + 1e16) + 1.0
+    ball = L.fermi_ball(small2)
+    across = F.determinant([(0, 0), (-1, 0), (2, 0), (1, 1), (1, -1)])
+    cases = [  # (image, shift, modes t): sources image - t + (t + shift)
+        (ball, (1, 0), [(1, 0), (0, 1), (0, -1)]),  # b_k, outside to inside
+        (across, (-1, 0), [(2, 0), (1, 1), (1, -1)]),  # b_k^dag, inside to outside
+        (across, (1, 0), [(2, 0), (1, 1), (1, -1)]),  # d_k, outside to outside
+    ]
+    for image, shift, modes in cases:
+        terms = {}
+        for t, c in zip(modes, [1.0, 1.0, 1e16]):
+            p = L.add(t, shift)
+            source = F.determinant([m for m in image if m != t] + [p])
+            terms[source] = O.move(source, p, t)[0] * complex(c)
+        vec = F.FermionVector(terms)
+        assert F.apply_rho(shift, vec).terms[image] == (1.0 + 1.0) + 1e16
+        for k in ((1, 0), (-1, 0)):
+            _assert_operators_match_reference_loops(k, small2, vec)
 
 
 def test_operators_refuse_mixed_particle_numbers(small2):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from fermibose import boson as B
+from fermibose import bridge as BR
 from fermibose import fock as F
+from fermibose import lattice as L
 from fermibose.vector import SparseVector, frame
 
 
@@ -53,3 +57,37 @@ def test_finish_and_pruned_keep_the_term_order():
     vec = F.FermionVector({"y": 4.0 + 0j, "x": 3.0 + 0j, "z": 0j})
     assert list(vec.pruned(0.6).terms.items()) == [("y", 4.0 + 0j)]
     assert list(vec.pruned(0.5).terms.items()) == [("y", 4.0 + 0j), ("x", 3.0 + 0j)]
+
+
+def _loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_float_sums_add_left_to_right(small2, monkeypatch):
+    """Builtin sum() compensates float sums from Python 3.12 on.  On values
+    where that changes the result, every float sum here still equals the
+    explicit left-to-right loop."""
+    spread = [1e16, 1.0, 1.0]  # the 1.0s vanish one at a time, not as a 2.0
+    assert _loop_sum(spread) != math.fsum(spread)
+    amps = {"a": 1e8 + 0j, "b": 1.0 + 0j, "c": 1.0 + 0j}  # |amp|^2 = spread
+    assert SparseVector(amps).norm_sq() == _loop_sum(spread)
+    # vacuum and two single modes: every factorial weight is 1
+    monos = [(), ((1, 0),), ((0, 1),)]
+    assert B.BosonVector(zip(monos, amps.values())).norm_sq() == _loop_sum(spread)
+    monkeypatch.setattr(F, "kinetic_excess", lambda config, det: 1.0)
+    dets = [F.determinant([(0, 0), p]) for p in [(1, 0), (0, 1), (-1, 0)]]
+    psi = F.FermionVector(zip(dets, amps.values()))
+    assert BR._kinetic_sum(small2, psi) == _loop_sum(spread)
+    monkeypatch.undo()
+    pot = F.Potential(2, {(0, 0): 1e16, (1, 0): 1.0, (-1, 0): 1.0})
+    assert pot.value_at_origin() == _loop_sum(spread)
+    big, small = {(1, 0): 1e16, (-1, 0): 1e16}, [(0, 1), (0, -1), (1, 1), (-1, -1)]
+    pot = F.Potential(2, big | dict.fromkeys(small, 1.0))
+    gaps = [v * len(L.crescent(k, small2)) for k, v in pot.nonzero_items()]
+    assert _loop_sum(gaps) != math.fsum(gaps)
+    lam = L.coupling(small2)
+    want = (F.e_n0(small2, pot), F.e_n0(small2, pot) + lam * _loop_sum(gaps))
+    assert F.trivial_bounds(small2, pot) == want
