@@ -22,7 +22,16 @@ from types import MappingProxyType
 import numpy as np
 
 from . import boson, fock
-from .lattice import GasConfig, TWO_PI, coupling, crescent, norm_sq, total_momentum
+from .lattice import (
+    GasConfig,
+    TWO_PI,
+    TWO_PI_SQ,
+    coupling,
+    crescent,
+    kinetic_ground_sum,
+    norm_sq,
+    total_momentum,
+)
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
 from .vector import frame, ordered_sum
@@ -177,23 +186,30 @@ class H2Audit:
         return self.value <= self.bound
 
 
-def _kinetic_sum(config: GasConfig, psi: FermionVector) -> float:
-    """<psi|:T: psi>, unnormalised."""
+def _kinetic_sum(psi: FermionVector, excess) -> float:
+    """<psi|:T: psi>, unnormalised, from the kinetic excess of each of
+    psi's determinants, in order."""
     return ordered_sum(
-        (a * a.conjugate()).real * fock.kinetic_excess(config, det)
-        for det, a in psi.terms.items()
+        (a * a.conjugate()).real * e for a, e in zip(psi.terms.values(), excess)
     )
 
 
-def _mode_parts(config: GasConfig, pot, psi: FermionVector):
-    """(k, lambda vhat(k), d_k psi, (b_{-k}^dag + b_k) psi) for each nonzero
-    mode k of pot; the three pieces of rho_k psi come from one move pass."""
+def _mode_parts(config: GasConfig, pot, vecs, parts=fock.PARTS):
+    """(excess, modes) of vecs from one encoding: the kinetic excess of
+    each of their determinants, vector by vector, and, for each nonzero
+    mode k of pot in turn, (lambda vhat(k), [(d_k vec, (b_{-k}^dag + b_k)
+    vec, *rest) for vec in vecs]), rest the parts after fock.PARTS, from
+    one move pass per mode."""
+    items = pot.nonzero_items()
+    ks = [k for k, _ in items]
+    norms, modes = fock.rho_parts(ks, config.fermi_radius_sq, vecs, parts)
+    excess = (TWO_PI_SQ * norms - kinetic_ground_sum(config)).tolist()
     lam = coupling(config)
-    for k, v in pot.nonzero_items():
-        dk, b_dag, b = fock.apply_rho_parts(k, config, psi)
-        x2 = b_dag + b
-        del b_dag, b  # not held while the caller works on this mode
-        yield k, lam * v, dk, x2
+
+    def joined(v, out):
+        return lam * v, [(dk, b_dag + b, *rest) for dk, b_dag, b, *rest in out]
+
+    return excess, map(joined, (v for _, v in items), modes)
 
 
 def _d_terms(g, dk: FermionVector, x2: FermionVector) -> float:
@@ -212,20 +228,27 @@ def _fill_pair_terms(config: GasConfig, pot, key, pairs):
     """The _PAIR_TERMS entries of the monomial pairs (a, b).
 
     V2 between two images is sum_k g_k (<x2_a|d_b> + <d_a|x2_b> +
-    <d_a|d_b>) with d = d_k Phi m and x2 = (b_{-k}^dag + b_k) Phi m: each
-    image gets one move pass per mode, and its parts are dropped before
-    the next mode.
+    <d_a|d_b>) with d = d_k Phi m and x2 = (b_{-k}^dag + b_k) Phi m: the
+    images are encoded once, all of them get one move pass per mode, and
+    their parts are dropped before the next mode.
     """
     monos = sorted(set(chain.from_iterable(pairs)))
-    images = {m: phi_monomial_image(config, m) for m in monos}
-    kinetic = {m: fock.apply_normal_t(config, images[m]) for m in monos}
+    images = [phi_monomial_image(config, m) for m in monos]
+    excess, modes = _mode_parts(config, pot, images)
+    excess = iter(excess)  # vector by vector, as :T: weighs each image
+    kinetic = {
+        m: FermionVector.finish({det: a * next(excess) for det, a in image.terms.items()})
+        for m, image in zip(monos, images)
+    }
+    images = dict(zip(monos, images))
     inter = dict.fromkeys(pairs, 0.0)
-    for parts in zip(*(_mode_parts(config, pot, images[m]) for m in monos)):
+    for g, parts in modes:
         parts = dict(zip(monos, parts))
         for a, b in pairs:
-            _, g, da, xa = parts[a]
-            _, _, db, xb = parts[b]
+            da, xa = parts[a]
+            db, xb = parts[b]
             inter[a, b] += g * (xa.inner(db) + da.inner(xb) + da.inner(db))
+        del parts, da, xa, db, xb  # not held through the next mode's pass
     for a, b in pairs:
         _PAIR_TERMS[key + (a, b)] = (
             complex(images[a].inner(images[b])),
@@ -344,12 +367,14 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
     if nsq == 0.0:
         raise ValueError("phi image vanishes")
     e0 = fock.e_n0(config, pot)
-    kin = _kinetic_sum(config, psi) / nsq
+    excess, modes = _mode_parts(config, pot, [psi], fock.PARTS + fock.RHO)
+    kin = _kinetic_sum(psi, excess) / nsq
     inter = h1_part = rho_sum = 0.0
-    for k, g, dk, x2 in _mode_parts(config, pot, psi):
+    for g, [(dk, x2, rho)] in modes:
         inter += _d_terms(g, dk, x2)
         h1_part += g * x2.norm_sq()
-        rho_sum += g * fock.apply_rho(k, psi).norm_sq()
+        rho_sum += g * rho.norm_sq()
+        del dk, x2, rho  # not held through the next mode's pass
     h2_part = kin + inter / nsq
     h1_part /= nsq
     raw = e0 + kin + rho_sum / nsq

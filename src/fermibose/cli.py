@@ -189,7 +189,11 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
             raise ConfigError(f"momentum is read only by exact, not by {cfg.experiment}")
         if len(cfg.momentum) != cfg.d:
             raise ConfigError(f"momentum {cfg.momentum} does not have {cfg.d} components")
-    if cfg.experiment != "magic":  # raises before run makes the output directory
+    if cfg.experiment == "magic":
+        for key in ("radii", "particles"):
+            if getattr(cfg, key):
+                raise ConfigError(f"{key} is not read by magic, which sweeps max_radius_sq")
+    else:  # raises before run makes the output directory
         cfg.resolved_radii()
     return cfg
 

@@ -18,9 +18,13 @@ rho_k lowers the total momentum of a determinant by k.  The quasi-bosonic
 pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
 for k != 0.  Every operator here and hamiltonian_matrix take their moves
-from one bitmask pass, _move_pass; apply_rho_parts routes each move of
-rho_k to its piece, apply_b, apply_b_dag and apply_d drop the others, and
-each piece's moves are registered once, by one np.unique on image keys.
+from one bitmask pass, _move_pass.  rho_parts encodes a set of vectors
+once, as packed words over one rank table of their modes and shifts, then
+runs one pass per mode k over each block of that encoding and routes each
+move of rho_k to the parts asked for; the moves of each (vector, part)
+are registered once, by np.unique on image labels.  apply_rho,
+apply_rho_parts, apply_b, apply_b_dag and apply_d are its one-mode,
+one-vector case, and hamiltonian_matrix runs the same per-mode passes.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -46,7 +50,6 @@ from .lattice import (
     neg,
     norm_sq,
     particle_count,
-    sub,
 )
 from .vector import SparseVector, ordered_sum
 
@@ -90,157 +93,261 @@ _finish = FermionVector.finish
 # ------------------------------------------------------------- move kernel
 #
 # A determinant is a bitmask: bit i of word w is rank 64 w + i of a table of
-# modes in mode order, so bit order is sign order.
+# modes in mode order, so bit order is sign order.  A set of determinants
+# is encoded once, as packed words, and each pass unpacks one block of
+# _ROWS rows of them.
 
 
 def _rank_table(dets, shifts):
-    """(table, rank, nsq, dsts): the modes of dets and their shifts by -k,
-    k in shifts, in mode order; rank inverts table, nsq[i] = |table[i]|^2
-    and dsts[s][rank[p]] = rank[p - shifts[s]] for every mode p of dets."""
+    """(table, rank, nsq, dsts, held): the modes of dets and their shifts
+    by -k, k in shifts, in mode order; rank maps each mode of dets to its
+    place in table, nsq[i] = |table[i]|^2, held lists the ranks of the
+    modes of dets in ascending order and dsts[s][rank[p]] = rank[p -
+    shifts[s]] for each of them.
+
+    Mode order is the lexicographic order of (|p|^2, p), which the
+    integer code |p|^2 base^d + sum_c (p_c + top) base^(d-1-c) keeps for
+    coordinates within top of 0, base = 2 top + 1; one np.unique sorts it.
+    """
     if len(set(map(len, dets))) > 1:
         raise ValueError("determinants of different particle numbers")
     modes = list(set().union(*dets))
-    shifted = [[sub(p, k) for p in modes] for k in shifts]
-    keys = sorted(map(mode_key, set(modes).union(*shifted)))
-    table = [key[1:] for key in keys]
-    rank = {p: i for i, p in enumerate(table)}
-    dsts = np.zeros((len(shifts), len(table)), dtype=np.int32)
-    for dst, targets in zip(dsts, shifted):
-        dst[[rank[p] for p in modes]] = [rank[t] for t in targets]
-    return table, rank, np.array([key[0] for key in keys], dtype=np.int64), dsts
+    if not modes:
+        empty = np.zeros(0, dtype=np.int64)
+        return [], {}, empty, np.zeros((len(shifts), 0), dtype=np.int32), empty
+    pts = np.array(modes, dtype=np.int64)
+    d = pts.shape[1]
+    cand = np.concatenate([pts, *(pts - np.array(k) for k in shifts)])
+    nsq = (cand * cand).sum(axis=1)
+    top = int(np.abs(cand).max())
+    base = 2 * top + 1
+    if (d * top * top + 1) * base**d >= 2**63:
+        raise ValueError("mode codes overflow int64")
+    code = nsq
+    for column in cand.T:
+        code = code * base + (column + top)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    held = inverse[: len(modes)]
+    dsts = np.zeros((len(shifts), len(first)), dtype=np.int32)
+    dsts[:, held] = inverse[len(modes) :].reshape(len(shifts), len(modes))
+    table = list(map(tuple, cand[first].tolist()))
+    return table, dict(zip(modes, held.tolist())), nsq[first], dsts, np.sort(held)
 
 
-def _encode(dets, rank, width):
-    """(ranks, occupied, bits, below) of dets over a table of width modes:
-    ranks[row, slot] is the rank of the slot's mode, occupied[row] flags
-    the held ranks, bits[row] packs them into words and below[row, w]
-    counts the set bits under word w."""
-    ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(dets)), dtype=np.int32)
-    ranks = ranks.reshape(len(dets), len(dets[0]) if dets else 0)
-    occupied = np.zeros((len(dets), 64 * ((width + 63) // 64)), dtype=bool)
-    np.put_along_axis(occupied, ranks, True, axis=1)
-    bits = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
-    below = np.zeros(bits.shape, dtype=np.int64)
-    np.cumsum(np.bitwise_count(bits[:, :-1]), axis=1, out=below[:, 1:])
-    return ranks, occupied, bits, below
+def _encode(dets, rank, nsq):
+    """(bits, norms) of dets over the table of rank, _ROWS rows at a time:
+    bits[row] packs the row's ranks into little-endian words and norms[row]
+    sums nsq over them."""
+    bits = np.zeros((len(dets), (len(nsq) + 63) // 64), dtype="<u8")
+    norms = np.zeros(len(dets), dtype=np.int64)
+    for start in range(0, len(dets), _ROWS):
+        block = dets[start : start + _ROWS]
+        ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(block)), dtype=np.int32)
+        ranks = ranks.reshape(len(block), len(block[0]))
+        occupied = np.zeros((len(block), 64 * bits.shape[1]), dtype=bool)
+        occupied[np.arange(len(block))[:, None], ranks] = True
+        packed = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
+        bits[start : start + len(block)] = packed
+        norms[start : start + len(block)] = nsq[ranks].sum(axis=1)
+    return bits, norms
 
 
-def _move_pass(ranks, occupied, bits, below, dst, moving=None):
-    """(rows, slot, j, sign, keys, src) of every free move src -> dst[src]
-    of the encoded determinants, in (row, slot) order, from the sources
-    flagged by moving (all when None); keys[m] holds the image's words.
-    j is the target's slot in the determinant without the source: the
-    occupied ranks below the target, less one if it lies above the source.
-    A move from slot i has sign (-1)^(i+j); no other code computes it.  A
-    target that is its own source counts as free: rho_0 keeps each
-    determinant with sign +1, as then j = i and the two XORs cancel.
+def _move_pass(bits, sources, targets):
+    """(rows, slot, j, sign, words, src) of every free move of the packed
+    determinants bits from a rank of sources, ascending, to the same entry
+    of targets, in (row, slot) order; words[m] holds the image's words.  A
+    row's ranks ascend with its slots, so a source's slot is the count of
+    occupied ranks below it, and j, the target's slot in the determinant
+    without the source, is the count below the target, less one if it lies
+    above the source.  A move from slot i has sign (-1)^(i+j); no other
+    code computes it.  A target that is its own source counts as free:
+    rho_0 keeps each determinant with sign +1, as then j = i and the two
+    XORs cancel.
     """
-    one, to = np.uint64(1), dst[ranks]
-    free = ~np.take_along_axis(occupied, to, axis=1) | (to == ranks)
-    if moving is not None:
-        free &= moving[ranks]
-    rows, slot = np.divmod(np.flatnonzero(free), ranks.shape[1])
-    src = ranks[rows, slot]
-    to = dst[src]
-    word = to >> 6
-    bit = one << (to & 63).astype(np.uint64)
-    j = below[rows, word] + np.bitwise_count(bits[rows, word] & (bit - one)) - (to > src)
+    one, width = np.uint64(1), bits.shape[1]
+    occupied = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").view(bool)
+    below = np.zeros(bits.shape, dtype=np.int16)  # occupied ranks under each word
+    np.cumsum(np.bitwise_count(bits[:, :-1]), axis=1, out=below[:, 1:])
+    held = occupied[:, sources]
+    free = held & ~occupied[:, targets]
+    if (targets == sources).any():  # only at k = 0
+        free |= held & (targets == sources)
+    rows, at = np.nonzero(free)
+    src, to = sources[at], targets[at]
+    row_word = rows * width  # each move's row in the flat words
+
+    def count_below(rank):  # (flat word, bit, occupied ranks of the row below rank)
+        word, bit = row_word + (rank >> 6), one << (rank & 63).astype(np.uint64)
+        below_word = np.bitwise_count(bits.reshape(-1)[word] & (bit - one))
+        return word, bit, below.reshape(-1)[word] + below_word
+
+    src_word, src_bit, slot = count_below(src)
+    word, bit, j = count_below(to)
+    j -= to > src
     sign = 1 - 2 * ((slot + j) & 1)
-    images = bits[rows]
-    at = np.arange(len(rows))
-    images[at, src >> 6] ^= one << (src & 63).astype(np.uint64)
-    images[at, word] ^= bit
-    if images.shape[1] > 1:  # one sortable, hashable key per image
-        images = images.view(f"V{8 * images.shape[1]}")
-    return rows, slot, j, sign, images.ravel(), src
+    words = bits[rows]
+    shift = np.arange(len(rows)) * width - row_word  # from the rows' words to the copies'
+    words.reshape(-1)[src_word + shift] ^= src_bit
+    words.reshape(-1)[word + shift] ^= bit
+    return rows, slot, j, sign, words, src
 
 
-_ROWS = 512  # determinants per move pass: a large vector goes in blocks
+_ROWS = 2048  # determinants per move pass: a large set goes in blocks
+
+
+def _keys(words):
+    """One sortable, hashable key per row of image words."""
+    if words.shape[1] > 1:
+        words = words.view(f"V{8 * words.shape[1]}")
+    return words.ravel()
+
+
+def _passes(dets, shifts, r, sides):
+    """(table, norms, moves) of dets, all of one particle number: their rank
+    table, each det's sum of |p|^2, and an iterator that yields, for each
+    shift k in turn, (dst, side, rows, slot, j, sign, words, src): the
+    shift's targets and the side of each rank, 2 (p inside) + (p - k
+    inside) the ball |p|^2 <= r, then every move p -> p - k whose side is
+    flagged in sides.  The dets are encoded once, and what persists
+    across shifts is their packed words and norms; each shift runs one
+    _move_pass per block of _ROWS rows, trying as sources only the held
+    ranks on a flagged side, and its moves are dropped with the value the
+    caller makes of them."""
+    table, rank, nsq, dsts, held = _rank_table(dets, shifts)
+    bits, norms = _encode(dets, rank, nsq)
+    inside = (nsq <= r).astype(np.int8)
+
+    def moves(dst):
+        side = 2 * inside + inside[dst]
+        sources = held[sides[side[held]]]
+        targets = dst[sources]
+        blocks = []
+        for start in range(0, len(bits) or 1, _ROWS):  # one empty block if no rows
+            block = bits[start : start + _ROWS]
+            rows, *rest = _move_pass(block, sources, targets)
+            blocks.append(((rows + start).astype(np.int32), *rest))
+        return dst, side, *map(np.concatenate, zip(*blocks))
+
+    return table, norms, map(moves, dsts)
 
 
 # ----------------------------------------------------- operator applications
+#
+# A part of rho_k is the set of sides its moves take: 0 outside to outside,
+# 1 outside to inside, 2 inside to outside, 3 inside to inside the ball.
+
+RHO = ((0, 1, 2, 3),)  # rho_k itself
+PARTS = ((0, 3), (2,), (1,))  # d_k, b_{-k}^dag, b_k
 
 
-def _register(moved, keys, values, decode):
-    """(decode at each image's first move, amplitudes) of the moves moved
-    flags, as a move-by-move loop sums them: images in first-move order,
-    each amplitude the first move's value plus the later ones in move
-    order.  keys, values and decode = (rows, slot, j, to) hold each move's
-    image key, amplitude, source row and slot, j and target rank."""
-    pick = np.flatnonzero(moved)
-    if not len(pick):
-        return [a[:0] for a in decode], values[:0]
-    _, first, inverse = np.unique(keys[pick], return_index=True, return_inverse=True)
-    values = values[pick]
+def _register(values, first, inverse):
+    """(first, amps) of moves labelled by image, from the np.unique of
+    their labels: the position of each image's first move, in first-move
+    order, and its amplitude as a move-by-move loop sums it, the first
+    move's value plus the later ones in move order."""
     amps = values[first]
     rest = np.ones(len(values), dtype=bool)
     rest[first] = False
     np.add.at(amps, inverse[rest], values[rest])
     seen = np.argsort(first)  # the images in order of their first move
-    return [a[pick[first[seen]]] for a in decode], amps[seen]
+    return first[seen], amps[seen]
 
 
-def _decode(heads, amps, sources, table):
-    """The vector of registered images, each rebuilt from its first move."""
-    dets = []
-    for row, i, jj, t in zip(*(a.tolist() for a in heads)):
-        det, t = sources[row], table[t]
-        if jj >= i:
-            dets.append(det[:i] + det[i + 1 : jj + 1] + (t,) + det[jj + 1 :])
-        else:
-            dets.append(det[:jj] + (t,) + det[jj:i] + det[i + 1 :])
-    return _finish(dict(zip(dets, amps.tolist())))
+def _decode(rows, slot, j, to, dets, table):
+    """The image determinant of each move, rebuilt from its source."""
+
+    def images():
+        for row, i, jj, t in zip(rows.tolist(), slot.tolist(), j.tolist(), to.tolist()):
+            det, t = dets[row], table[t]
+            if jj >= i:
+                yield det[:i] + det[i + 1 : jj + 1] + (t,) + det[jj + 1 :]
+            else:
+                yield det[:jj] + (t,) + det[jj:i] + det[i + 1 :]
+
+    return np.fromiter(images(), dtype=object, count=len(rows))
 
 
-def _split(k, r, vec: FermionVector, route):
-    """The parts of rho_k vec from one move pass.  A move goes to part
-    route[c], c = 2 (starts inside) + (ends inside) the ball |p|^2 <= r, and
-    a move routed to -1 is never built.  The moves of all blocks of _ROWS
-    determinants are registered once per part, then freed before decoding."""
-    dets = list(vec.terms)
-    table, rank, nsq, (dst,) = _rank_table(dets, [k])
-    inside = (nsq <= r).astype(np.int8)
-    part = np.array(route, dtype=np.int8)[2 * inside + inside[dst]]
-    amps = np.fromiter(vec.terms.values(), dtype=complex, count=len(dets))
-    blocks = []
-    for start in range(0, len(dets) or 1, _ROWS):  # one empty block if no dets
-        encoded = _encode(dets[start : start + _ROWS], rank, len(table))
-        rows, slot, j, sign, keys, src = _move_pass(*encoded, dst, part >= 0)
-        rows += start
-        narrow = (rows.astype(np.int32), slot.astype(np.int16), j.astype(np.int16))
-        blocks.append((part[src], keys, amps[rows] * sign, *narrow, dst[src]))
-    side, keys, values, *decode = map(np.concatenate, zip(*blocks))
-    parts = [_register(side == i, keys, values, decode) for i in range(max(route) + 1)]
-    del blocks, side, keys, values, decode
-    return [_decode(*registered, dets, table) for registered in parts]
+def rho_parts(ks, r, vecs, parts):
+    """(norms, modes): rho_k split into parts, for every k of ks, on every
+    vector of vecs, all of one particle number, from one encoding of them.
+
+    norms holds each determinant's sum of |p|^2, vector by vector.  modes
+    yields, for each k in turn, one tuple per vector of its parts: part i
+    takes the moves of rho_k whose side (see PARTS) lies in parts[i], the
+    inside of the Fermi ball being |p|^2 <= r; a move in no part is never
+    built.  Each image is rebuilt once per k, and each (vector, part) sums
+    its own moves, in first-move order, as a move-by-move loop would.
+    """
+    vecs = list(vecs)
+    dets = [det for vec in vecs for det in vec.terms]
+    amps = np.fromiter(
+        chain.from_iterable(vec.terms.values() for vec in vecs), dtype=complex, count=len(dets)
+    )
+    owner = np.repeat(np.arange(len(vecs)), [len(vec) for vec in vecs])
+    member = np.zeros((len(parts), 4), dtype=bool)
+    for flags, sides in zip(member, parts):
+        flags[list(sides)] = True
+    table, norms, passes = _passes(dets, ks, r, member.any(axis=0))
+    buckets = np.arange(len(parts) * len(vecs) + 1)  # part i of vector v: i * len(vecs) + v
+
+    def split(moves):
+        dst, side, rows, slot, j, sign, words, src = moves
+        _, first, image = np.unique(_keys(words), return_index=True, return_inverse=True)
+        images = _decode(rows[first], slot[first], j[first], dst[src[first]], dets, table)
+        if len(buckets) == 2:  # every move built is the one part's, of the one vector
+            pick, head, inverse = np.arange(len(rows)), first, image
+            bucket = np.zeros(len(rows), dtype=int)
+        else:  # a move goes to each part its side is in
+            side = side[src]
+            picks = [np.flatnonzero(flags[side]) for flags in member]
+            pick = np.concatenate(picks)
+            part = np.repeat(np.arange(len(parts)), list(map(len, picks)))
+            bucket = part * len(vecs) + owner[rows[pick]]
+            labels = bucket * len(first) + image[pick]
+            _, head, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        heads, sums = _register((amps[rows] * sign)[pick], head, inverse)
+        cuts = np.searchsorted(bucket[heads], buckets).tolist()
+        out = [
+            _finish(dict(zip(images[image[pick[heads[a:b]]]].tolist(), sums[a:b].tolist())))
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        return [tuple(out[v :: len(vecs)]) for v in range(len(vecs))]
+
+    return norms, map(split, passes)
+
+
+def _apply(k, r, vec, parts):
+    """The parts of rho_k vec: rho_parts on one mode and one vector."""
+    [[out]] = rho_parts([k], r, [vec], parts)[1]
+    return out
 
 
 def apply_rho(k, vec: FermionVector) -> FermionVector:
     """Density mode rho_k = sum_p a_{p-k}^dag a_p; rho_0 counts particles."""
-    return _split(k, 0, vec, (0, 0, 0, 0))[0]  # every side to one part
+    return _apply(k, 0, vec, RHO)[0]
 
 
 def apply_rho_parts(k, config: GasConfig, vec: FermionVector):
     """(d_k vec, b_{-k}^dag vec, b_k vec) from one pass over the moves of
     rho_k, each move sent by its sides: same side to d_k, inside to
     outside to b_{-k}^dag, outside to inside to b_k."""
-    return tuple(_split(k, config.fermi_radius_sq, vec, (0, 2, 1, 0)))
+    return _apply(k, config.fermi_radius_sq, vec, PARTS)
 
 
 def apply_b(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair annihilator b_k: moves an outside particle at p to p-k inside."""
-    return _split(k, config.fermi_radius_sq, vec, (-1, 0, -1, -1))[0]
+    return _apply(k, config.fermi_radius_sq, vec, PARTS[2:])[0]
 
 
 def apply_b_dag(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Pair creator b_k^dag = sum_{p in C_k} a_{p+k}^dag a_p."""
-    return _split(neg(k), config.fermi_radius_sq, vec, (-1, -1, 0, -1))[0]
+    return _apply(neg(k), config.fermi_radius_sq, vec, PARTS[1:2])[0]
 
 
 def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     """Surface-preserving part d_k of rho_k (both sides of the move inside,
     or both outside, the Fermi ball)."""
-    return _split(k, config.fermi_radius_sq, vec, (0, -1, -1, 0))[0]
+    return _apply(k, config.fermi_radius_sq, vec, PARTS[:1])[0]
 
 
 def kinetic_excess(config: GasConfig, det) -> float:
@@ -524,16 +631,14 @@ def hamiltonian_matrix(config, pot, basis):
     import scipy.sparse
 
     items = pot.nonzero_items()
-    table, rank, nsq, dsts = _rank_table(basis, [k for k, _ in items])
-    encoded = _encode(basis, rank, len(table))
-    kinetic = TWO_PI_SQ * nsq[encoded[0]].sum(axis=1) - kinetic_ground_sum(config)
+    _, norms, moves = _passes(basis, [k for k, _ in items], 0, np.ones(4, dtype=bool))
+    kinetic = TWO_PI_SQ * norms - kinetic_ground_sum(config)
     h = scipy.sparse.diags(e_n0(config, pot) + kinetic, format="csr")
     lam = coupling(config)
-    for (_, v), dst in zip(items, dsts):
-        rows, _, _, sign, keys, _ = _move_pass(*encoded, dst)
-        distinct, image = np.unique(keys, return_inverse=True)
-        del keys  # not held through the product
+    for (_, v), (*_, rows, slot, j, sign, words, src) in zip(items, moves):
+        distinct, image = np.unique(_keys(words), return_inverse=True)
         a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
+        del rows, slot, j, sign, words, src, image  # not held through the product
         h = h + (lam * v) * (a.T @ a)
         del a  # not held through the next k's pass
     return h.tocsr()

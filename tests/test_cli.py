@@ -523,6 +523,10 @@ def test_momentum_dimension_checked(tmp_path):
         ("bounds", ["--radii", "1", "--particles", "5"], None, "either radii or particles"),
         ("bounds", ["--particles", "6"], None, "n=6 is not a magic number"),
         ("crescent-audit", ["--radii", "3"], None, "radii [3] are not occupied"),
+        ("magic", ["--radii", "3"], None, "radii is not read by magic"),
+        ("magic", [], "radii: [1, 2]\n", "radii is not read by magic"),
+        ("magic", ["--particles", "5"], None, "particles is not read by magic"),
+        ("magic", [], "particles: [5]\n", "particles is not read by magic"),
     ],
     ids=[
         "window-degree",
@@ -550,6 +554,10 @@ def test_momentum_dimension_checked(tmp_path):
         "radii-and-particles",
         "particles-not-magic",
         "crescent-audit-radii",
+        "magic-radii-flag",
+        "magic-radii-yaml",
+        "magic-particles-flag",
+        "magic-particles-yaml",
     ],
 )
 def test_bad_window_and_sweep_config_rejected(
@@ -666,15 +674,17 @@ def test_bounded_key_accepts_its_low(tmp_path, key):
 
 
 def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
-    """h2-audit builds no matrix and reads no config file: in a fresh
-    process it leaves scipy.sparse, scipy.linalg, yaml and the process
-    pool unimported."""
+    """h2-audit and trial build no matrix and read no config file: in a
+    fresh process that runs both, scipy.sparse, scipy.linalg, yaml and
+    the process pool stay unimported."""
     root = pathlib.Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from fermibose import cli\n"
         f"code = cli.main(['h2-audit', '--radii', '1,5', '--window-degree', '2', "
         f"'--n-states', '2', '--potential', {POT2!r}, '--out', {str(tmp_path)!r}])\n"
+        f"code += cli.main(['trial', '--radii', '1,5', '--window-degree', '2', "
+        f"'--potential', {POT2!r}, '--out', {str(tmp_path)!r}])\n"
         "heavy = ('scipy.sparse', 'scipy.linalg', 'yaml', 'concurrent.futures.process')\n"
         "print(code, [m for m in heavy if m in sys.modules])\n"
     )
@@ -693,6 +703,8 @@ def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 []"
     _, rows = read_csv(tmp_path / "h2-audit.csv")
     assert len(rows) == 4 and {row[-1] for row in rows} == {"ok"}
+    _, rows = read_csv(tmp_path / "trial.csv")
+    assert len(rows) == 2
 
 
 def test_unknown_experiment_rejected():

@@ -707,6 +707,99 @@ def test_move_order_sums_cross_blocks(small2, monkeypatch):
             _assert_operators_match_reference_loops(k, small2, vec)
 
 
+# ------------------------------------------- one encoding per vector set
+
+
+def _one_at_a_time(config):
+    """(parts, the same parts of rho_k vec from the one-vector operators)
+    for every routing rho_parts is asked for."""
+    return [
+        (F.PARTS, lambda k, vec: F.apply_rho_parts(k, config, vec)),
+        (F.RHO, lambda k, vec: (F.apply_rho(k, vec),)),
+        (F.PARTS[2:], lambda k, vec: (F.apply_b(k, config, vec),)),
+        (F.PARTS[1:2], lambda k, vec: (F.apply_b_dag(L.neg(k), config, vec),)),
+        (F.PARTS[:1], lambda k, vec: (F.apply_d(k, config, vec),)),
+        (
+            F.PARTS + F.RHO,
+            lambda k, vec: (*F.apply_rho_parts(k, config, vec), F.apply_rho(k, vec)),
+        ),
+    ]
+
+
+def _assert_batch_matches_one_at_a_time(config, ks, vecs):
+    """rho_parts on every mode of ks and every vector of vecs at once: each
+    vector's parts at each mode equal the one-vector operators called one
+    at a time, term for term and in order, and norms holds each
+    determinant's sum of |p|^2, vector by vector."""
+    want_norms = [sum(map(L.norm_sq, det)) for vec in vecs for det in vec.terms]
+    for parts, one in _one_at_a_time(config):
+        norms, modes = F.rho_parts(ks, config.fermi_radius_sq, vecs, parts)
+        assert norms.tolist() == want_norms
+        modes = list(modes)
+        assert len(modes) == len(ks)
+        for k, out in zip(ks, modes):
+            assert len(out) == len(vecs)
+            for vec, got in zip(vecs, out):
+                want = one(k, vec)
+                assert len(got) == len(parts) == len(want)
+                for g, w in zip(got, want):
+                    assert list(g.terms.items()) == list(w.terms.items())
+
+
+def test_vector_sets_match_one_at_a_time(small2):
+    """Random vectors, an empty one among them and one vector twice (its
+    images are registered apart), over every mode with |k|^2 <= 2,
+    k = 0 included."""
+    vecs = [rvec(small2, 0, n_dets=8), F.FermionVector(), rvec(small2, 1, n_dets=5)]
+    vecs += [vecs[0], F.psi0(small2)]
+    _assert_batch_matches_one_at_a_time(small2, L.ball_points(2, 2), vecs)
+    _assert_batch_matches_one_at_a_time(small2, L.ball_points(2, 2), [F.FermionVector()])
+
+
+def test_vector_sets_cross_block_boundaries(small2, monkeypatch):
+    """With blocks of seven determinants, vector boundaries fall inside
+    blocks and one vector spans three of them: 26 determinants in all."""
+    monkeypatch.setattr(F, "_ROWS", 7)
+    sizes = [5, 4, 12, 0, 5]
+    vecs = [
+        rvec(small2, seed, n_dets=n) if n else F.FermionVector() for seed, n in enumerate(sizes)
+    ]
+    starts = np.cumsum([0] + sizes)
+    assert any(s % 7 for s in starts[1:-1]) and starts[-1] > F._ROWS
+    _assert_batch_matches_one_at_a_time(small2, L.ball_points(2, 2), vecs)
+
+
+def _table_width(vecs, ks):
+    return len(F._rank_table([det for vec in vecs for det in vec.terms], ks)[0])
+
+
+def test_vector_sets_of_phi_images_match_one_at_a_time():
+    """The degree-2 phi images of d = 2, r = 9 as one set: their rank table
+    spans 73 modes, so image keys are two words."""
+    config = L.GasConfig(d=2, fermi_radius_sq=9, alpha=-1.0)
+    window = B.TruncationWindow.from_radius(2, 1, 2)
+    vecs = [BR.phi_monomial_image(config, m) for m in B.window_monomials(window)]
+    ks = [k for k, _ in F.unit_potential(2).nonzero_items()]
+    assert _table_width(vecs, ks) > 64
+    _assert_batch_matches_one_at_a_time(config, ks, vecs)
+
+
+def test_vector_sets_in_d3_match_one_at_a_time(small3):
+    """d = 3 vectors over the 81 modes with |p|^2 <= 5: with their shifts
+    the table spans more than 128 modes, three words."""
+    vecs = [rvec(small3, seed, n_dets=6) for seed in range(3)]
+    ks = L.ball_points(3, 2)
+    assert _table_width(vecs, ks) > 128
+    _assert_batch_matches_one_at_a_time(small3, ks, vecs)
+
+
+def test_vector_sets_refuse_mixed_particle_numbers(small2):
+    five = F.FermionVector.from_determinant(L.fermi_ball(small2))
+    four = F.FermionVector.from_determinant(L.fermi_ball(small2)[:4])
+    with pytest.raises(ValueError, match="different particle numbers"):
+        F.rho_parts([(1, 0)], small2.fermi_radius_sq, [five, four], F.PARTS)
+
+
 def test_operators_refuse_mixed_particle_numbers(small2):
     five = L.fermi_ball(small2)
     vec = F.FermionVector.from_determinant(five) + F.FermionVector.from_determinant(five[:4])
