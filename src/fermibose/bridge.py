@@ -195,15 +195,17 @@ def _kinetic_sum(psi: FermionVector, excess) -> float:
 
 
 def _mode_parts(config: GasConfig, pot, vecs, parts=fock.PARTS):
-    """(excess, modes) of vecs from one encoding: the kinetic excess of
-    each of their determinants, vector by vector, and, for each nonzero
+    """(excess, modes) of vecs from one encoding: excess[i] lists the
+    kinetic excess of each determinant of vecs[i], and, for each nonzero
     mode k of pot in turn, (lambda vhat(k), [(d_k vec, (b_{-k}^dag + b_k)
     vec, *rest) for vec in vecs]), rest the parts after fock.PARTS, from
     one move pass per mode."""
     items = pot.nonzero_items()
     ks = [k for k, _ in items]
     norms, modes = fock.rho_parts(ks, config.fermi_radius_sq, vecs, parts)
-    excess = (TWO_PI_SQ * norms - kinetic_ground_sum(config)).tolist()
+    excess = TWO_PI_SQ * norms - kinetic_ground_sum(config)
+    cuts = np.cumsum([len(vec) for vec in vecs])[:-1]
+    excess = [e.tolist() for e in np.split(excess, cuts)]
     lam = coupling(config)
 
     def joined(v, out):
@@ -235,10 +237,8 @@ def _fill_pair_terms(config: GasConfig, pot, key, pairs):
     monos = sorted(set(chain.from_iterable(pairs)))
     images = [phi_monomial_image(config, m) for m in monos]
     excess, modes = _mode_parts(config, pot, images)
-    excess = iter(excess)  # vector by vector, as :T: weighs each image
     kinetic = {
-        m: FermionVector.finish({det: a * next(excess) for det, a in image.terms.items()})
-        for m, image in zip(monos, images)
+        m: fock.apply_normal_t(config, image, e) for m, image, e in zip(monos, images, excess)
     }
     images = dict(zip(monos, images))
     inter = dict.fromkeys(pairs, 0.0)
@@ -367,7 +367,7 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
     if nsq == 0.0:
         raise ValueError("phi image vanishes")
     e0 = fock.e_n0(config, pot)
-    excess, modes = _mode_parts(config, pot, [psi], fock.PARTS + fock.RHO)
+    [excess], modes = _mode_parts(config, pot, [psi], fock.PARTS + fock.RHO)
     kin = _kinetic_sum(psi, excess) / nsq
     inter = h1_part = rho_sum = 0.0
     for g, [(dk, x2, rho)] in modes:

@@ -22,7 +22,7 @@ from one bitmask pass, _move_pass.  rho_parts encodes a set of vectors
 once, as packed words over one rank table of their modes and shifts, then
 runs one pass per mode k over each block of that encoding and routes each
 move of rho_k to the parts asked for; the moves of each (vector, part)
-are registered once, by np.unique on image labels.  apply_rho,
+are registered once, by np.unique on their integer labels.  apply_rho,
 apply_rho_parts, apply_b, apply_b_dag and apply_d are its one-mode,
 one-vector case, and hamiltonian_matrix runs the same per-mode passes.
 
@@ -46,6 +46,7 @@ from .lattice import (
     crescent,
     fermi_ball,
     kinetic_ground_sum,
+    mode_codes,
     mode_key,
     neg,
     norm_sq,
@@ -105,9 +106,7 @@ def _rank_table(dets, shifts):
     modes of dets in ascending order and dsts[s][rank[p]] = rank[p -
     shifts[s]] for each of them.
 
-    Mode order is the lexicographic order of (|p|^2, p), which the
-    integer code |p|^2 base^d + sum_c (p_c + top) base^(d-1-c) keeps for
-    coordinates within top of 0, base = 2 top + 1; one np.unique sorts it.
+    One np.unique over lattice.mode_codes sorts them in mode order.
     """
     if len(set(map(len, dets))) > 1:
         raise ValueError("determinants of different particle numbers")
@@ -116,22 +115,13 @@ def _rank_table(dets, shifts):
         empty = np.zeros(0, dtype=np.int64)
         return [], {}, empty, np.zeros((len(shifts), 0), dtype=np.int32), empty
     pts = np.array(modes, dtype=np.int64)
-    d = pts.shape[1]
     cand = np.concatenate([pts, *(pts - np.array(k) for k in shifts)])
-    nsq = (cand * cand).sum(axis=1)
-    top = int(np.abs(cand).max())
-    base = 2 * top + 1
-    if (d * top * top + 1) * base**d >= 2**63:
-        raise ValueError("mode codes overflow int64")
-    code = nsq
-    for column in cand.T:
-        code = code * base + (column + top)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(mode_codes(cand), return_index=True, return_inverse=True)
     held = inverse[: len(modes)]
     dsts = np.zeros((len(shifts), len(first)), dtype=np.int32)
     dsts[:, held] = inverse[len(modes) :].reshape(len(shifts), len(modes))
-    table = list(map(tuple, cand[first].tolist()))
-    return table, dict(zip(modes, held.tolist())), nsq[first], dsts, np.sort(held)
+    table, rank = cand[first], dict(zip(modes, held.tolist()))
+    return list(map(tuple, table.tolist())), rank, (table * table).sum(axis=1), dsts, np.sort(held)
 
 
 def _encode(dets, rank, nsq):
@@ -288,25 +278,20 @@ def rho_parts(ks, r, vecs, parts):
     for flags, sides in zip(member, parts):
         flags[list(sides)] = True
     table, norms, passes = _passes(dets, ks, r, member.any(axis=0))
-    buckets = np.arange(len(parts) * len(vecs) + 1)  # part i of vector v: i * len(vecs) + v
+    buckets = len(parts) * len(vecs)  # part i of vector v is bucket i * len(vecs) + v
 
     def split(moves):
         dst, side, rows, slot, j, sign, words, src = moves
         _, first, image = np.unique(_keys(words), return_index=True, return_inverse=True)
         images = _decode(rows[first], slot[first], j[first], dst[src[first]], dets, table)
-        if len(buckets) == 2:  # every move built is the one part's, of the one vector
-            pick, head, inverse = np.arange(len(rows)), first, image
-            bucket = np.zeros(len(rows), dtype=int)
-        else:  # a move goes to each part its side is in
-            side = side[src]
-            picks = [np.flatnonzero(flags[side]) for flags in member]
-            pick = np.concatenate(picks)
-            part = np.repeat(np.arange(len(parts)), list(map(len, picks)))
-            bucket = part * len(vecs) + owner[rows[pick]]
-            labels = bucket * len(first) + image[pick]
-            _, head, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        heads, sums = _register((amps[rows] * sign)[pick], head, inverse)
-        cuts = np.searchsorted(bucket[heads], buckets).tolist()
+        part, pick = np.nonzero(member[:, side[src]])  # part by part, each part a move is in
+        labels = (part * len(vecs) + owner[rows[pick]]) * len(first) + image[pick]
+        del part  # not held through the registration
+        distinct, head, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        del labels
+        heads, sums = _register(amps[rows[pick]] * sign[pick], head, inverse)
+        # pick runs bucket by bucket, so its heads do too, as many as each has labels
+        cuts = np.searchsorted(distinct, np.arange(buckets + 1) * len(first)).tolist()
         out = [
             _finish(dict(zip(images[image[pick[heads[a:b]]]].tolist(), sums[a:b].tolist())))
             for a, b in zip(cuts, cuts[1:])
@@ -355,11 +340,13 @@ def kinetic_excess(config: GasConfig, det) -> float:
     return TWO_PI_SQ * sum(norm_sq(p) for p in det) - kinetic_ground_sum(config)
 
 
-def apply_normal_t(config: GasConfig, vec: FermionVector) -> FermionVector:
-    acc = {
-        det: amp * kinetic_excess(config, det) for det, amp in vec.terms.items()
-    }
-    return _finish(acc)
+def apply_normal_t(config: GasConfig, vec: FermionVector, excess=None) -> FermionVector:
+    """:T: vec; excess, if given, lists the kinetic_excess of each of vec's
+    determinants in order, as a caller that has encoded vec reads it off
+    rho_parts' norms."""
+    if excess is None:
+        excess = [kinetic_excess(config, det) for det in vec.terms]
+    return _finish({det: amp * e for (det, amp), e in zip(vec.terms.items(), excess)})
 
 
 # ---------------------------------------------------------------- potential

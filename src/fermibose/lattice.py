@@ -59,6 +59,24 @@ def mode_key(n: Momentum):
     return (norm_sq(n), *n)
 
 
+def mode_codes(points):
+    """One integer per row of an (n, d) int64 numpy array of modes, in
+    the order of mode_key: the lexicographic order of (|p|^2, p), which
+    the code |p|^2 base^d + sum_c (p_c + top) base^(d-1-c) keeps for
+    coordinates within top of 0, base = 2 top + 1.  Raises ValueError if
+    a code would overflow int64.
+    """
+    n, d = points.shape
+    top = int(abs(points).max(initial=0))
+    base = 2 * top + 1
+    if (d * top * top + 1) * base**d >= 2**63:
+        raise ValueError("mode codes overflow int64")
+    code = (points * points).sum(axis=1)
+    for column in points.T:
+        code = code * base + (column + top)
+    return code
+
+
 @lru_cache(maxsize=None)
 def ball_points(d: int, radius_sq: int) -> tuple:
     """All lattice points with |n|^2 <= radius_sq, sorted in mode order.

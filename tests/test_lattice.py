@@ -204,3 +204,15 @@ def test_mode_key_total_order():
     pts = lat.ball_points(3, 6)
     keys = {lat.mode_key(p) for p in pts}
     assert len(keys) == len(pts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mode_codes_sort_as_mode_key(d):
+    import numpy as np
+
+    pts = list(lat.ball_points(d, 9)) + [tuple([-7] + [5] * (d - 1))]
+    codes = lat.mode_codes(np.array(pts, dtype=np.int64))
+    assert sorted(pts, key=lat.mode_key) == [pts[i] for i in np.argsort(codes)]
+    assert len(set(codes.tolist())) == len(pts)
+    with pytest.raises(ValueError, match="overflow"):
+        lat.mode_codes(np.array([(2**31,) * d], dtype=np.int64))
