@@ -2,13 +2,13 @@
 
 Each experiment reads one YAML config (flags override file values),
 whose keys are the ExperimentConfig fields: every flag, type check and
-lower bound is generated from them.  It writes a CSV table with floats
-at 12 significant digits, a JSON manifest with the resolved config,
-library versions and timings, and a failures.json listing every
-violated invariant.  Identical configs produce byte-identical CSV files
-on one machine with one BLAS thread count; the manifest carries the
-wall-clock numbers and is the only output allowed to differ between
-reruns.
+lower bound is generated from them, and a number key must be finite.
+It writes a CSV table with floats at 12 significant digits, a JSON
+manifest with the resolved config, library versions and timings, and a
+failures.json listing every violated invariant.  Identical configs
+produce byte-identical CSV files on one machine with one BLAS thread
+count; the manifest carries the wall-clock numbers and is the only
+output allowed to differ between reruns.
 
 Sweep rows are independent jobs.  With --threads > 1 they are evaluated
 in a process pool and written back in row order, so the thread count
@@ -167,6 +167,8 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
         kind = _CONFIG_KINDS[key]
         if not _is_kind(value, kind):
             raise ConfigError(f"{key} must be {_KINDS[kind][2]}, not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
         if kind == "tuple":
             bad = [x for x in value if not _is_kind(x, "int")]
             if bad:

@@ -24,7 +24,10 @@ runs one pass per mode k over each block of that encoding and routes each
 move of rho_k to the parts asked for; the moves of each (vector, part)
 are registered once, by np.unique on their integer labels.  apply_rho,
 apply_rho_parts, apply_b, apply_b_dag and apply_d are its one-mode,
-one-vector case, and hamiltonian_matrix runs the same per-mode passes.
+one-vector case.  hamiltonian_matrix runs the same passes, one per +-k
+pair: on states of finitely many particles [rho_k, rho_k^dag] =
+sum_p (n_{p-k} - n_p) = 0, so rho_{-k}^dag rho_{-k} = rho_k^dag rho_k,
+and the pair's one product is added at both modes' places in mode order.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -291,7 +294,9 @@ def rho_parts(ks, r, vecs, parts):
         del labels
         heads, sums = _register(amps[rows[pick]] * sign[pick], head, inverse)
         # pick runs bucket by bucket, so its heads do too, as many as each has labels
-        cuts = np.searchsorted(distinct, np.arange(buckets + 1) * len(first)).tolist()
+        cuts = np.searchsorted(distinct, np.arange(buckets + 1) * len(first))
+        kept = np.flatnonzero(sums)  # exact zeros dropped here, not by _finish's copy
+        heads, sums, cuts = heads[kept], sums[kept], np.searchsorted(kept, cuts).tolist()
         out = [
             _finish(dict(zip(images[image[pick[heads[a:b]]]].tolist(), sums[a:b].tolist())))
             for a, b in zip(cuts, cuts[1:])
@@ -364,8 +369,9 @@ class PotentialError(ValueError):
 class Potential:
     """Finitely supported Fourier interaction data {k: vhat(k)}.
 
-    vhat must be even in k and nonnegative away from k = 0.  vhat(0) is the
-    integral of the potential; value_at_origin() is v(0) = sum_k vhat(k).
+    vhat must be finite, even in k and nonnegative away from k = 0.  vhat(0)
+    is the integral of the potential; value_at_origin() is v(0) = sum_k
+    vhat(k).
     """
 
     def __init__(self, d: int, coefficients):
@@ -378,10 +384,13 @@ class Potential:
                 continue
             vhat[k] = float(v)
         for k, v in sorted(vhat.items(), key=lambda kv: mode_key(kv[0])):
+            if not math.isfinite(v):
+                violations.append((k, f"non-finite coefficient {v}"))
+                continue
             mirror = vhat.get(neg(k))
             if mirror is None:
                 violations.append((k, "missing opposite mode -k"))
-            elif mirror != v:
+            elif mirror != v and math.isfinite(mirror):  # else -k is reported itself
                 violations.append((k, f"vhat(k)={v} != vhat(-k)={mirror}"))
             if v < 0 and any(k):
                 violations.append((k, f"negative coefficient {v} at k != 0"))
@@ -614,20 +623,34 @@ def hamiltonian_matrix(config, pot, basis):
     basis, X^dag H Y is exactly <X|H Y>.  The basis is encoded once, over
     the rank table of its modes and their shifts; A_k^dag A_k has integer
     entries, so it is exact in any summation order.
+
+    A_k maps onto every image, with no cutoff, so A_k^dag A_k is the
+    projection of rho_k^dag rho_k = rho_{-k}^dag rho_{-k} (see the module
+    docstring) and A_{-k}^dag A_{-k} is the same integer matrix; vhat is
+    even.  So one pass and one product serve each pair: the product of
+    the pair's first mode is held, unscaled, until its partner's turn,
+    and h gains lambda vhat(k) times it at each mode, in mode order, as a
+    loop over every mode would add them.
     """
     import scipy.sparse
 
     items = pot.nonzero_items()
-    _, norms, moves = _passes(basis, [k for k, _ in items], 0, np.ones(4, dtype=bool))
+    leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
+    _, norms, moves = _passes(basis, leads, 0, np.ones(4, dtype=bool))
     kinetic = TWO_PI_SQ * norms - kinetic_ground_sum(config)
     h = scipy.sparse.diags(e_n0(config, pot) + kinetic, format="csr")
     lam = coupling(config)
-    for (_, v), (*_, rows, slot, j, sign, words, src) in zip(items, moves):
-        distinct, image = np.unique(_keys(words), return_inverse=True)
-        a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
-        del rows, slot, j, sign, words, src, image  # not held through the product
-        h = h + (lam * v) * (a.T @ a)
-        del a  # not held through the next k's pass
+    held = {}  # A_k^T A_k of each lead k whose partner -k is still to come
+    for k, v in items:
+        product = held.pop(neg(k), None)
+        if product is None:
+            *_, rows, slot, j, sign, words, src = next(moves)
+            distinct, image = np.unique(_keys(words), return_inverse=True)
+            a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
+            del rows, slot, j, sign, words, src, image  # not held through the product
+            product = held[k] = a.T @ a
+            del a  # not held through the next pass
+        h = h + (lam * v) * product
     return h.tocsr()
 
 

@@ -519,6 +519,20 @@ def test_momentum_dimension_checked(tmp_path):
         ),
         ("exact", ["--radii", "1", "--solver-tol", "-1"], None, "solver_tol must be > 0"),
         ("exact", ["--radii", "1", "--solver-tol", "0"], None, "solver_tol must be > 0"),
+        ("exact", ["--radii", "1", "--solver-tol", "nan"], None, "solver_tol must be finite"),
+        ("exact", ["--radii", "1"], "solver_tol: .nan\n", "solver_tol must be finite"),
+        ("exact", ["--radii", "1"], "solver_tol: .inf\n", "solver_tol must be finite"),
+        ("bounds", ["--radii", "1", "--alpha", "nan"], None, "alpha must be finite"),
+        ("bounds", ["--radii", "1", "--alpha", "inf"], None, "alpha must be finite"),
+        ("bounds", ["--radii", "1"], "alpha: .nan\n", "alpha must be finite"),
+        ("bounds", ["--radii", "1"], "alpha: -.inf\n", "alpha must be finite"),
+        (
+            "h2-audit",
+            ["--radii", "1", "--cutoff-momentum", "inf"],
+            None,
+            "cutoff_momentum must be finite",
+        ),
+        ("h2-audit", ["--radii", "1"], "cutoff_momentum: .nan\n", "cutoff_momentum must be finite"),
         ("bounds", ["--radii", "3"], None, "radii [3] are not occupied squared radii"),
         ("bounds", ["--radii", "1", "--particles", "5"], None, "either radii or particles"),
         ("bounds", ["--particles", "6"], None, "n=6 is not a magic number"),
@@ -550,6 +564,15 @@ def test_momentum_dimension_checked(tmp_path):
         "cutoff-momentum-below-two-pi",
         "solver-tol-negative",
         "solver-tol-zero",
+        "solver-tol-nan",
+        "solver-tol-nan-yaml",
+        "solver-tol-inf-yaml",
+        "alpha-nan",
+        "alpha-inf",
+        "alpha-nan-yaml",
+        "alpha-minus-inf-yaml",
+        "cutoff-momentum-inf",
+        "cutoff-momentum-nan-yaml",
         "radii-not-occupied",
         "radii-and-particles",
         "particles-not-magic",
@@ -721,23 +744,32 @@ def test_validate_potential_roundtrip():
     assert pot.integral() == 0.0
 
 
+BAD_POTENTIALS = [
+    # two missing mirrors and one negative mode
+    ("1 0 1\n0 1 -2\n", ["missing opposite", "missing opposite", "negative"]),
+    # each non-finite entry once, with no asymmetry reported for it
+    ("1 0 inf\n-1 0 inf\n0 1 nan\n0 -1 nan\n1 1 1\n-1 -1 -inf\n", ["non-finite"] * 5),
+]
+
+
 def test_bad_potential_enumerated(tmp_path):
-    bad = tmp_path / "bad.potential"
-    bad.write_text("1 0 1\n0 1 -2\n")
-    out = tmp_path / "o"
-    assert (
-        run_cli(
-            "bounds", "--radii", "1", "--potential", str(bad), "--out", str(out)
+    for case, (text, reasons) in enumerate(BAD_POTENTIALS):
+        bad = tmp_path / f"bad{case}.potential"
+        bad.write_text(text)
+        out = tmp_path / f"o{case}"
+        assert (
+            run_cli(
+                "bounds", "--radii", "1", "--potential", str(bad), "--out", str(out)
+            )
+            == 1
         )
-        == 1
-    )
-    failures = read_json(out / "failures.json")
-    assert len(failures) == 3  # two missing mirrors and one negative mode
-    assert all(f["invariant"] == "potential.format" for f in failures)
-    details = " ".join(f["detail"] for f in failures)
-    assert "missing opposite" in details
-    assert "negative" in details
-    assert not (out / "bounds.csv").exists()
+        failures = read_json(out / "failures.json")
+        assert all(f["invariant"] == "potential.format" for f in failures)
+        details = [f["detail"] for f in failures]
+        assert len(details) == len(reasons)
+        assert sorted(r for d in details for r in set(reasons) if d.startswith(r)) == reasons
+        assert not any("vhat(k)=" in detail for detail in details)
+        assert not (out / "bounds.csv").exists()
 
 
 def test_missing_potential_file(tmp_path):

@@ -322,6 +322,22 @@ def test_potential_validation_lists_everything():
     assert (1, 0) in reasons and "vhat(k)" in reasons[(1, 0)]
     assert (0, 1) in reasons and "negative" in reasons[(0, 1)]
     assert (0, -1) in reasons
+    with pytest.raises(F.PotentialError) as err:
+        F.Potential(
+            2,
+            {
+                (1, 0): math.inf,
+                (-1, 0): math.inf,
+                (0, 1): math.nan,
+                (0, -1): math.nan,
+                (1, 1): 1.0,
+                (-1, -1): -math.inf,
+            },
+        )
+    reasons = dict(err.value.violations)
+    assert len(err.value.violations) == 5
+    assert sorted(reasons) == sorted([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)])
+    assert all(why.startswith("non-finite coefficient") for why in reasons.values())
 
 
 def test_potential_missing_mirror():
@@ -809,8 +825,76 @@ def test_operators_refuse_mixed_particle_numbers(small2):
         F.apply_b((1, 0), small2, vec)
 
 
+def _pass_product(basis, k):
+    """A_k^T A_k from one _passes move pass, A_k the rho_k matrix onto
+    every image the pass registers."""
+    _, _, moves = F._passes(basis, [k], 0, np.ones(4, dtype=bool))
+    [(*_, rows, _, _, sign, words, _)] = moves
+    distinct, image = np.unique(F._keys(words), return_inverse=True)
+    a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
+    return a.T @ a
+
+
+def _move_neighbours(d, pool_radius_sq, seed, shift_radius_sq=5):
+    """Two random determinants of the d-dimensional 1-ball particle number
+    over the modes |p|^2 <= pool_radius_sq, and every image of theirs under
+    rho_q for 0 < |q|^2 <= shift_radius_sq: a basis of many total momenta,
+    each holding determinants that share images under some rho_k."""
+    config = L.GasConfig(d=d, fermi_radius_sq=1, alpha=-1.0)
+    seeds = rvec(config, seed, n_dets=2, pool_radius_sq=pool_radius_sq)
+    basis = set(seeds.terms)
+    for q in L.ball_points(d, shift_radius_sq):
+        if any(q):
+            basis.update(F.apply_rho(q, seeds).terms)
+    return sorted(basis, key=lambda det: [L.mode_key(p) for p in det])
+
+
+@pytest.mark.parametrize("d, pool", [(2, 20), (3, 8)], ids=["d2", "d3"])
+def test_pass_products_of_opposite_modes_are_equal(d, pool):
+    """rho_{-k}^dag rho_{-k} = rho_k rho_k^dag = rho_k^dag rho_k on states of
+    finitely many particles, so A_{-k}^T A_{-k} and A_k^T A_k are one
+    integer matrix on any basis: hamiltonian_matrix builds it once per
+    pair.  Each basis spans many total momenta, and its rank table more
+    than 64 modes."""
+    for seed in range(2):
+        basis = _move_neighbours(d, pool, 60 + seed)
+        assert len({L.total_momentum(det, d) for det in basis}) > 20
+        for k in L.ball_points(d, 5):
+            if F.mode_key(k) < F.mode_key(L.neg(k)):
+                assert len(F._rank_table(basis, [k])[0]) > 64
+                plus, minus = _pass_product(basis, k), _pass_product(basis, L.neg(k))
+                assert plus.dtype.kind == minus.dtype.kind == "i"
+                assert plus.nnz > len(basis)  # not only the diagonal
+                plus, minus = plus.tocsr(), minus.tocsr()
+                plus.sort_indices()
+                minus.sort_indices()
+                _assert_same_csr(plus, minus)
+
+
+ANISOTROPIC = F.Potential(
+    2,
+    {
+        (1, 0): 1.0,
+        (-1, 0): 1.0,
+        (0, 1): 0.5,
+        (0, -1): 0.5,
+        (1, 1): 0.25,
+        (-1, -1): 0.25,
+        (1, -1): 2.0,
+        (-1, 1): 2.0,
+    },
+)
+
+
 def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit6):
-    for config, pot, cutoff in ((small2, unit4, 4), (small3, unit6, 2)):
+    cases = (
+        (small2, unit4, 4),
+        (small3, unit6, 2),
+        (small2, F.unit_potential(2, 2), 4),  # 8 modes in two shells
+        (small3, F.unit_potential(3, 2), 2),  # 18 modes in two shells
+        (small2, ANISOTROPIC, 4),  # one value per pair, so no pair stands in for another
+    )
+    for config, pot, cutoff in cases:
         basis = F.sector_basis(config, cutoff)
         got = F.hamiltonian_matrix(config, pot, basis)
         want = _ref_hamiltonian(config, pot, basis)

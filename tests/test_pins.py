@@ -61,6 +61,9 @@ PINS = {
         (),
     ),
     "trial_d2": (f"trial --radii 1,2,4,5,8,9,13,20 {P2} --threads 1", DATA + "trial_d2.csv", ()),
+    "trial_window4_d2": (
+        f"trial --radii 20 --window-degree 4 {P2} --threads 1", DATA + "trial_window4_d2.csv", ()
+    ),
     "h2_audit_deg2": (
         f"h2-audit --radii 1,2,4,5 --window-degree 2 --n-states 6 --seed 3 {P2} --threads 1",
         DATA + "h2_audit_deg2.csv",
