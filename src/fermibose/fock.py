@@ -27,7 +27,9 @@ apply_rho_parts, apply_b, apply_b_dag and apply_d are its one-mode,
 one-vector case.  hamiltonian_matrix runs the same passes, one per +-k
 pair: on states of finitely many particles [rho_k, rho_k^dag] =
 sum_p (n_{p-k} - n_p) = 0, so rho_{-k}^dag rho_{-k} = rho_k^dag rho_k,
-and the pair's one product is added at both modes' places in mode order.
+and the pair's one product serves both modes.  It sums every product
+into one value array over the union of their patterns, each entry in
+mode order, so the matrix keeps the bytes of a chain of sparse sums.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -627,31 +629,54 @@ def hamiltonian_matrix(config, pot, basis):
     A_k maps onto every image, with no cutoff, so A_k^dag A_k is the
     projection of rho_k^dag rho_k = rho_{-k}^dag rho_{-k} (see the module
     docstring) and A_{-k}^dag A_{-k} is the same integer matrix; vhat is
-    even.  So one pass and one product serve each pair: the product of
-    the pair's first mode is held, unscaled, until its partner's turn,
-    and h gains lambda vhat(k) times it at each mode, in mode order, as a
-    loop over every mode would add them.
+    even.  So one pass and one product serve each pair.
+
+    The sum is one float array over the union of the diagonal and every
+    product's pattern: it starts at e_n0 + :T: on the diagonal, then each
+    mode k, in mode order, adds lambda vhat(k) times its pair's product.
+    So each entry is the left-to-right sum ((d + s_1 P_1) + s_2 P_2) + ...
+    that a chain h = h + s_k P_k of sparse sums makes; such a chain drops
+    an entry that sums to an exact zero, but 0.0 + x == x, so one that
+    comes back gets the same value.  Exact zeros are dropped once, at the
+    end, and the CSR arrays are that chain's, byte for byte, in compact
+    int32-indexed buffers, without a new matrix per mode.
     """
     import scipy.sparse
 
     items = pot.nonzero_items()
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
     _, norms, moves = _passes(basis, leads, 0, np.ones(4, dtype=bool))
+    n = len(basis)
+    products = []  # A_k^T A_k of each lead, with sorted indices
+    for *_, rows, slot, j, sign, words, src in moves:
+        distinct, image = np.unique(_keys(words), return_inverse=True)
+        a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), n))
+        del distinct, rows, slot, j, sign, words, src, image  # not held through the product
+        products.append((a.T @ a).tocsr())
+        del a  # not held through the next pass
+    union = sum((p.astype(bool) for p in products), scipy.sparse.eye(n, dtype=bool, format="csr"))
+
+    def codes(m):  # row * n + column of each stored entry, in storage order
+        out = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr))
+        out += m.indices
+        return out
+
+    where = codes(union)  # ascending: the union is canonical
+    for i in range(len(products)):  # each product's values and their places in the union
+        products[i] = products[i].data, np.searchsorted(where, codes(products[i])).astype(np.int32)
+    vals = np.zeros(union.nnz)
     kinetic = TWO_PI_SQ * norms - kinetic_ground_sum(config)
-    h = scipy.sparse.diags(e_n0(config, pot) + kinetic, format="csr")
+    vals[np.searchsorted(where, np.arange(n) * (n + 1))] = e_n0(config, pot) + kinetic
+    del where
     lam = coupling(config)
-    held = {}  # A_k^T A_k of each lead k whose partner -k is still to come
+    pair = {q: i for i, k in enumerate(leads) for q in (k, neg(k))}
     for k, v in items:
-        product = held.pop(neg(k), None)
-        if product is None:
-            *_, rows, slot, j, sign, words, src = next(moves)
-            distinct, image = np.unique(_keys(words), return_inverse=True)
-            a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
-            del rows, slot, j, sign, words, src, image  # not held through the product
-            product = held[k] = a.T @ a
-            del a  # not held through the next pass
-        h = h + (lam * v) * product
-    return h.tocsr()
+        data, place = products[pair[k]]
+        np.add.at(vals, place, (lam * v) * data)
+    del products
+    h = scipy.sparse.csr_matrix((vals, union.indices, union.indptr), (n, n))
+    h.eliminate_zeros()
+    return h.copy()  # compact buffers
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -690,8 +715,8 @@ def ground_state(
     if dim < DENSE_LIMIT:
         import scipy.linalg
 
-        how = "dense"
-        w, u = scipy.linalg.eigh(h.toarray())
+        how = "dense"  # LAPACK's own column order: one n x n copy, overwritten in place
+        w, u = scipy.linalg.eigh(h.toarray(order="F"), overwrite_a=True)
     else:
         import scipy.sparse.linalg
 

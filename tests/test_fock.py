@@ -536,6 +536,24 @@ def test_momentum_codes_refuse_int64_overflow():
         F._momentum_combinations(modes, 1, (0,) * 8)
 
 
+@pytest.mark.parametrize("cutoff, dim", [(4, 51), (5, 457)], ids=["dim51", "dim457"])
+def test_dense_ground_state_matches_plain_eigh(small2, unit4, cutoff, dim):
+    """The in-place Fortran-order eigensolve gives the bytes of
+    scipy.linalg.eigh on the plain dense matrix."""
+    import scipy.linalg
+
+    got = F.ground_state(small2, unit4, cutoff_radius_sq=cutoff)
+    basis = F.sector_basis(small2, cutoff)
+    h = F.hamiltonian_matrix(small2, unit4, basis)
+    w, u = scipy.linalg.eigh(h.toarray())
+    vec = F._canonical_phase(u[:, 0])
+    assert (got.method, got.dimension) == ("dense", dim)
+    assert got.energy == float(w[0])
+    assert got.residual == float(np.linalg.norm(h @ vec - w[0] * vec))
+    want = {det: complex(x) for det, x in zip(basis, vec) if x != 0.0}
+    assert got.vector.terms == F.FermionVector(want).pruned().terms
+
+
 def test_ground_state_deterministic(small2, unit4):
     a = F.ground_state(small2, unit4, cutoff_radius_sq=4)
     b = F.ground_state(small2, unit4, cutoff_radius_sq=4)
@@ -637,9 +655,12 @@ def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
     return h.tocsr()
 
 
-def _assert_same_csr(got, want):
+def _assert_same_csr(got, want, dtype=np.float64):
     assert got.format == want.format == "csr"
     assert got.has_canonical_format and want.has_canonical_format
+    for m in (got, want):
+        assert m.indptr.dtype == m.indices.dtype == np.int32
+        assert m.data.dtype == dtype
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
@@ -868,7 +889,7 @@ def test_pass_products_of_opposite_modes_are_equal(d, pool):
                 plus, minus = plus.tocsr(), minus.tocsr()
                 plus.sort_indices()
                 minus.sort_indices()
-                _assert_same_csr(plus, minus)
+                _assert_same_csr(plus, minus, plus.dtype)
 
 
 ANISOTROPIC = F.Potential(
@@ -893,6 +914,9 @@ def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit
         (small2, F.unit_potential(2, 2), 4),  # 8 modes in two shells
         (small3, F.unit_potential(3, 2), 2),  # 18 modes in two shells
         (small2, ANISOTROPIC, 4),  # one value per pair, so no pair stands in for another
+        # lambda = sqrt(5) / 2: each entry's float sum depends on its order of terms
+        (L.GasConfig(d=2, fermi_radius_sq=1, alpha=-0.5), ANISOTROPIC, 4),
+        (small2, F.Potential(2, {}), 4),  # no interaction: the diagonal alone
     )
     for config, pot, cutoff in cases:
         basis = F.sector_basis(config, cutoff)
