@@ -14,7 +14,7 @@ windows reuse each other's work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
@@ -25,10 +25,8 @@ from . import boson, fock
 from .lattice import (
     GasConfig,
     TWO_PI,
-    TWO_PI_SQ,
     coupling,
     crescent,
-    kinetic_ground_sum,
     norm_sq,
     total_momentum,
 )
@@ -82,6 +80,14 @@ def _gram(p, q=None):
     return (p.conj().T @ (p if q is None else q)).real.toarray()
 
 
+def _max_by_degree(values):
+    """{degree: largest value} over (monomial, value) pairs, in monomial order."""
+    out = {}
+    for m, v in values:
+        out[len(m)] = max(out.get(len(m), 0.0), v)
+    return out
+
+
 # ------------------------------------------------------------ isometry audit
 
 
@@ -108,9 +114,7 @@ def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryRepor
     monos = window_monomials(window)
     _, p = frame([phi_monomial_image(config, m) for m in monos])
     eps = _gram(p) - np.diag([boson.monomial_norm_sq(m) for m in monos])
-    by_degree = {}  # monos ascend in degree, so the keys do too
-    for m, row_max in zip(monos, np.max(np.abs(eps), axis=1)):
-        by_degree[len(m)] = max(by_degree.get(len(m), 0.0), float(row_max))
+    by_degree = _max_by_degree(zip(monos, np.max(np.abs(eps), axis=1).tolist()))
     max_abs = max(by_degree.values())
     return IsometryReport(
         monomials=monos,
@@ -142,33 +146,37 @@ class IntertwineReport:
 
     annihilator_max is max over window monomials and window modes of
     ||(phi_k Phi - Phi e_k) mono|| / ||mono||; per_monomial holds each
-    monomial's max over the modes.  The creation direction is an operator
+    monomial's max over the modes and max_abs_by_degree each degree's
+    max over its monomials.  The creation direction is an operator
     identity, phi_k^dag Phi = Phi e_k^dag, so it has no residual to audit.
     """
 
     annihilator_max: float
-    per_monomial: dict = field(default_factory=dict)
+    per_monomial: dict
+    max_abs_by_degree: dict
 
 
 def intertwine_residual(window: TruncationWindow, config: GasConfig) -> IntertwineReport:
     """phi_k Phi(mono) against count(k) Phi(mono with one k removed) for
-    every window monomial and mode k, phi_k from one b_k pass that skips
-    the other moves of rho_k.  Both images are of window monomials, so
-    the audit builds no image outside the window."""
-    per = {}
-    for mono in window_monomials(window):
-        image = phi_monomial_image(config, mono)
-        worst = 0.0
-        for k in window.modes:
-            resid = apply_phi_annihilator(k, config, image)
+    every window monomial and mode k, from one encoding of the images and
+    one b_k pass over all of them per k, which skips the other moves of
+    rho_k.  Both images are of window monomials, so none outside is built."""
+    monos = window_monomials(window)
+    images = [phi_monomial_image(config, m) for m in monos]
+    _, modes = fock.rho_parts(window.modes, config.fermi_radius_sq, images, fock.PARTS[2:])
+    per = dict.fromkeys(monos, 0.0)
+    for k, parts in zip(window.modes, modes):
+        scale = _phi_scale(k, config)
+        for mono, [bk] in zip(monos, parts):
+            resid = scale * bk
             if k in mono:
-                # Phi e_k mono = count(k) Phi(mono with one k removed)
                 i = mono.index(k)
                 reduced = phi_monomial_image(config, mono[:i] + mono[i + 1 :])
                 resid = resid - mono.count(k) * reduced
-            worst = max(worst, resid.norm())
-        per[mono] = worst
-    return IntertwineReport(annihilator_max=max(per.values()), per_monomial=per)
+            per[mono] = max(per[mono], resid.norm())
+        del parts, bk, resid  # not held through the next mode's pass
+    by_degree = _max_by_degree(per.items())
+    return IntertwineReport(max(by_degree.values()), per, by_degree)
 
 
 # --------------------------------------------------------- remainder audit
@@ -203,7 +211,7 @@ def _mode_parts(config: GasConfig, pot, vecs, parts=fock.PARTS):
     items = pot.nonzero_items()
     ks = [k for k, _ in items]
     norms, modes = fock.rho_parts(ks, config.fermi_radius_sq, vecs, parts)
-    excess = TWO_PI_SQ * norms - kinetic_ground_sum(config)
+    excess = fock.kinetic_excess(config, norms)
     cuts = np.cumsum([len(vec) for vec in vecs])[:-1]
     excess = [e.tolist() for e in np.split(excess, cuts)]
     lam = coupling(config)
@@ -212,12 +220,6 @@ def _mode_parts(config: GasConfig, pot, vecs, parts=fock.PARTS):
         return lam * v, [(dk, b_dag + b, *rest) for dk, b_dag, b, *rest in out]
 
     return excess, map(joined, (v for _, v in items), modes)
-
-
-def _d_terms(g, dk: FermionVector, x2: FermionVector) -> float:
-    """The d_k terms of <psi|H2 psi> at one mode with weight g:
-    g (2 Re<x2|d_k psi> + ||d_k psi||^2)."""
-    return g * (2.0 * x2.inner(dk).real + dk.norm_sq())
 
 
 # (config, potential d, potential items, monomial a, monomial b) -> the three
@@ -371,7 +373,8 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
     kin = _kinetic_sum(psi, excess) / nsq
     inter = h1_part = rho_sum = 0.0
     for g, [(dk, x2, rho)] in modes:
-        inter += _d_terms(g, dk, x2)
+        # the d_k terms of <psi|H2 psi>: g (2 Re<x2|d_k psi> + ||d_k psi||^2)
+        inter += g * (2.0 * x2.inner(dk).real + dk.norm_sq())
         h1_part += g * x2.norm_sq()
         rho_sum += g * rho.norm_sq()
         del dk, x2, rho  # not held through the next mode's pass

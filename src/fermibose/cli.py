@@ -337,13 +337,9 @@ def _intertwine_row(cfg, pot, r, state):
     config = cfg.gas(r)
     window = cfg.window()
     report = bridge.intertwine_residual(window, config)
-    by_degree = {}
-    for mono, val in report.per_monomial.items():
-        deg = len(mono)
-        by_degree[deg] = max(by_degree.get(deg, 0.0), val)
     row = _gas(config) | {"annihilator_max": report.annihilator_max}
     for deg in range(window.max_degree + 1):
-        row[f"res_deg_{deg}"] = by_degree.get(deg, 0.0)
+        row[f"res_deg_{deg}"] = report.max_abs_by_degree.get(deg, 0.0)
     return [row], []
 
 

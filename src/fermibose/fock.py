@@ -342,9 +342,10 @@ def apply_d(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     return _apply(k, config.fermi_radius_sq, vec, PARTS[:1])[0]
 
 
-def kinetic_excess(config: GasConfig, det) -> float:
-    """Eigenvalue of the normal-ordered kinetic energy on a determinant."""
-    return TWO_PI_SQ * sum(norm_sq(p) for p in det) - kinetic_ground_sum(config)
+def kinetic_excess(config: GasConfig, sq):
+    """Eigenvalue of the normal-ordered kinetic energy on a determinant
+    whose |p|^2 sum is sq; on an integer array of sums, one per entry."""
+    return TWO_PI_SQ * sq - kinetic_ground_sum(config)
 
 
 def apply_normal_t(config: GasConfig, vec: FermionVector, excess=None) -> FermionVector:
@@ -352,7 +353,7 @@ def apply_normal_t(config: GasConfig, vec: FermionVector, excess=None) -> Fermio
     determinants in order, as a caller that has encoded vec reads it off
     rho_parts' norms."""
     if excess is None:
-        excess = [kinetic_excess(config, det) for det in vec.terms]
+        excess = [kinetic_excess(config, sum(map(norm_sq, det))) for det in vec.terms]
     return _finish({det: amp * e for (det, amp), e in zip(vec.terms.items(), excess)})
 
 
@@ -665,7 +666,7 @@ def hamiltonian_matrix(config, pot, basis):
     for i in range(len(products)):  # each product's values and their places in the union
         products[i] = products[i].data, np.searchsorted(where, codes(products[i])).astype(np.int32)
     vals = np.zeros(union.nnz)
-    kinetic = TWO_PI_SQ * norms - kinetic_ground_sum(config)
+    kinetic = kinetic_excess(config, norms)
     vals[np.searchsorted(where, np.arange(n) * (n + 1))] = e_n0(config, pot) + kinetic
     del where
     lam = coupling(config)

@@ -129,6 +129,8 @@ class GasConfig:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.fermi_radius_sq < 0:
             raise ValueError("fermi_radius_sq must be >= 0")
         if not is_occupied_radius(self.d, self.fermi_radius_sq):

@@ -70,10 +70,7 @@ class SparseVector:
         return type(self)(out).pruned()
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            out[key] = out.get(key, 0j) - v
-        return type(self)(out).pruned()
+        return self + -other
 
     def __mul__(self, c):
         c = complex(c)

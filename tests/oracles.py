@@ -272,7 +272,8 @@ def h2_quadratic_parts(config: GasConfig, pot: Potential, psi: FermionVector):
     if nsq == 0.0:
         raise ValueError("empty state")
     kin = sum(
-        abs(a) ** 2 * kinetic_excess(config, det) for det, a in psi.terms.items()
+        abs(a) ** 2 * kinetic_excess(config, sum(map(norm_sq, det)))
+        for det, a in psi.terms.items()
     )
     lam = coupling(config)
     inter = 0.0

@@ -173,26 +173,55 @@ def _ref_intertwine(window, config):
     return per, max(per.values())
 
 
-@pytest.mark.parametrize("d", [2, 3], ids=["d2", "d3"])
-def test_intertwine_report(d):
-    window = B.TruncationWindow.from_radius(d, 1, 2)
-    config = L.GasConfig(d=d, fermi_radius_sq=1, alpha=-1.0)
+@pytest.mark.parametrize(
+    "d, r, degree, rows",
+    [
+        (2, 1, 2, F._ROWS),
+        (3, 1, 2, F._ROWS),
+        # 3059 determinants over a 73-mode table: two-word keys, 12 blocks
+        (2, 9, 3, 256),
+        # 1390 determinants over a 123-mode table, 6 blocks
+        (3, 2, 2, 256),
+    ],
+    ids=["d2", "d3", "d2_r9_deg3", "d3_r2"],
+)
+def test_intertwine_report(d, r, degree, rows, monkeypatch):
+    window = B.TruncationWindow.from_radius(d, 1, degree)
+    config = L.GasConfig(d=d, fermi_radius_sq=r, alpha=-1.0)
+    monos = B.window_monomials(window)
     BR.phi_monomial_image.cache_clear()
+    for mono in monos:  # built first, so the counts below are the audit's own
+        BR.phi_monomial_image(config, mono)
+    calls = []
+
+    def counted(name):
+        real = getattr(F, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("rho_parts", "apply_b"):
+        monkeypatch.setattr(F, name, counted(name))
+    monkeypatch.setattr(F, "_ROWS", rows)
     report = BR.intertwine_residual(window, config)
+    monkeypatch.undo()
+    assert calls == ["rho_parts"]  # one encoding of all images, no one-vector b_k
     # one cached image per window monomial: the audit builds none outside
-    cached = BR.phi_monomial_image.cache_info().currsize
-    assert cached == len(B.window_monomials(window))
+    assert BR.phi_monomial_image.cache_info().currsize == len(monos)
     per, ann_max = _ref_intertwine(window, config)
     assert report.per_monomial == per
     assert report.annihilator_max == ann_max
+    by_degree = {}
+    for mono, val in per.items():
+        by_degree[len(mono)] = max(by_degree.get(len(mono), 0.0), val)
+    assert report.max_abs_by_degree == by_degree
     assert report.per_monomial[()] == 0.0
-    # the worst residual comes from annihilating the doubled mode
-    k1 = (1,) + (0,) * (d - 1)
-    assert report.annihilator_max == pytest.approx(
-        report.per_monomial[(k1, k1)], rel=1e-12
-    )
-    want = 2.0 / min(len(L.crescent(k, config)) for k in window.modes)
-    assert report.annihilator_max == pytest.approx(want, rel=1e-12)
+    if degree == 2:
+        # the worst residual comes from annihilating the doubled mode
+        k1 = (1,) + (0,) * (d - 1)
+        assert report.annihilator_max == pytest.approx(
+            report.per_monomial[(k1, k1)], rel=1e-12
+        )
+        want = 2.0 / min(len(L.crescent(k, config)) for k in window.modes)
+        assert report.annihilator_max == pytest.approx(want, rel=1e-12)
 
 
 def test_intertwine_residual_shrinks_with_crescents():
@@ -509,7 +538,7 @@ def _ref_subspace_values(window, config, pot, pivot_tol=1e-10):
                 g = images[i].inner(images[j]).real
                 t = sum(
                     (a.conjugate() * images[j].terms[det]).real
-                    * F.kinetic_excess(config, det)
+                    * F.kinetic_excess(config, sum(map(L.norm_sq, det)))
                     for det, a in images[i].terms.items()
                     if det in images[j].terms
                 )

@@ -637,7 +637,7 @@ def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
     diag = np.empty(dim)
     e0 = F.e_n0(config, pot)
     for det, i in index.items():
-        diag[i] = e0 + F.kinetic_excess(config, det)
+        diag[i] = e0 + F.kinetic_excess(config, sum(map(L.norm_sq, det)))
     h = scipy.sparse.diags(diag, format="csr")
     lam = L.coupling(config)
     for k, v in pot.nonzero_items():

@@ -104,6 +104,9 @@ def test_gas_config_validation():
         lat.GasConfig(d=2, fermi_radius_sq=3)  # 3 is not a sum of two squares
     with pytest.raises(ValueError):
         lat.GasConfig(d=2, fermi_radius_sq=-1)
+    for alpha in (math.nan, math.inf, -math.inf):  # else nan bounds or a zero coupling
+        with pytest.raises(ValueError, match="alpha"):
+            lat.GasConfig(d=2, fermi_radius_sq=1, alpha=alpha)
     cfg = lat.GasConfig(d=2, fermi_radius_sq=4, alpha=-1.0)
     assert cfg.fermi_momentum == pytest.approx(2 * lat.TWO_PI)
 
