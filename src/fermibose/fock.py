@@ -18,18 +18,24 @@ rho_k lowers the total momentum of a determinant by k.  The quasi-bosonic
 pieces b_k, b_k^dag, d_k are the restrictions of rho_k to moves across,
 respectively not across, the Fermi surface; rho_k = b_k + b_{-k}^dag + d_k
 for k != 0.  Every operator here and hamiltonian_matrix take their moves
-from one bitmask pass, _move_pass.  rho_parts encodes a set of vectors
-once, as packed words over one rank table of their modes and shifts, then
-runs one pass per mode k over each block of that encoding and routes each
-move of rho_k to the parts asked for; the moves of each (vector, part)
-are registered once, by np.unique on their integer labels.  apply_rho,
-apply_rho_parts, apply_b, apply_b_dag and apply_d are its one-mode,
-one-vector case.  hamiltonian_matrix runs the same passes, one per +-k
-pair: on states of finitely many particles [rho_k, rho_k^dag] =
-sum_p (n_{p-k} - n_p) = 0, so rho_{-k}^dag rho_{-k} = rho_k^dag rho_k,
-and the pair's one product serves both modes.  It sums every product
-into one value array over the union of their patterns, each entry in
-mode order, so the matrix keeps the bytes of a chain of sparse sums.
+from one bitmask pass, _move_pass, and their image labels from one
+registration per pass.  A move carries its image's 64-bit code, not its
+words: the image word itself over at most 64 ranks, else the XOR of one
+fixed Zobrist key per rank.  np.unique sorts the codes as integers, and
+a move that shares a code with an earlier one must have its image, word
+for word, or the pass raises, so no two images are ever merged.
+rho_parts encodes a set of vectors once, as packed words and codes over
+one rank table of their modes and shifts, then runs one pass per mode k
+over each block of that encoding and routes each move of rho_k to the
+parts asked for; the moves of each (vector, part) are registered once,
+by np.unique on their integer labels.  apply_rho, apply_rho_parts,
+apply_b, apply_b_dag and apply_d are its one-mode, one-vector case.
+hamiltonian_matrix runs the same passes, one per +-k pair: on states
+of finitely many particles [rho_k, rho_k^dag] = sum_p (n_{p-k} - n_p)
+= 0, so rho_{-k}^dag rho_{-k} = rho_k^dag rho_k, and the pair's one
+product serves both modes.  It sums every product into one value array
+over the union of their patterns, each entry in mode order, so the
+matrix keeps the bytes of a chain of sparse sums.
 
 scipy is imported only inside the functions that build or solve a matrix,
 so the operator applications load none of it.
@@ -100,8 +106,8 @@ _finish = FermionVector.finish
 #
 # A determinant is a bitmask: bit i of word w is rank 64 w + i of a table of
 # modes in mode order, so bit order is sign order.  A set of determinants
-# is encoded once, as packed words, and each pass unpacks one block of
-# _ROWS rows of them.
+# is encoded once, as packed words and one code each, the XOR of its
+# ranks' keys, and each pass unpacks one block of _ROWS rows of them.
 
 
 def _rank_table(dets, shifts):
@@ -129,11 +135,29 @@ def _rank_table(dets, shifts):
     return list(map(tuple, table.tolist())), rank, (table * table).sum(axis=1), dsts, np.sort(held)
 
 
-def _encode(dets, rank, nsq):
-    """(bits, norms) of dets over the table of rank, _ROWS rows at a time:
-    bits[row] packs the row's ranks into little-endian words and norms[row]
-    sums nsq over them."""
+def _zobrist(n):
+    """The first n outputs of splitmix64 seeded with 0: one fixed 64-bit key
+    per rank, the same in every process."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _rank_keys(n):
+    """The key of each of n ranks: its own bit while they fit in one word, so
+    that a determinant's code is its word, else a Zobrist key."""
+    if n <= 64:
+        return np.uint64(1) << np.arange(n, dtype=np.uint64)
+    return _zobrist(n)
+
+
+def _encode(dets, rank, nsq, keys):
+    """(bits, codes, norms) of dets over the table of rank, _ROWS rows at a
+    time: bits[row] packs the row's ranks into little-endian words,
+    codes[row] XORs their keys and norms[row] sums nsq over them."""
     bits = np.zeros((len(dets), (len(nsq) + 63) // 64), dtype="<u8")
+    codes = np.zeros(len(dets), dtype=np.uint64)
     norms = np.zeros(len(dets), dtype=np.int64)
     for start in range(0, len(dets), _ROWS):
         block = dets[start : start + _ROWS]
@@ -143,21 +167,24 @@ def _encode(dets, rank, nsq):
         occupied[np.arange(len(block))[:, None], ranks] = True
         packed = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
         bits[start : start + len(block)] = packed
+        codes[start : start + len(block)] = np.bitwise_xor.reduce(keys[ranks], axis=1)
         norms[start : start + len(block)] = nsq[ranks].sum(axis=1)
-    return bits, norms
+    return bits, codes, norms
 
 
-def _move_pass(bits, sources, targets):
-    """(rows, slot, j, sign, words, src) of every free move of the packed
-    determinants bits from a rank of sources, ascending, to the same entry
-    of targets, in (row, slot) order; words[m] holds the image's words.  A
-    row's ranks ascend with its slots, so a source's slot is the count of
+def _move_pass(bits, codes, keys, sources, targets):
+    """(rows, slot, j, sign, code, src) of every free move of the packed
+    determinants bits, whose codes are codes, from a rank of sources,
+    ascending, to the same entry of targets, in (row, slot) order.  The
+    image's code is the row's with the keys of the source and the target
+    toggled: 8 bytes a move, the image's word itself on a one-word table.
+    A row's ranks ascend with its slots, so a source's slot is the count of
     occupied ranks below it, and j, the target's slot in the determinant
     without the source, is the count below the target, less one if it lies
     above the source.  A move from slot i has sign (-1)^(i+j); no other
     code computes it.  A target that is its own source counts as free:
     rho_0 keeps each determinant with sign +1, as then j = i and the two
-    XORs cancel.
+    toggles cancel.
     """
     one, width = np.uint64(1), bits.shape[1]
     occupied = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").view(bool)
@@ -171,45 +198,58 @@ def _move_pass(bits, sources, targets):
     src, to = sources[at], targets[at]
     row_word = rows * width  # each move's row in the flat words
 
-    def count_below(rank):  # (flat word, bit, occupied ranks of the row below rank)
+    def count_below(rank):  # occupied ranks of the row below rank
         word, bit = row_word + (rank >> 6), one << (rank & 63).astype(np.uint64)
-        below_word = np.bitwise_count(bits.reshape(-1)[word] & (bit - one))
-        return word, bit, below.reshape(-1)[word] + below_word
+        return below.reshape(-1)[word] + np.bitwise_count(bits.reshape(-1)[word] & (bit - one))
 
-    src_word, src_bit, slot = count_below(src)
-    word, bit, j = count_below(to)
-    j -= to > src
+    slot = count_below(src)
+    j = count_below(to) - (to > src)
     sign = 1 - 2 * ((slot + j) & 1)
-    words = bits[rows]
-    shift = np.arange(len(rows)) * width - row_word  # from the rows' words to the copies'
-    words.reshape(-1)[src_word + shift] ^= src_bit
-    words.reshape(-1)[word + shift] ^= bit
-    return rows, slot, j, sign, words, src
+    return rows, slot, j, sign, codes[rows] ^ keys[src] ^ keys[to], src
 
 
 _ROWS = 2048  # determinants per move pass: a large set goes in blocks
+_CHUNK = 1 << 16  # moves per collision check, entries per place lookup
 
 
-def _keys(words):
-    """One sortable, hashable key per row of image words."""
-    if words.shape[1] > 1:
-        words = words.view(f"V{8 * words.shape[1]}")
-    return words.ravel()
+def _check_codes(bits, rows, src, dst, first, image):
+    """Raise unless each move's image is that of the first move with its
+    code, first[image[m]]: the XOR of the two rows' words and the four
+    toggled bits, src and dst[src] of each move, must be zero.  Only moves
+    after their code's first are read, in blocks of _CHUNK moves."""
+    one = np.uint64(1)
+    for start in range(0, len(rows), _CHUNK):
+        later = np.arange(start, min(start + _CHUNK, len(rows)))
+        head = first[image[later]]
+        shared = head != later
+        later, head = later[shared], head[shared]
+        diff = bits[rows[later]] ^ bits[rows[head]]
+        at = np.arange(len(later))
+        for rank in (src[later], dst[src[later]], src[head], dst[src[head]]):
+            diff[at, rank >> 6] ^= one << (rank & 63).astype(np.uint64)
+        if diff.any():
+            raise RuntimeError("two different images share a 64-bit code")
 
 
 def _passes(dets, shifts, r, sides):
     """(table, norms, moves) of dets, all of one particle number: their rank
     table, each det's sum of |p|^2, and an iterator that yields, for each
-    shift k in turn, (dst, side, rows, slot, j, sign, words, src): the
-    shift's targets and the side of each rank, 2 (p inside) + (p - k
+    shift k in turn, (dst, side, rows, slot, j, sign, src, first, image):
+    the shift's targets and the side of each rank, 2 (p inside) + (p - k
     inside) the ball |p|^2 <= r, then every move p -> p - k whose side is
-    flagged in sides.  The dets are encoded once, and what persists
-    across shifts is their packed words and norms; each shift runs one
-    _move_pass per block of _ROWS rows, trying as sources only the held
-    ranks on a flagged side, and its moves are dropped with the value the
+    flagged in sides, each labelled by its image: the images are numbered
+    in the order of their first moves, first[i] is the first move onto
+    image i and image[m] the number of move m's.  The dets are encoded
+    once, and what persists across shifts is their packed words, codes
+    and norms; each shift runs one _move_pass per block of _ROWS rows,
+    trying as sources only the held ranks on a flagged side, then
+    registers its images once, by np.unique over their codes.  Over more
+    than 64 ranks a code is a hash, so _check_codes first proves that no
+    two images share one.  A shift's moves are dropped with the value the
     caller makes of them."""
     table, rank, nsq, dsts, held = _rank_table(dets, shifts)
-    bits, norms = _encode(dets, rank, nsq)
+    keys = _rank_keys(len(table))
+    bits, codes, norms = _encode(dets, rank, nsq, keys)
     inside = (nsq <= r).astype(np.int8)
 
     def moves(dst):
@@ -218,10 +258,22 @@ def _passes(dets, shifts, r, sides):
         targets = dst[sources]
         blocks = []
         for start in range(0, len(bits) or 1, _ROWS):  # one empty block if no rows
-            block = bits[start : start + _ROWS]
-            rows, *rest = _move_pass(block, sources, targets)
+            end = start + _ROWS
+            rows, *rest = _move_pass(bits[start:end], codes[start:end], keys, sources, targets)
             blocks.append(((rows + start).astype(np.int32), *rest))
-        return dst, side, *map(np.concatenate, zip(*blocks))
+        rows, slot, j, sign, code, src = map(np.concatenate, zip(*blocks))
+        del blocks  # not held through the registration
+        distinct, image = np.unique(code, return_inverse=True)
+        del code
+        first = np.full(len(distinct), len(rows))  # each image's first move
+        np.minimum.at(first, image, np.arange(len(rows)))
+        order = np.argsort(first)  # number images by first move: callers read rows in order
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
+        first, image = first[order], number[image]
+        if len(table) > 64:
+            _check_codes(bits, rows, src, dst, first, image)
+        return dst, side, rows, slot, j, sign, src, first, image
 
     return table, norms, map(moves, dsts)
 
@@ -270,8 +322,9 @@ def rho_parts(ks, r, vecs, parts):
     yields, for each k in turn, one tuple per vector of its parts: part i
     takes the moves of rho_k whose side (see PARTS) lies in parts[i], the
     inside of the Fermi ball being |p|^2 <= r; a move in no part is never
-    built.  Each image is rebuilt once per k, and each (vector, part) sums
-    its own moves, in first-move order, as a move-by-move loop would.
+    built.  Each image is rebuilt once per k, from the first move of the
+    label the pass gives it, and each (vector, part) sums its own moves,
+    in first-move order, as a move-by-move loop would.
     """
     vecs = list(vecs)
     dets = [det for vec in vecs for det in vec.terms]
@@ -286,8 +339,7 @@ def rho_parts(ks, r, vecs, parts):
     buckets = len(parts) * len(vecs)  # part i of vector v is bucket i * len(vecs) + v
 
     def split(moves):
-        dst, side, rows, slot, j, sign, words, src = moves
-        _, first, image = np.unique(_keys(words), return_index=True, return_inverse=True)
+        dst, side, rows, slot, j, sign, src, first, image = moves
         images = _decode(rows[first], slot[first], j[first], dst[src[first]], dets, table)
         part, pick = np.nonzero(member[:, side[src]])  # part by part, each part a move is in
         labels = (part * len(vecs) + owner[rows[pick]]) * len(first) + image[pick]
@@ -639,8 +691,15 @@ def hamiltonian_matrix(config, pot, basis):
     that a chain h = h + s_k P_k of sparse sums makes; such a chain drops
     an entry that sums to an exact zero, but 0.0 + x == x, so one that
     comes back gets the same value.  Exact zeros are dropped once, at the
-    end, and the CSR arrays are that chain's, byte for byte, in compact
-    int32-indexed buffers, without a new matrix per mode.
+    end and in place, and the CSR arrays are that chain's, byte for byte,
+    with int32 indices, without a new matrix per mode.
+
+    Memory beyond the products and the matrix stays bounded: the moves
+    carry 8-byte image codes; each product's entries find their places in
+    the union in chunks of _CHUNK, by int32 row * n + column codes when
+    n * n < 2**31, and its pattern goes as soon as they have; the
+    diagonal's places are found before the value array exists, and each
+    mode's values are added _CHUNK at a time.
     """
     import scipy.sparse
 
@@ -648,36 +707,46 @@ def hamiltonian_matrix(config, pot, basis):
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
     _, norms, moves = _passes(basis, leads, 0, np.ones(4, dtype=bool))
     n = len(basis)
-    products = []  # A_k^T A_k of each lead, with sorted indices
-    for *_, rows, slot, j, sign, words, src in moves:
-        distinct, image = np.unique(_keys(words), return_inverse=True)
-        a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), n))
-        del distinct, rows, slot, j, sign, words, src, image  # not held through the product
+    products = []  # A_k^T A_k of each lead
+    for *_, rows, slot, j, sign, src, first, image in moves:
+        a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(first), n))
+        del rows, slot, j, sign, src, first, image  # not held through the product
         products.append((a.T @ a).tocsr())
         del a  # not held through the next pass
     union = sum((p.astype(bool) for p in products), scipy.sparse.eye(n, dtype=bool, format="csr"))
+    small = np.int32 if n * n < 2**31 else np.int64  # holds every row * n + column
 
-    def codes(m):  # row * n + column of each stored entry, in storage order
-        out = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr))
-        out += m.indices
+    def codes(m, a, b):  # row * n + column of each stored entry of rows a..b-1
+        out = np.repeat(np.arange(a, b, dtype=small) * small(n), np.diff(m.indptr[a : b + 1]))
+        out += m.indices[m.indptr[a] : m.indptr[b]]
         return out
 
-    where = codes(union)  # ascending: the union is canonical
-    for i in range(len(products)):  # each product's values and their places in the union
-        products[i] = products[i].data, np.searchsorted(where, codes(products[i])).astype(np.int32)
-    vals = np.zeros(union.nnz)
-    kinetic = kinetic_excess(config, norms)
-    vals[np.searchsorted(where, np.arange(n) * (n + 1))] = e_n0(config, pot) + kinetic
+    where = codes(union, 0, n)  # ascending: the union is canonical
+
+    def places(m):  # the place in the union of each stored entry of m
+        out = np.empty(m.nnz, dtype=np.int32)
+        cuts = np.searchsorted(m.indptr, np.arange(0, m.nnz, _CHUNK), side="right") - 1
+        for a, b in zip(cuts, [*cuts[1:], n]):  # rows a..b-1: about _CHUNK entries
+            out[m.indptr[a] : m.indptr[b]] = np.searchsorted(where, codes(m, a, b))
+        return out
+
+    for i in range(len(products)):  # each product's values and places: its pattern goes
+        products[i] = products[i].data, places(products[i])
+    diagonal = np.searchsorted(where, np.arange(n, dtype=small) * small(n + 1))
     del where
+    vals = np.zeros(union.nnz)
+    vals[diagonal] = e_n0(config, pot) + kinetic_excess(config, norms)
+    del diagonal
     lam = coupling(config)
     pair = {q: i for i, k in enumerate(leads) for q in (k, neg(k))}
     for k, v in items:
         data, place = products[pair[k]]
-        np.add.at(vals, place, (lam * v) * data)
+        for a in range(0, len(data), _CHUNK):
+            np.add.at(vals, place[a : a + _CHUNK], (lam * v) * data[a : a + _CHUNK])
     del products
     h = scipy.sparse.csr_matrix((vals, union.indices, union.indptr), (n, n))
-    h.eliminate_zeros()
-    return h.copy()  # compact buffers
+    h.eliminate_zeros()  # in place: the arrays keep their buffers
+    return h
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -848,11 +849,10 @@ def test_operators_refuse_mixed_particle_numbers(small2):
 
 def _pass_product(basis, k):
     """A_k^T A_k from one _passes move pass, A_k the rho_k matrix onto
-    every image the pass registers."""
+    every image the pass registers, by the image labels it gives."""
     _, _, moves = F._passes(basis, [k], 0, np.ones(4, dtype=bool))
-    [(*_, rows, _, _, sign, words, _)] = moves
-    distinct, image = np.unique(F._keys(words), return_inverse=True)
-    a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(distinct), len(basis)))
+    [(*_, rows, _, _, sign, _, first, image)] = moves
+    a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(first), len(basis)))
     return a.T @ a
 
 
@@ -890,6 +890,66 @@ def test_pass_products_of_opposite_modes_are_equal(d, pool):
                 plus.sort_indices()
                 minus.sort_indices()
                 _assert_same_csr(plus, minus, plus.dtype)
+
+
+def test_rank_keys_are_fixed():
+    """A rank's key is its own bit while the table fits in one word, so a
+    code is the image's word; over more ranks the keys are the outputs of
+    splitmix64 seeded with 0, the same in every process."""
+    assert F._rank_keys(64).tolist() == [1 << i for i in range(64)]
+    wide = F._rank_keys(65)
+    assert wide[:4].tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC
+    ]
+    assert len(set(F._rank_keys(5000).tolist())) == 5000
+
+
+def _swapped_images(basis, k):
+    """(a, b): two modes such that two rho_k images of basis differ only by
+    holding a in place of b."""
+    seen = {}
+    for det in basis:
+        for p in det:
+            if L.sub(p, k) not in det:
+                image = set(det) - {p} | {L.sub(p, k)}
+                for q in image:
+                    other = seen.setdefault(frozenset(image - {q}), q)
+                    if other != q:
+                        return other, q
+    raise AssertionError("no two images differ by one mode")
+
+
+def test_code_collisions_raise(small2, unit4, monkeypatch):
+    """Two ranks given one key make two different images of a rho_k pass
+    share a code over a table of more than 64 ranks: hamiltonian_matrix
+    and rho_parts raise rather than merge them.  Over one word the code is
+    the image's word and no key is read, so a sector's assembly keeps
+    every CSR byte under that patch and under one that gives every rank
+    the same key."""
+    basis = _move_neighbours(2, 20, 60)
+    k = min((q for q in L.ball_points(2, 1) if any(q)), key=L.mode_key)  # leads its pair
+    table = F._rank_table(basis, [k])[0]
+    assert len(table) > 64
+    a, b = map(table.index, _swapped_images(basis, k))
+    zobrist = F._zobrist
+
+    def shared(n):
+        keys = zobrist(n)
+        keys[b] = keys[a]
+        return keys
+
+    sector = F.sector_basis(small2, 4)
+    assert len(F._rank_table(sector, [p for p, _ in unit4.nonzero_items()])[0]) <= 64
+    want = F.hamiltonian_matrix(small2, unit4, sector)
+    vec = F.FermionVector(dict.fromkeys(basis, 1.0 + 0j))
+    monkeypatch.setattr(F, "_zobrist", shared)
+    with pytest.raises(RuntimeError, match="share a 64-bit code"):
+        F.hamiltonian_matrix(small2, F.Potential(2, {k: 1.0, L.neg(k): 1.0}), basis)
+    with pytest.raises(RuntimeError, match="share a 64-bit code"):
+        list(F.rho_parts([k], 0, [vec], F.RHO)[1])
+    _assert_same_csr(F.hamiltonian_matrix(small2, unit4, sector), want)
+    monkeypatch.setattr(F, "_zobrist", lambda n: np.zeros(n, dtype=np.uint64))
+    _assert_same_csr(F.hamiltonian_matrix(small2, unit4, sector), want)
 
 
 ANISOTROPIC = F.Potential(
@@ -980,6 +1040,27 @@ def test_union_hamiltonian_is_block_diagonal(d, r):
         start, end = end, end + len(blocks[momentum])
         want = F.hamiltonian_matrix(config, pot, blocks[momentum])
         _assert_same_csr(got[start:end, start:end], want)
+
+
+def test_hamiltonian_assembly_memory_is_bounded(unit4):
+    """The tracemalloc peak of one assembly on the d = 2, r = 100
+    unit-window degree-2 frame (3515 determinants, 135,047 entries) stays
+    under 14 MB: each move carries an 8-byte image code, not the image's
+    words, and the places of the products' entries are found in bounded
+    chunks.  Words per move and one place lookup over every entry at once
+    peaked at 20.9 MB on this frame."""
+    config = L.GasConfig(d=2, fermi_radius_sq=100, alpha=-1.0)
+    monos = B.window_monomials(B.TruncationWindow.from_radius(2, 1, 2))
+    basis = frame([BR.phi_monomial_image(config, m) for m in monos])[0]
+    assert len(basis) == 3515
+    tracemalloc.start()
+    try:
+        h = F.hamiltonian_matrix(config, unit4, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.nnz == 135_047
+    assert peak < 14e6
 
 
 WIDE_POOLS = {2: L.ball_points(2, 72), 3: L.ball_points(3, 16)}
