@@ -21,14 +21,15 @@ for k != 0.  Every operator here and hamiltonian_matrix take their moves
 from one bitmask pass, _move_pass, and their image labels from one
 registration per pass.  A move carries its image's 64-bit code, not its
 words: the image word itself over at most 64 ranks, else the XOR of one
-fixed Zobrist key per rank.  np.unique sorts the codes as integers, and
-a move that shares a code with an earlier one must have its image, word
-for word, or the pass raises, so no two images are ever merged.
-rho_parts encodes a set of vectors once, as packed words and codes over
-one rank table of their modes and shifts, then runs one pass per mode k
-over each block of that encoding and routes each move of rho_k to the
-parts asked for; the moves of each (vector, part) are registered once,
-by np.unique on their integer labels.  apply_rho, apply_rho_parts,
+fixed Zobrist key per rank.  _first_order numbers the codes by their
+first moves, sorting them as integers, and a move that shares a code
+with an earlier one must have its image, word for word, or the pass
+raises, so no two images are ever merged.  rho_parts encodes a set of
+vectors once, as packed words and codes over one rank table of their
+modes and shifts, then runs one pass per mode k over each block of that
+encoding and routes each move of rho_k to the parts asked for;
+_first_order numbers the moves of each (vector, part) too, by integer
+labels, and their sums start from zero.  apply_rho, apply_rho_parts,
 apply_b, apply_b_dag and apply_d are its one-mode, one-vector case.
 hamiltonian_matrix runs the same passes, one per +-k pair: on states
 of finitely many particles [rho_k, rho_k^dag] = sum_p (n_{p-k} - n_p)
@@ -231,6 +232,18 @@ def _check_codes(bits, rows, src, dst, first, image):
             raise RuntimeError("two different images share a 64-bit code")
 
 
+def _first_order(labels):
+    """(first, number) of integer labels: the index of each distinct label's
+    first entry, ascending, and each entry's number in that order."""
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    first = np.full(len(distinct), len(labels))
+    np.minimum.at(first, inverse, np.arange(len(labels)))
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return first[order], number[inverse]
+
+
 def _passes(dets, shifts, r, sides):
     """(table, norms, moves) of dets, all of one particle number: their rank
     table, each det's sum of |p|^2, and an iterator that yields, for each
@@ -243,7 +256,7 @@ def _passes(dets, shifts, r, sides):
     once, and what persists across shifts is their packed words, codes
     and norms; each shift runs one _move_pass per block of _ROWS rows,
     trying as sources only the held ranks on a flagged side, then
-    registers its images once, by np.unique over their codes.  Over more
+    numbers its images once, by _first_order over their codes.  Over more
     than 64 ranks a code is a hash, so _check_codes first proves that no
     two images share one.  A shift's moves are dropped with the value the
     caller makes of them."""
@@ -263,14 +276,8 @@ def _passes(dets, shifts, r, sides):
             blocks.append(((rows + start).astype(np.int32), *rest))
         rows, slot, j, sign, code, src = map(np.concatenate, zip(*blocks))
         del blocks  # not held through the registration
-        distinct, image = np.unique(code, return_inverse=True)
+        first, image = _first_order(code)  # callers read rows in order
         del code
-        first = np.full(len(distinct), len(rows))  # each image's first move
-        np.minimum.at(first, image, np.arange(len(rows)))
-        order = np.argsort(first)  # number images by first move: callers read rows in order
-        number = np.empty_like(order)
-        number[order] = np.arange(len(order))
-        first, image = first[order], number[image]
         if len(table) > 64:
             _check_codes(bits, rows, src, dst, first, image)
         return dst, side, rows, slot, j, sign, src, first, image
@@ -285,19 +292,6 @@ def _passes(dets, shifts, r, sides):
 
 RHO = ((0, 1, 2, 3),)  # rho_k itself
 PARTS = ((0, 3), (2,), (1,))  # d_k, b_{-k}^dag, b_k
-
-
-def _register(values, first, inverse):
-    """(first, amps) of moves labelled by image, from the np.unique of
-    their labels: the position of each image's first move, in first-move
-    order, and its amplitude as a move-by-move loop sums it, the first
-    move's value plus the later ones in move order."""
-    amps = values[first]
-    rest = np.ones(len(values), dtype=bool)
-    rest[first] = False
-    np.add.at(amps, inverse[rest], values[rest])
-    seen = np.argsort(first)  # the images in order of their first move
-    return first[seen], amps[seen]
 
 
 def _decode(rows, slot, j, to, dets, table):
@@ -323,11 +317,14 @@ def rho_parts(ks, r, vecs, parts):
     takes the moves of rho_k whose side (see PARTS) lies in parts[i], the
     inside of the Fermi ball being |p|^2 <= r; a move in no part is never
     built.  Each image is rebuilt once per k, from the first move of the
-    label the pass gives it, and each (vector, part) sums its own moves,
-    in first-move order, as a move-by-move loop would.
+    label the pass gives it, and each (vector, part) sums its own moves
+    from zero, in first-move order, as a move-by-move loop would.  The
+    slot counts are int16, so a determinant holds at most 32768 particles.
     """
     vecs = list(vecs)
     dets = [det for vec in vecs for det in vec.terms]
+    if dets and len(dets[0]) > 1 << 15:  # _move_pass counts the slots 0..N-1 in int16
+        raise ValueError(f"{len(dets[0])} particles: slot counts hold at most 32768")
     amps = np.fromiter(
         chain.from_iterable(vec.terms.values() for vec in vecs), dtype=complex, count=len(dets)
     )
@@ -344,11 +341,12 @@ def rho_parts(ks, r, vecs, parts):
         part, pick = np.nonzero(member[:, side[src]])  # part by part, each part a move is in
         labels = (part * len(vecs) + owner[rows[pick]]) * len(first) + image[pick]
         del part  # not held through the registration
-        distinct, head, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        del labels
-        heads, sums = _register(amps[rows[pick]] * sign[pick], head, inverse)
+        heads, number = _first_order(labels)
         # pick runs bucket by bucket, so its heads do too, as many as each has labels
-        cuts = np.searchsorted(distinct, np.arange(buckets + 1) * len(first))
+        cuts = np.searchsorted(labels[heads] // len(first), np.arange(buckets + 1))
+        del labels  # not held through the sums
+        sums = np.zeros(len(heads), dtype=complex)
+        np.add.at(sums, number, amps[rows[pick]] * sign[pick])  # from zero, in move order
         kept = np.flatnonzero(sums)  # exact zeros dropped here, not by _finish's copy
         heads, sums, cuts = heads[kept], sums[kept], np.searchsorted(kept, cuts).tolist()
         out = [

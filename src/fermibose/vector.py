@@ -39,13 +39,11 @@ class SparseVector:
 
     @classmethod
     def finish(cls, acc: dict):
-        """The vector of accumulated amplitudes, exact zeros dropped, pruned.
+        """The vector of accumulated amplitudes, pruned, so exact zeros go.
 
-        acc becomes the vector's terms unless it holds an exact zero: the
+        acc becomes the vector's terms unless pruned() drops one: the
         caller hands over a fresh accumulator and keeps no reference.
         """
-        if 0 in acc.values():
-            acc = {key: v for key, v in acc.items() if v != 0}
         vec = cls.__new__(cls)
         vec.terms = acc
         return vec.pruned()

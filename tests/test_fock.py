@@ -847,6 +847,16 @@ def test_operators_refuse_mixed_particle_numbers(small2):
         F.apply_b((1, 0), small2, vec)
 
 
+def test_operators_refuse_more_particles_than_int16_slots():
+    """_move_pass counts slots in int16: at d = 2, r = 10501 (33,001
+    particles) the wrapped slots would rebuild wrong images, so rho_parts
+    refuses before any pass."""
+    vec = F.psi0(L.GasConfig(d=2, fermi_radius_sq=10501))
+    assert vec.particle_number() == 33_001
+    with pytest.raises(ValueError, match="at most 32768"):
+        F.apply_rho((1, 0), vec)
+
+
 def _pass_product(basis, k):
     """A_k^T A_k from one _passes move pass, A_k the rho_k matrix onto
     every image the pass registers, by the image labels it gives."""
@@ -1061,6 +1071,23 @@ def test_hamiltonian_assembly_memory_is_bounded(unit4):
         tracemalloc.stop()
     assert h.nnz == 135_047
     assert peak < 14e6
+
+
+def test_hamiltonian_assembly_with_int64_place_codes():
+    """Over n >= 46,341 determinants n * n reaches 2**31, so the places
+    are found by int64 row * n + column codes.  The restriction of such an
+    assembly (the first 46,400 two-particle determinants over |p|^2 <= 100,
+    489,260 entries) to every 97th determinant and the last 400 is the
+    assembly over that subset, byte for byte: each entry depends only on
+    its two determinants."""
+    basis = list(itertools.islice(itertools.combinations(L.ball_points(2, 100), 2), 46_400))
+    config, pot = L.GasConfig(d=2, fermi_radius_sq=1), F.unit_potential(2, 4)
+    h = F.hamiltonian_matrix(config, pot, basis)
+    assert len(basis) ** 2 >= 2**31 and h.nnz == 489_260
+    subset = sorted({*range(0, len(basis), 97), *range(len(basis) - 400, len(basis))})
+    want = F.hamiltonian_matrix(config, pot, [basis[i] for i in subset])
+    assert want.nnz == 1005
+    _assert_same_csr(h[subset][:, subset], want)
 
 
 WIDE_POOLS = {2: L.ball_points(2, 72), 3: L.ball_points(3, 16)}
