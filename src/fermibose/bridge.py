@@ -32,7 +32,7 @@ from .lattice import (
 )
 from .boson import BosonVector, TruncationWindow, window_monomials
 from .fock import FermionVector
-from .vector import frame, ordered_sum
+from .vector import frame, gram, ordered_sum
 
 
 @lru_cache(maxsize=None)
@@ -67,17 +67,8 @@ def _phi_scale(k, config: GasConfig) -> float:
     return 1.0 / math.sqrt(size)
 
 
-def apply_phi_annihilator(k, config: GasConfig, vec: FermionVector) -> FermionVector:
-    return _phi_scale(k, config) * fock.apply_b(k, config, vec)
-
-
 def apply_phi_creator(k, config: GasConfig, vec: FermionVector) -> FermionVector:
     return _phi_scale(k, config) * fock.apply_b_dag(k, config, vec)
-
-
-def _gram(p, q=None):
-    """Re(P^dag Q) as a dense array; Q defaults to P."""
-    return (p.conj().T @ (p if q is None else q)).real.toarray()
 
 
 def _max_by_degree(values):
@@ -113,7 +104,7 @@ class IsometryReport:
 def isometry_audit(window: TruncationWindow, config: GasConfig) -> IsometryReport:
     monos = window_monomials(window)
     _, p = frame([phi_monomial_image(config, m) for m in monos])
-    eps = _gram(p) - np.diag([boson.monomial_norm_sq(m) for m in monos])
+    eps = gram(p) - np.diag([boson.monomial_norm_sq(m) for m in monos])
     by_degree = _max_by_degree(zip(monos, np.max(np.abs(eps), axis=1).tolist()))
     max_abs = max(by_degree.values())
     return IsometryReport(
@@ -436,15 +427,15 @@ def subspace_upper_bound(
     blocks = sorted(blocks.items())
     monos = [m for _, group in blocks for m in group]
     dets, p = frame([phi_monomial_image(config, m) for m in monos])
-    gram = _gram(p)
-    ham = _gram(p, fock.hamiltonian_matrix(config, pot, dets) @ p)
+    overlap = gram(p)
+    ham = gram(p, fock.hamiltonian_matrix(config, pot, dets) @ p)
     best = math.inf
     sector_values = {}
     dropped = 0
     end = 0
     for momentum, group in blocks:
         start, end = end, end + len(group)
-        w, u = np.linalg.eigh(gram[start:end, start:end])
+        w, u = np.linalg.eigh(overlap[start:end, start:end])
         keep = w > PIVOT_TOL * max(w[-1], 0.0)
         dropped += int(len(group) - keep.sum())
         if not keep.any():

@@ -254,9 +254,17 @@ def _cutoff(cfg: ExperimentConfig, r: int) -> int:
     return cfg.cutoff_radius_sq if cfg.cutoff_radius_sq is not None else r + 3
 
 
-def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum):
+def _dsyevr(a):
+    """scipy.linalg.eigh (LAPACK dsyevr) in place: the exact table's dense
+    solver, whose residual bytes the pinned tables hold."""
+    import scipy.linalg
+
+    return scipy.linalg.eigh(a, overwrite_a=True)
+
+
+def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum, eigh=np.linalg.eigh):
     """The sector ground state of one row: (result or None, status,
-    failures).
+    failures); eigh solves a dense sector.
 
     A cutoff ball that is the Fermi ball itself holds only the filled
     ball, so it is skipped unsolved; a sector fock.ground_state refuses is
@@ -273,6 +281,7 @@ def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum):
             momentum=momentum,
             tol=cfg.solver_tol,
             basis_limit=cfg.exact_dim_limit,
+            eigh=eigh,
         )
     except ValueError as exc:
         return None, f"skipped: {exc}", []
@@ -304,7 +313,8 @@ def _exact_row(cfg, pot, r, state):
     config = cfg.gas(r)
     cutoff = _cutoff(cfg, r)
     momentum = cfg.momentum or (0,) * cfg.d
-    res, status, failures = _solve(cfg, pot, config, cutoff, momentum)
+    # dsyevr, not numpy's dsyevd: the pinned tables hold its dense residuals
+    res, status, failures = _solve(cfg, pot, config, cutoff, momentum, _dsyevr)
     row = _gas(config) | {"cutoff_radius_sq": cutoff}
     row |= {f"momentum_{i + 1}": p for i, p in enumerate(momentum)}
     row |= {
@@ -401,6 +411,15 @@ def _scaling_row(cfg, pot, r, state):
     lower, upper = fock.trivial_bounds(config, pot)
     sub = bridge.subspace_upper_bound(cfg.window(), config, pot)
     res, status, failures = _solve(cfg, pot, config, _cutoff(cfg, r), None)
+    if not math.isfinite(sub.value):  # every block dropped every direction
+        failures.append(
+            {
+                "invariant": "solver.subspace",
+                "row": {"fermi_radius_sq": r, "dimension": sub.dimension},
+                "detail": f"subspace bound {sub.value}: {sub.dropped_directions} of "
+                f"{sub.dimension} Gram directions dropped below PIVOT_TOL",
+            }
+        )
     scale = float(n) ** (1.0 - cfg.alpha - 1.0 / cfg.d)
     row = _gas(config) | {
         "e_n0": lower,

@@ -38,8 +38,11 @@ product serves both modes.  It sums every product into one value array
 over the union of their patterns, each entry in mode order, so the
 matrix keeps the bytes of a chain of sparse sums.
 
-scipy is imported only inside the functions that build or solve a matrix,
-so the operator applications load none of it.
+Matrices are vector.CSR records built with numpy.  ground_state solves
+a dense sector with numpy.linalg.eigh unless its caller passes another
+eigh (the exact table passes scipy.linalg.eigh) and imports
+scipy.sparse.linalg only for a Lanczos sector, so nothing else here
+loads scipy.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import SparseVector, ordered_sum
+from .vector import CSR, SparseVector, _row_blocks, ordered_sum
 
 # ------------------------------------------------------------ determinants
 
@@ -544,18 +547,6 @@ def trivial_bounds(config: GasConfig, pot: Potential):
     return e0, e0 + gap
 
 
-def apply_h(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVector:
-    """Full Hamiltonian on the configured particle-number sector:
-
-        H = E_0 + :T: + lambda sum_{k != 0} vhat(k) rho_k^dag rho_k
-    """
-    lam = coupling(config)
-    out = e_n0(config, pot) * vec + apply_normal_t(config, vec)
-    for k, v in pot.nonzero_items():
-        out = out + (lam * v) * apply_rho(neg(k), apply_rho(k, vec))
-    return out
-
-
 # ------------------------------------------------------------ ground state
 
 
@@ -661,9 +652,49 @@ def _momentum_combinations(modes, n, momentum):
     return list(zip(*columns[::-1]))
 
 
+def _pass_product(rows, sign, image, n):
+    """A^T A for the pass matrix A[image[m], rows[m]] = sign[m] over n
+    determinants, as CSR arrays of sign's dtype with zero sums dropped.
+
+    Entry (x, c) adds the sign products of the move pairs of x and c onto
+    one image.  The pairs are listed row block by row block, each as the
+    key 4 (x n + c) + [x's sign < 0] + [c's sign < 0], whose low bit marks
+    a negative product; once the keys are sorted, each entry is its pair
+    count less twice its negative ones, an integer exact in any order.
+    """
+    wide = np.int32 if 4 * n * n < 2**31 else np.int64  # holds every key
+    group = np.argsort(image)  # the moves, image by image
+    size = np.bincount(image)
+    fan = size[image]  # the moves onto each move's image, itself included
+    start = (np.cumsum(size) - size)[image]  # where they start in group
+    neg = sign < 0
+    left = rows.astype(wide) * wide(4 * n) + neg
+    right = rows[group].astype(wide) * wide(4) + neg[group]
+    bounds = np.searchsorted(rows, np.arange(n + 1))  # each row's moves
+    counts = np.zeros(n, dtype=np.int64)
+    cols, vals = [np.zeros(0, dtype=wide)], [np.zeros(0, dtype=sign.dtype)]
+    for lo, hi in _row_blocks(np.bincount(rows, weights=fan, minlength=n)):
+        m = slice(bounds[lo], bounds[hi])
+        f = fan[m]
+        at = np.repeat(start[m] - (np.cumsum(f) - f), f) + np.arange(f.sum())
+        key = np.repeat(left[m], f) + right[at]
+        key.sort()
+        code = key >> 2
+        head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+        end = np.append(head[1:], len(key))
+        negative = np.concatenate(([0], np.cumsum(key & 1, dtype=wide)))
+        value = (end - head) - 2 * (negative[end] - negative[head])
+        keep = value != 0
+        code = code[head[keep]]
+        counts[lo:hi] = np.bincount(code // n - lo, minlength=hi - lo)
+        cols.append(code % n)
+        vals.append(value[keep].astype(sign.dtype))
+    return CSR.from_counts(counts, np.concatenate(cols), np.concatenate(vals), (n, n))
+
+
 def hamiltonian_matrix(config, pot, basis):
-    """Sparse PHP over the given determinant basis: the one matrix form of
-    the Hamiltonian, which apply_h checks term by term.
+    """Sparse PHP over the given determinant basis, as a vector.CSR
+    record: the one matrix form of the Hamiltonian.
 
     The basis may be any set of determinants of one particle number.  H
     conserves momentum, so over determinants of several total momenta
@@ -674,8 +705,9 @@ def hamiltonian_matrix(config, pot, basis):
     matrix into the images the move pass registers, so truncation only
     happens at the outer projection: for vectors in the span of the
     basis, X^dag H Y is exactly <X|H Y>.  The basis is encoded once, over
-    the rank table of its modes and their shifts; A_k^dag A_k has integer
-    entries, so it is exact in any summation order.
+    the rank table of its modes and their shifts; A_k^dag A_k
+    (_pass_product) has integer entries, so it is exact in any summation
+    order.
 
     A_k maps onto every image, with no cutoff, so A_k^dag A_k is the
     projection of rho_k^dag rho_k = rho_{-k}^dag rho_{-k} (see the module
@@ -689,29 +721,26 @@ def hamiltonian_matrix(config, pot, basis):
     that a chain h = h + s_k P_k of sparse sums makes; such a chain drops
     an entry that sums to an exact zero, but 0.0 + x == x, so one that
     comes back gets the same value.  Exact zeros are dropped once, at the
-    end and in place, and the CSR arrays are that chain's, byte for byte,
-    with int32 indices, without a new matrix per mode.
+    end, and the CSR arrays are those of that chain of scipy.sparse sums,
+    byte for byte, with int32 indices, without a new matrix per mode.
 
     Memory beyond the products and the matrix stays bounded: the moves
-    carry 8-byte image codes; each product's entries find their places in
+    carry 8-byte image codes; each product sorts its move pairs in row
+    blocks of about vector._TERMS pairs; its entries find their places in
     the union in chunks of _CHUNK, by int32 row * n + column codes when
     n * n < 2**31, and its pattern goes as soon as they have; the
     diagonal's places are found before the value array exists, and each
     mode's values are added _CHUNK at a time.
     """
-    import scipy.sparse
-
     items = pot.nonzero_items()
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
     _, norms, moves = _passes(basis, leads, 0, np.ones(4, dtype=bool))
     n = len(basis)
     products = []  # A_k^T A_k of each lead
     for *_, rows, slot, j, sign, src, first, image in moves:
-        a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(first), n))
-        del rows, slot, j, sign, src, first, image  # not held through the product
-        products.append((a.T @ a).tocsr())
-        del a  # not held through the next pass
-    union = sum((p.astype(bool) for p in products), scipy.sparse.eye(n, dtype=bool, format="csr"))
+        del slot, j, src, first  # not held through the product
+        products.append(_pass_product(rows, sign, image, n))
+        del rows, sign, image  # not held through the next pass
     small = np.int32 if n * n < 2**31 else np.int64  # holds every row * n + column
 
     def codes(m, a, b):  # row * n + column of each stored entry of rows a..b-1
@@ -719,7 +748,12 @@ def hamiltonian_matrix(config, pot, basis):
         out += m.indices[m.indptr[a] : m.indptr[b]]
         return out
 
-    where = codes(union, 0, n)  # ascending: the union is canonical
+    diagonal = np.arange(n, dtype=small) * small(n + 1)
+    where = np.concatenate([codes(p, 0, n) for p in products] + [diagonal])
+    where.sort()  # the union of the diagonal and every product's pattern
+    fresh = np.ones(len(where), dtype=bool)
+    fresh[1:] = where[1:] != where[:-1]
+    where = where[fresh]
 
     def places(m):  # the place in the union of each stored entry of m
         out = np.empty(m.nnz, dtype=np.int32)
@@ -730,9 +764,11 @@ def hamiltonian_matrix(config, pot, basis):
 
     for i in range(len(products)):  # each product's values and places: its pattern goes
         products[i] = products[i].data, places(products[i])
-    diagonal = np.searchsorted(where, np.arange(n, dtype=small) * small(n + 1))
+    diagonal = np.searchsorted(where, diagonal)
+    bounds = np.searchsorted(where, np.arange(n + 1, dtype=small) * small(n))  # of each row
+    columns = where % small(n)
     del where
-    vals = np.zeros(union.nnz)
+    vals = np.zeros(len(columns))
     vals[diagonal] = e_n0(config, pot) + kinetic_excess(config, norms)
     del diagonal
     lam = coupling(config)
@@ -742,9 +778,11 @@ def hamiltonian_matrix(config, pot, basis):
         for a in range(0, len(data), _CHUNK):
             np.add.at(vals, place[a : a + _CHUNK], (lam * v) * data[a : a + _CHUNK])
     del products
-    h = scipy.sparse.csr_matrix((vals, union.indices, union.indptr), (n, n))
-    h.eliminate_zeros()  # in place: the arrays keep their buffers
-    return h
+    kept = vals != 0  # exact zeros go once, at the end
+    if not kept.all():
+        bounds = np.concatenate(([0], np.cumsum(kept)))[bounds]
+        vals, columns = vals[kept], columns[kept]
+    return CSR.from_counts(np.diff(bounds), columns, vals, (n, n))
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -765,15 +803,18 @@ def ground_state(
     momentum=None,
     tol: float = 1e-9,
     basis_limit: int = 200_000,
+    *,
+    eigh=np.linalg.eigh,
 ) -> GroundStateResult:
     """Lowest eigenpair of the Hamiltonian restricted to a momentum sector
     of determinants over modes |p|^2 <= cutoff_radius_sq.
 
     The restricted energy is a variational upper bound for the full ground
     energy and never drops below e_n0.  Sectors below DENSE_LIMIT are
-    solved densely, larger ones by restarted Lanczos with residual
-    tolerance tol from a fixed start vector, so every call returns the
-    same result.
+    solved densely by eigh, given the matrix as one Fortran-order copy it
+    may overwrite; larger ones by restarted Lanczos (scipy's eigsh) with
+    residual tolerance tol from a fixed start vector, so every call
+    returns the same result.
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
@@ -781,17 +822,21 @@ def ground_state(
         raise ValueError("empty sector")
     h = hamiltonian_matrix(config, pot, basis)
     if dim < DENSE_LIMIT:
-        import scipy.linalg
-
-        how = "dense"  # LAPACK's own column order: one n x n copy, overwritten in place
-        w, u = scipy.linalg.eigh(h.toarray(order="F"), overwrite_a=True)
+        how = "dense"
+        w, u = eigh(h.toarray(order="F"))
     else:
+        import scipy.sparse
         import scipy.sparse.linalg
 
         how = "iterative"
         v0 = np.random.default_rng(0).standard_normal(dim)
         w, u = scipy.sparse.linalg.eigsh(
-            h, k=1, which="SA", tol=tol, maxiter=max(5000, 100 * dim), v0=v0
+            scipy.sparse.csr_matrix((h.data, h.indices, h.indptr), h.shape),
+            k=1,
+            which="SA",
+            tol=tol,
+            maxiter=max(5000, 100 * dim),
+            v0=v0,
         )
     energy, vec = float(w[0]), u[:, 0]
     vec = _canonical_phase(vec)

@@ -3,9 +3,11 @@
 annihilate, create and move apply one ladder operator, or one move, to a
 single determinant by a linear scan; the operators built on them
 (apply_annihilator, apply_creator, apply_normal_commutator), the
-excitation number and its weights, and the H1/H2 split of the
-Hamiltonian (apply_h1, apply_h2) are the term-by-term forms the identity
-tests and acceptance 1 check fermibose.fock against.
+excitation number and its weights, the Hamiltonian and its H1/H2 split
+(apply_h, apply_h1, apply_h2) are the term-by-term forms the identity
+tests and acceptances 1 and 2 check fermibose.fock against;
+apply_phi_annihilator is phi_k = |C_k|^{-1/2} b_k, the intertwining
+tests' annihilator.
 random_fermion_vector draws a few determinants around the Fermi ball.
 h2_quadratic_parts is <psi|H2 psi> straight from a fermionic vector psi,
 the reference for the pair forms of bridge.h2_expectation_audit.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fermibose.boson import monomial_norm_sq, window_monomials
-from fermibose.bridge import PIVOT_TOL, SubspaceBound, _gram, phi_monomial_image
+from fermibose.bridge import PIVOT_TOL, SubspaceBound, _phi_scale, phi_monomial_image
 from fermibose.fock import (
     FermionVector,
     Potential,
@@ -40,8 +42,10 @@ from fermibose.fock import (
     apply_b_dag,
     apply_d,
     apply_normal_t,
+    apply_rho,
     apply_rho_parts,
     determinant,
+    e_n0,
     hamiltonian_matrix,
     kinetic_excess,
 )
@@ -59,7 +63,7 @@ from fermibose.lattice import (
     sub,
     total_momentum,
 )
-from fermibose.vector import frame
+from fermibose.vector import frame, gram
 
 # ------------------------------------------------------------ determinants
 
@@ -232,6 +236,23 @@ def apply_normal_commutator(k, q, config: GasConfig, vec: FermionVector) -> Ferm
                 if hit is not None:
                     _accumulate(acc, hit[1], -hit[0] * amp)
     return FermionVector.finish(acc)
+
+
+def apply_h(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVector:
+    """Full Hamiltonian on the configured particle-number sector:
+
+        H = E_0 + :T: + lambda sum_{k != 0} vhat(k) rho_k^dag rho_k
+    """
+    lam = coupling(config)
+    out = e_n0(config, pot) * vec + apply_normal_t(config, vec)
+    for k, v in pot.nonzero_items():
+        out = out + (lam * v) * apply_rho(neg(k), apply_rho(k, vec))
+    return out
+
+
+def apply_phi_annihilator(k, config: GasConfig, vec: FermionVector) -> FermionVector:
+    """phi_k = |C_k|^{-1/2} b_k, the adjoint of bridge.apply_phi_creator."""
+    return _phi_scale(k, config) * apply_b(k, config, vec)
 
 
 def apply_h1(config: GasConfig, pot: Potential, vec: FermionVector) -> FermionVector:
@@ -408,9 +429,9 @@ def subspace_upper_bound_per_block(window, config: GasConfig, pot: Potential) ->
     dropped = 0
     for momentum, group in sorted(blocks.items()):
         dets, p = frame([phi_monomial_image(config, m) for m in group])
-        gram = _gram(p)
-        ham = _gram(p, hamiltonian_matrix(config, pot, dets) @ p)
-        w, u = np.linalg.eigh(gram)
+        overlap = gram(p)
+        ham = gram(p, hamiltonian_matrix(config, pot, dets) @ p)
+        w, u = np.linalg.eigh(overlap)
         keep = w > PIVOT_TOL * max(w[-1], 0.0)
         dropped += int(len(group) - keep.sum())
         if not keep.any():

@@ -140,7 +140,7 @@ def test_acceptance_2_exact_small_values():
         cfg = L.GasConfig(d=2, fermi_radius_sq=1, alpha=alpha)
         ground = F.psi0(cfg)
         value = O.expectation(
-            lambda v: F.apply_h(cfg, pot, v), ground
+            lambda v: O.apply_h(cfg, pot, v), ground
         ).real - F.e_n0(cfg, pot)
         expect = 6.0 * 5.0 ** (-alpha)
         ok &= abs(value - expect) <= tol * max(1.0, expect)

@@ -157,6 +157,24 @@ def test_solver_residual_is_gated(tmp_path, argv):
     assert len(rows) == 1
 
 
+def test_non_finite_subspace_bound_is_gated(tmp_path, monkeypatch):
+    """A PIVOT_TOL above 1 drops every Gram direction of every block, so
+    subspace_upper_bound returns inf: scaling records it as
+    solver.subspace, exits 1 and still writes the row."""
+    from fermibose import bridge
+
+    argv = ["scaling", "--radii", "1", "--window-degree", "1", "--potential", POT2]
+    monkeypatch.setattr(bridge, "PIVOT_TOL", 2.0)
+    out = tmp_path / "dropped"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    failures = read_json(out / "failures.json")
+    assert [f["invariant"] for f in failures] == ["solver.subspace"]
+    assert failures[0]["row"] == {"fermi_radius_sq": 1, "dimension": 5}
+    assert failures[0]["detail"].startswith("subspace bound inf: 5 of 5 Gram directions")
+    header, rows = read_csv(out / "scaling.csv")
+    assert len(rows) == 1 and rows[0][header.index("upper_subspace")] == "inf"
+
+
 def test_exact_dimension_limit_reported_per_row(tmp_path):
     out = tmp_path / "el"
     assert (
@@ -728,6 +746,48 @@ def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
     assert len(rows) == 4 and {row[-1] for row in rows} == {"ok"}
     _, rows = read_csv(tmp_path / "trial.csv")
     assert len(rows) == 2
+
+
+def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
+    """scaling and isometry build their frames, Hamiltonians and forms and
+    solve their dense sectors with numpy: in a fresh process that runs
+    both, scipy.sparse, scipy.linalg and scipy._lib._array_api (which
+    every scipy submodule loads) stay unimported.  A dense exact row then
+    loads scipy.linalg, its solver, but not the Lanczos scipy.sparse.linalg."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from fermibose import cli\n"
+        "heavy = ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api', "
+        "'scipy.sparse.linalg')\n"
+        f"code = cli.main(['scaling', '--config', 'configs/scaling_d2.yaml', '--radii', "
+        f"'5,17', '--out', {str(tmp_path)!r}])\n"
+        f"code += cli.main(['isometry', '--radii', '1,4', '--out', {str(tmp_path)!r}])\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n"
+        f"code += cli.main(['exact', '--radii', '1', '--potential', {POT2!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-2:] == [
+        "0 []",
+        "0 ['scipy.linalg', 'scipy._lib._array_api']",
+    ]
+    _, rows = read_csv(tmp_path / "scaling.csv")
+    assert [row[0] for row in rows] == ["5", "17"]
+    _, rows = read_csv(tmp_path / "exact.csv")
+    assert len(rows) == 1 and rows[0][-1] == "ok" and rows[0][-4] == "dense"
 
 
 def test_unknown_experiment_rejected():

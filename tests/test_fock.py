@@ -299,7 +299,7 @@ def test_hamiltonian_split(small2, small3, unit4, unit6):
     for cfg, pot in ((small2, unit4), (small3, unit6)):
         for seed in range(3):
             v = rvec(cfg, 40 + seed)
-            lhs = F.apply_h(cfg, pot, v)
+            lhs = O.apply_h(cfg, pot, v)
             rhs = F.e_n0(cfg, pot) * v + O.apply_h1(cfg, pot, v) + O.apply_h2(
                 cfg, pot, v
             )
@@ -308,8 +308,8 @@ def test_hamiltonian_split(small2, small3, unit4, unit6):
 
 def test_hamiltonian_symmetric(small2, unit4):
     u, v = rvec(small2, 51), rvec(small2, 52)
-    hv = F.apply_h(small2, unit4, v)
-    hu = F.apply_h(small2, unit4, u)
+    hv = O.apply_h(small2, unit4, v)
+    hu = O.apply_h(small2, unit4, u)
     assert u.inner(hv) == pytest.approx(hu.inner(v).conjugate(), rel=1e-10)
 
 
@@ -417,7 +417,7 @@ def test_e_n0_single_particle_zero_mode_only():
 
 def test_trivial_bounds_match_filled_ball(small2, unit4):
     lo, hi = F.trivial_bounds(small2, unit4)
-    raw = O.expectation(lambda x: F.apply_h(small2, unit4, x), F.psi0(small2))
+    raw = O.expectation(lambda x: O.apply_h(small2, unit4, x), F.psi0(small2))
     assert abs(raw.imag) < 1e-12
     assert hi == pytest.approx(raw.real, rel=1e-13)
     assert hi - lo == pytest.approx(6.0 * 5.0, rel=1e-13)  # 6 N^-alpha, alpha=-1
@@ -539,20 +539,26 @@ def test_momentum_codes_refuse_int64_overflow():
 
 @pytest.mark.parametrize("cutoff, dim", [(4, 51), (5, 457)], ids=["dim51", "dim457"])
 def test_dense_ground_state_matches_plain_eigh(small2, unit4, cutoff, dim):
-    """The in-place Fortran-order eigensolve gives the bytes of
-    scipy.linalg.eigh on the plain dense matrix."""
+    """The Fortran-order eigensolve gives the bytes of numpy.linalg.eigh on
+    the plain dense matrix, and with the exact table's in-place solver
+    (scipy.linalg.eigh, LAPACK dsyevr) those of scipy.linalg.eigh; the
+    residual's matrix-vector product has the bytes of scipy.sparse's."""
     import scipy.linalg
 
-    got = F.ground_state(small2, unit4, cutoff_radius_sq=cutoff)
+    from fermibose.cli import _dsyevr
+
     basis = F.sector_basis(small2, cutoff)
     h = F.hamiltonian_matrix(small2, unit4, basis)
-    w, u = scipy.linalg.eigh(h.toarray())
-    vec = F._canonical_phase(u[:, 0])
-    assert (got.method, got.dimension) == ("dense", dim)
-    assert got.energy == float(w[0])
-    assert got.residual == float(np.linalg.norm(h @ vec - w[0] * vec))
-    want = {det: complex(x) for det, x in zip(basis, vec) if x != 0.0}
-    assert got.vector.terms == F.FermionVector(want).pruned().terms
+    for eigh, solver in ((np.linalg.eigh, {}), (scipy.linalg.eigh, {"eigh": _dsyevr})):
+        got = F.ground_state(small2, unit4, cutoff_radius_sq=cutoff, **solver)
+        w, u = eigh(h.toarray())
+        vec = F._canonical_phase(u[:, 0])
+        assert (got.method, got.dimension) == ("dense", dim)
+        assert got.energy == float(w[0])
+        assert np.array_equal(h @ vec, _scipy(h) @ vec)
+        assert got.residual == float(np.linalg.norm(h @ vec - w[0] * vec))
+        want = {det: complex(x) for det, x in zip(basis, vec) if x != 0.0}
+        assert got.vector.terms == F.FermionVector(want).pruned().terms
 
 
 def test_ground_state_deterministic(small2, unit4):
@@ -656,12 +662,19 @@ def _ref_hamiltonian(config, pot, basis, moves=_ref_moves):
     return h.tocsr()
 
 
+def _scipy(m):
+    """A CSR matrix, record or scipy's, as scipy.sparse over its arrays."""
+    return scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), m.shape)
+
+
 def _assert_same_csr(got, want, dtype=np.float64):
+    """Same CSR arrays, dtypes included; got and want may each be a
+    vector.CSR record or a scipy.sparse matrix."""
     assert got.format == want.format == "csr"
-    assert got.has_canonical_format and want.has_canonical_format
     for m in (got, want):
         assert m.indptr.dtype == m.indices.dtype == np.int32
         assert m.data.dtype == dtype
+    assert _scipy(got).has_canonical_format and _scipy(want).has_canonical_format
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
@@ -859,11 +872,15 @@ def test_operators_refuse_more_particles_than_int16_slots():
 
 def _pass_product(basis, k):
     """A_k^T A_k from one _passes move pass, A_k the rho_k matrix onto
-    every image the pass registers, by the image labels it gives."""
+    every image the pass registers, by the image labels it gives: the
+    record fock._pass_product builds, and scipy.sparse's a.T @ a as CSR
+    with sorted indices."""
     _, _, moves = F._passes(basis, [k], 0, np.ones(4, dtype=bool))
     [(*_, rows, _, _, sign, _, first, image)] = moves
     a = scipy.sparse.csr_matrix((sign, (image, rows)), (len(first), len(basis)))
-    return a.T @ a
+    want = (a.T @ a).tocsr()
+    want.sort_indices()
+    return F._pass_product(rows, sign, image, len(basis)), want
 
 
 def _move_neighbours(d, pool_radius_sq, seed, shift_radius_sq=5):
@@ -893,13 +910,14 @@ def test_pass_products_of_opposite_modes_are_equal(d, pool):
         for k in L.ball_points(d, 5):
             if F.mode_key(k) < F.mode_key(L.neg(k)):
                 assert len(F._rank_table(basis, [k])[0]) > 64
-                plus, minus = _pass_product(basis, k), _pass_product(basis, L.neg(k))
-                assert plus.dtype.kind == minus.dtype.kind == "i"
+                (plus, want_plus), (minus, want_minus) = (
+                    _pass_product(basis, k), _pass_product(basis, L.neg(k))
+                )
+                _assert_same_csr(plus, want_plus, want_plus.dtype)
+                _assert_same_csr(minus, want_minus, want_minus.dtype)
+                assert plus.data.dtype.kind == minus.data.dtype.kind == "i"
                 assert plus.nnz > len(basis)  # not only the diagonal
-                plus, minus = plus.tocsr(), minus.tocsr()
-                plus.sort_indices()
-                minus.sort_indices()
-                _assert_same_csr(plus, minus, plus.dtype)
+                _assert_same_csr(plus, minus, plus.data.dtype)
 
 
 def test_rank_keys_are_fixed():
@@ -992,7 +1010,7 @@ def test_hamiltonian_assembly_matches_reference_loop(small2, small3, unit4, unit
         basis = F.sector_basis(config, cutoff)
         got = F.hamiltonian_matrix(config, pot, basis)
         want = _ref_hamiltonian(config, pot, basis)
-        assert (got != want).nnz == 0
+        assert (_scipy(got) != want).nnz == 0
         _assert_same_csr(got, want)
     five = L.fermi_ball(small2)
     with pytest.raises(ValueError, match="different particle numbers"):
@@ -1043,13 +1061,13 @@ def test_union_hamiltonian_is_block_diagonal(d, r):
     union = [det for momentum in sorted(blocks) for det in blocks[momentum]]
     got = F.hamiltonian_matrix(config, pot, union)
     block_of = np.repeat(np.arange(len(blocks)), [len(blocks[m]) for m in sorted(blocks)])
-    rows, cols = got.nonzero()
+    rows, cols = _scipy(got).nonzero()
     assert np.array_equal(block_of[rows], block_of[cols])
     end = 0
     for momentum in sorted(blocks):
         start, end = end, end + len(blocks[momentum])
         want = F.hamiltonian_matrix(config, pot, blocks[momentum])
-        _assert_same_csr(got[start:end, start:end], want)
+        _assert_same_csr(_scipy(got)[start:end, start:end], want)
 
 
 def test_hamiltonian_assembly_memory_is_bounded(unit4):
@@ -1087,7 +1105,7 @@ def test_hamiltonian_assembly_with_int64_place_codes():
     subset = sorted({*range(0, len(basis), 97), *range(len(basis) - 400, len(basis))})
     want = F.hamiltonian_matrix(config, pot, [basis[i] for i in subset])
     assert want.nnz == 1005
-    _assert_same_csr(h[subset][:, subset], want)
+    _assert_same_csr(_scipy(h)[subset][:, subset], want)
 
 
 WIDE_POOLS = {2: L.ball_points(2, 72), 3: L.ball_points(3, 16)}

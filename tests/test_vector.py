@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from fermibose import boson as B
 from fermibose import bridge as BR
 from fermibose import fock as F
 from fermibose import lattice as L
-from fermibose.vector import SparseVector, frame
+from fermibose import vector as V
+from fermibose.vector import CSR, SparseVector, frame
 
 
 def test_arithmetic_keeps_the_subclass():
@@ -89,3 +91,105 @@ def test_float_sums_add_left_to_right(small2):
     lam = L.coupling(small2)
     want = (F.e_n0(small2, pot), F.e_n0(small2, pot) + lam * _loop_sum(gaps))
     assert F.trivial_bounds(small2, pot) == want
+
+
+# ------------------------------------- the numpy CSR layer against scipy
+
+
+def _random_frame(rng, rows, cols):
+    """A frame of cols complex vectors over up to rows keys, some vectors
+    empty: (keys, CSR record, scipy.sparse's coo_matrix(...).tocsr())."""
+    import scipy.sparse
+
+    vectors = []
+    for _ in range(cols):
+        keys = rng.choice(rows, size=rng.integers(0, rows // 2 + 1), replace=False)
+        amps = rng.standard_normal((len(keys), 2)) * 10.0 ** rng.integers(-6, 7, (len(keys), 1))
+        vectors.append(SparseVector({int(k): complex(*a) for k, a in zip(keys, amps)}))
+    keys, p = frame(vectors)
+    data, where, index = [], [], {k: i for i, k in enumerate(keys)}
+    for j, vec in enumerate(vectors):
+        for key, amp in vec.terms.items():
+            data.append(amp)
+            where.append((index[key], j))
+    rows_, cols_ = zip(*where) if where else ((), ())
+    want = scipy.sparse.coo_matrix((data, (rows_, cols_)), shape=p.shape).tocsr()
+    return keys, p, want
+
+
+def _random_real(rng, n, density):
+    """A random real n x n scipy CSR matrix with some empty rows."""
+    import scipy.sparse
+
+    h = scipy.sparse.random(n, n, density=density, format="csr", random_state=rng.integers(2**31))
+    h.data = rng.standard_normal(h.nnz) * 10.0 ** rng.integers(-6, 7, h.nnz)
+    return h
+
+
+def _record(m):
+    return CSR(m.data, m.indices, m.indptr, m.shape)
+
+
+def _assert_same_arrays(got, want):
+    want = want.tocsr()
+    want.sort_indices()
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype, field
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("terms", [None, 7], ids=["one-block", "blocks-of-7"])
+def test_csr_layer_keeps_scipy_bytes(terms, monkeypatch):
+    """frame, the matrix-vector and matrix products and Re(P^dag Q) give
+    scipy.sparse's arrays, byte for byte, on random complex frames with
+    empty vectors (columns) and real matrices with empty rows and
+    columns, also when the products and forms run in blocks of a few
+    terms."""
+    if terms:
+        monkeypatch.setattr(V, "_TERMS", terms)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        _, p, want_p = _random_frame(rng, n, m)
+        n = p.shape[0]
+        _assert_same_arrays(p, want_p)
+        h = _random_real(rng, n, rng.uniform(0.05, 0.6))
+        x = rng.standard_normal(n)
+        assert np.array_equal(_record(h) @ x, h @ x)
+        for order in "CF":
+            assert np.array_equal(_record(h).toarray(order), h.toarray(order))
+        hp = _record(h) @ p
+        _assert_same_arrays(hp, h @ want_p)
+        for got, want in ((V.gram(p), want_p), (V.gram(p, hp), h @ want_p)):
+            want = (want_p.conj().T @ want).real.toarray()
+            assert got.flags.f_contiguous and want.flags.f_contiguous
+            assert np.array_equal(got, want)
+        # complex times complex: each product rounded as scipy rounds it
+        _assert_same_arrays(_record(want_p.T.tocsr()) @ p, want_p.T.tocsr() @ want_p)
+
+
+@pytest.mark.parametrize("terms", [None, 5], ids=["one-block", "blocks-of-5"])
+def test_pass_product_keeps_scipy_bytes(terms, monkeypatch):
+    """fock._pass_product and the generic product give scipy's A^T A of
+    random +-1 int16 matrices, whose off-diagonal sums often cancel to
+    zero and are dropped; some determinants have no move."""
+    import scipy.sparse
+
+    if terms:
+        monkeypatch.setattr(V, "_TERMS", terms)
+    rng = np.random.default_rng(7)
+    cancelled = 0
+    for _ in range(40):
+        n, images = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        pairs = rng.random((images, n)) < rng.uniform(0.05, 0.5)
+        rows, image = np.nonzero(pairs.T)  # moves in row order
+        rows = rows.astype(np.int32)
+        sign = rng.choice(np.array([-1, 1], dtype=np.int16), len(rows))
+        a = scipy.sparse.csr_matrix((sign, (image, rows)), (images, n))
+        want = a.T @ a
+        _assert_same_arrays(F._pass_product(rows, sign, image, n), want)
+        _assert_same_arrays(_record(a.T.tocsr()) @ _record(a), want)
+        full = (a.T @ a).toarray()
+        cancelled += int(((a.T.astype(bool) @ a.astype(bool)).toarray() & (full == 0)).sum())
+    assert cancelled > 0
