@@ -67,7 +67,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import CSR, SparseVector, _row_blocks, ordered_sum
+from .vector import CSR, SparseVector, _expand, _row_blocks, ordered_sum
 
 # ------------------------------------------------------------ determinants
 
@@ -675,9 +675,8 @@ def _pass_product(rows, sign, image, n):
     cols, vals = [np.zeros(0, dtype=wide)], [np.zeros(0, dtype=sign.dtype)]
     for lo, hi in _row_blocks(np.bincount(rows, weights=fan, minlength=n)):
         m = slice(bounds[lo], bounds[hi])
-        f = fan[m]
-        at = np.repeat(start[m] - (np.cumsum(f) - f), f) + np.arange(f.sum())
-        key = np.repeat(left[m], f) + right[at]
+        owner, at = _expand(start[m], fan[m])
+        key = left[m][owner] + right[at]
         key.sort()
         code = key >> 2
         head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
