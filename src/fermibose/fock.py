@@ -688,7 +688,7 @@ def _pass_product(rows, sign, image, n):
         counts[lo:hi] = np.bincount(code // n - lo, minlength=hi - lo)
         cols.append(code % n)
         vals.append(value[keep].astype(sign.dtype))
-    return CSR.from_counts(counts, np.concatenate(cols), np.concatenate(vals), (n, n))
+    return CSR.from_counts(np.concatenate(vals), np.concatenate(cols), counts, (n, n))
 
 
 def hamiltonian_matrix(config, pot, basis):
@@ -781,7 +781,7 @@ def hamiltonian_matrix(config, pot, basis):
     if not kept.all():
         bounds = np.concatenate(([0], np.cumsum(kept)))[bounds]
         vals, columns = vals[kept], columns[kept]
-    return CSR.from_counts(np.diff(bounds), columns, vals, (n, n))
+    return CSR.from_counts(vals, columns, np.diff(bounds), (n, n))
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

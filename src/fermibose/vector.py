@@ -123,7 +123,7 @@ class CSR:
         self.data, self.indices, self.indptr, self.shape = data, indices, indptr, tuple(shape)
 
     @classmethod
-    def from_counts(cls, counts, indices, data, shape):
+    def from_counts(cls, data, indices, counts, shape):
         """The matrix of entries listed row by row, counts[i] in row i."""
         dtype = _index_dtype(shape, len(data))
         indptr = np.zeros(shape[0] + 1, dtype=dtype)
@@ -219,7 +219,7 @@ def _product(a, b):
         counts[lo:hi] = np.bincount(labels // n - lo, minlength=hi - lo)
         cols.append(labels % n)
         sums.append(total[keep])
-    return CSR.from_counts(counts, np.concatenate(cols), np.concatenate(sums), (a.shape[0], n))
+    return CSR.from_counts(np.concatenate(sums), np.concatenate(cols), counts, (a.shape[0], n))
 
 
 def gram(p, q=None):
@@ -261,4 +261,4 @@ def frame(vectors):
     cols = np.repeat(np.arange(len(counts)), counts)[order]
     shape = (len(index), len(counts))
     per_row = np.bincount(rows, minlength=len(index))
-    return list(index), CSR.from_counts(per_row, cols, np.array(data)[order], shape)
+    return list(index), CSR.from_counts(np.array(data)[order], cols, per_row, shape)
