@@ -777,10 +777,10 @@ def hamiltonian_matrix(config, pot, basis):
         for a in range(0, len(data), _CHUNK):
             np.add.at(vals, place[a : a + _CHUNK], (lam * v) * data[a : a + _CHUNK])
     del products
-    kept = vals != 0  # exact zeros go once, at the end
-    if not kept.all():
-        bounds = np.concatenate(([0], np.cumsum(kept)))[bounds]
-        vals, columns = vals[kept], columns[kept]
+    zeros = np.flatnonzero(vals == 0)  # exact zeros go once, at the end
+    if len(zeros):
+        bounds -= np.searchsorted(zeros, bounds)
+        vals, columns = np.delete(vals, zeros), np.delete(columns, zeros)
     return CSR.from_counts(vals, columns, np.diff(bounds), (n, n))
 
 

@@ -150,11 +150,13 @@ class CSR:
         if isinstance(other, CSR):
             return _product(self, other)
         out = np.zeros(self.shape[0], dtype=np.result_type(self.data, other))
-        np.add.at(out, self.rows(), self.data * other[self.indices])
+        for lo, hi in _row_blocks(np.diff(self.indptr)):
+            a, b = self.indptr[lo], self.indptr[hi]
+            np.add.at(out, self.rows(lo, hi), self.data[a:b] * other[self.indices[a:b]])
         return out
 
 
-_TERMS = 1 << 16  # terms per block of a matrix product or a Gram form
+_TERMS = 1 << 14  # terms per block of a matrix product or a Gram form
 
 
 def _index_dtype(shape, nnz):
