@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fermibose import boson as B
 from fermibose import bridge as BR
@@ -99,8 +100,6 @@ def test_float_sums_add_left_to_right(small2):
 def _random_frame(rng, rows, cols):
     """A frame of cols complex vectors over up to rows keys, some vectors
     empty: (keys, CSR record, scipy.sparse's coo_matrix(...).tocsr())."""
-    import scipy.sparse
-
     vectors = []
     for _ in range(cols):
         keys = rng.choice(rows, size=rng.integers(0, rows // 2 + 1), replace=False)
@@ -119,8 +118,6 @@ def _random_frame(rng, rows, cols):
 
 def _random_real(rng, n, density):
     """A random real n x n scipy CSR matrix with some empty rows."""
-    import scipy.sparse
-
     h = scipy.sparse.random(n, n, density=density, format="csr", random_state=rng.integers(2**31))
     h.data = rng.standard_normal(h.nnz) * 10.0 ** rng.integers(-6, 7, h.nnz)
     return h
@@ -174,8 +171,6 @@ def test_pass_product_keeps_scipy_bytes(terms, monkeypatch):
     """fock._pass_product and the generic product give scipy's A^T A of
     random +-1 int16 matrices, whose off-diagonal sums often cancel to
     zero and are dropped; some determinants have no move."""
-    import scipy.sparse
-
     if terms:
         monkeypatch.setattr(V, "_TERMS", terms)
     rng = np.random.default_rng(7)
