@@ -67,7 +67,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import CSR, SparseVector, _expand, _row_blocks, ordered_sum
+from .vector import CSR, SparseVector, ordered_sum
 
 # ------------------------------------------------------------ determinants
 
@@ -654,41 +654,17 @@ def _momentum_combinations(modes, n, momentum):
 
 def _pass_product(rows, sign, image, n):
     """A^T A for the pass matrix A[image[m], rows[m]] = sign[m] over n
-    determinants, as CSR arrays of sign's dtype with zero sums dropped.
+    determinants, as a CSR record of sign's dtype with zero sums dropped.
 
-    Entry (x, c) adds the sign products of the move pairs of x and c onto
-    one image.  The pairs are listed row block by row block, each as the
-    key 4 (x n + c) + [x's sign < 0] + [c's sign < 0], whose low bit marks
-    a negative product; once the keys are sorted, each entry is its pair
-    count less twice its negative ones, an integer exact in any order.
+    rows ascend, so the moves in their order are A^T by rows, and a sort
+    by image gives A by rows.  The entries are integers, so the product
+    is exact in any order, and the columns of a row of A need not ascend.
     """
-    wide = np.int32 if 4 * n * n < 2**31 else np.int64  # holds every key
-    group = np.argsort(image)  # the moves, image by image
-    size = np.bincount(image)
-    fan = size[image]  # the moves onto each move's image, itself included
-    start = (np.cumsum(size) - size)[image]  # where they start in group
-    neg = sign < 0
-    left = rows.astype(wide) * wide(4 * n) + neg
-    right = rows[group].astype(wide) * wide(4) + neg[group]
-    bounds = np.searchsorted(rows, np.arange(n + 1))  # each row's moves
-    counts = np.zeros(n, dtype=np.int64)
-    cols, vals = [np.zeros(0, dtype=wide)], [np.zeros(0, dtype=sign.dtype)]
-    for lo, hi in _row_blocks(np.bincount(rows, weights=fan, minlength=n)):
-        m = slice(bounds[lo], bounds[hi])
-        owner, at = _expand(start[m], fan[m])
-        key = left[m][owner] + right[at]
-        key.sort()
-        code = key >> 2
-        head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-        end = np.append(head[1:], len(key))
-        negative = np.concatenate(([0], np.cumsum(key & 1, dtype=wide)))
-        value = (end - head) - 2 * (negative[end] - negative[head])
-        keep = value != 0
-        code = code[head[keep]]
-        counts[lo:hi] = np.bincount(code // n - lo, minlength=hi - lo)
-        cols.append(code % n)
-        vals.append(value[keep].astype(sign.dtype))
-    return CSR.from_counts(np.concatenate(vals), np.concatenate(cols), counts, (n, n))
+    images = int(image.max(initial=-1)) + 1
+    at = CSR.from_counts(sign, image, np.bincount(rows, minlength=n), (n, images))
+    order = np.argsort(image)
+    a = CSR.from_counts(sign[order], rows[order], np.bincount(image, minlength=images), (images, n))
+    return at @ a
 
 
 def hamiltonian_matrix(config, pot, basis):
@@ -724,8 +700,8 @@ def hamiltonian_matrix(config, pot, basis):
     byte for byte, with int32 indices, without a new matrix per mode.
 
     Memory beyond the products and the matrix stays bounded: the moves
-    carry 8-byte image codes; each product sorts its move pairs in row
-    blocks of about vector._TERMS pairs; its entries find their places in
+    carry 8-byte image codes; each product sums its move pairs in row
+    blocks of about vector._TERMS pairs (vector.CSR's @); its entries find their places in
     the union in chunks of _CHUNK, by int32 row * n + column codes when
     n * n < 2**31, and its pattern goes as soon as they have; the
     diagonal's places are found before the value array exists, and each
@@ -810,10 +786,17 @@ def ground_state(
 
     The restricted energy is a variational upper bound for the full ground
     energy and never drops below e_n0.  Sectors below DENSE_LIMIT are
-    solved densely by eigh, given the matrix as one Fortran-order copy it
-    may overwrite; larger ones by restarted Lanczos (scipy's eigsh) with
-    residual tolerance tol from a fixed start vector, so every call
-    returns the same result.
+    solved densely by eigh, given the matrix as one Fortran-order array;
+    larger ones by restarted Lanczos (scipy's eigsh) with residual
+    tolerance tol from a fixed start vector, so every call returns the
+    same result.
+
+    The exact table's eigh solves that array in place, at about 2 n^2
+    doubles; numpy.linalg.eigh copies it and holds about 5 n^2.  Without
+    scipy's import a scaling row still peaks lower below about n = 1000
+    (d=3, r=1, cutoff 2, n = 714: 56 MB against 71 MB in place), but
+    above it peaks higher, up to DENSE_LIMIT (d=2, r=1, cutoff 9, n =
+    1735: 155 MB against 110 MB, in half the time).
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)

@@ -117,7 +117,6 @@ class CSR:
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")
-    format = "csr"
 
     def __init__(self, data, indices, indptr, shape):
         self.data, self.indices, self.indptr, self.shape = data, indices, indptr, tuple(shape)
@@ -200,7 +199,12 @@ def _times(ar, ai, br, bi):
 
 def _product(a, b):
     """a @ b: entry (i, c) sums a[i, j] b[j, c] from zero over the stored
-    entries of row i of a in order; entries that sum to zero are dropped."""
+    entries of row i of a in order; entries that sum to zero are dropped.
+
+    In each row block one sort of the int64 keys (entry << s) | term
+    groups the terms by entry, (row - lo) * n + c, and keeps each
+    entry's terms in stored order: 2**s exceeds the block's terms.
+    """
     n, dtype = b.shape[1], np.result_type(a.data, b.data)
     fan = np.diff(b.indptr)[a.indices]  # the terms of each stored entry of a
     before = np.concatenate(([0], np.cumsum(fan)))[a.indptr]
@@ -210,16 +214,26 @@ def _product(a, b):
     for lo, hi in _row_blocks(np.diff(before)):
         stored = np.arange(a.indptr[lo], a.indptr[hi])
         owner, j = _expand(b.indptr[a.indices[stored]], fan[stored])
-        i = stored[owner]
-        labels, at = np.unique(a.rows(lo, hi)[owner] * n + b.indices[j], return_inverse=True)
-        total = np.zeros(len(labels), dtype=dtype)
+        s = len(j).bit_length()
+        if (hi - lo) * n >= 1 << (63 - s):
+            raise OverflowError("product entry keys overflow int64")
+        key = ((a.rows(lo, hi)[owner] - lo) * n + b.indices[j]) << s
+        key |= np.arange(len(j))
+        key.sort()
+        term, key = key & ((1 << s) - 1), key >> s
+        head = np.ones(len(key), dtype=bool)  # the first term of each entry
+        head[1:] = key[1:] != key[:-1]
+        at = np.cumsum(head) - 1
+        total = np.zeros(int(head.sum()), dtype=dtype)
+        i, j = stored[owner[term]], j[term]
         parts = _times(ar[i], None if ai is None else ai[i], br[j], None if bi is None else bi[j])
         for part, term in zip(_parts(total), parts):
             np.add.at(part, at, term)
         keep = total != 0
-        labels = labels[keep]
-        counts[lo:hi] = np.bincount(labels // n - lo, minlength=hi - lo)
-        cols.append(labels % n)
+        labels = key[head][keep]
+        row = labels // n
+        counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+        cols.append(labels - row * n)
         sums.append(total[keep])
     return CSR.from_counts(np.concatenate(sums), np.concatenate(cols), counts, (a.shape[0], n))
 

@@ -42,7 +42,7 @@ def test_frame_rows_in_first_seen_order():
     ]
     keys, matrix = frame(vectors)
     assert keys == ["b", "a", "c"]
-    assert matrix.format == "csr"
+    assert isinstance(matrix, CSR)
     assert np.array_equal(
         matrix.toarray(), [[2.0, 0.0, 5.0], [1.0, 0.0, 3.0], [0.0, 0.0, 4.0]]
     )
@@ -168,8 +168,9 @@ def test_csr_layer_keeps_scipy_bytes(terms, monkeypatch):
 
 @pytest.mark.parametrize("terms", [None, 5], ids=["one-block", "blocks-of-5"])
 def test_pass_product_keeps_scipy_bytes(terms, monkeypatch):
-    """fock._pass_product and the generic product give scipy's A^T A of
-    random +-1 int16 matrices, whose off-diagonal sums often cancel to
+    """fock._pass_product, which builds A^T and A from the moves, and the
+    product of scipy's A^T and A as records give scipy's A^T A of random
+    +-1 int16 matrices, whose off-diagonal sums often cancel to
     zero and are dropped; some determinants have no move."""
     if terms:
         monkeypatch.setattr(V, "_TERMS", terms)
