@@ -796,7 +796,7 @@ def ground_state(
     scipy's import a scaling row still peaks lower below about n = 1000
     (d=3, r=1, cutoff 2, n = 714: 56 MB against 71 MB in place), but
     above it peaks higher, up to DENSE_LIMIT (d=2, r=1, cutoff 9, n =
-    1735: 155 MB against 110 MB, in half the time).
+    1735: 154 MB against 110 MB, in half the time).
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
