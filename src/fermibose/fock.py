@@ -67,7 +67,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import CSR, SparseVector, ordered_sum
+from .vector import CSR, SparseVector, _row_blocks, distinct, ordered_sum
 
 # ------------------------------------------------------------ determinants
 
@@ -119,7 +119,7 @@ def _rank_table(dets, shifts):
     by -k, k in shifts, in mode order; rank maps each mode of dets to its
     place in table, nsq[i] = |table[i]|^2, held lists the ranks of the
     modes of dets in ascending order and dsts[s][rank[p]] = rank[p -
-    shifts[s]] for each of them.
+    shifts[s]] for each of them, both int32.
 
     One np.unique over lattice.mode_codes sorts them in mode order.
     """
@@ -128,11 +128,11 @@ def _rank_table(dets, shifts):
     modes = list(set().union(*dets))
     if not modes:
         empty = np.zeros(0, dtype=np.int64)
-        return [], {}, empty, np.zeros((len(shifts), 0), dtype=np.int32), empty
+        return [], {}, empty, np.zeros((len(shifts), 0), dtype=np.int32), empty.astype(np.int32)
     pts = np.array(modes, dtype=np.int64)
     cand = np.concatenate([pts, *(pts - np.array(k) for k in shifts)])
     _, first, inverse = np.unique(mode_codes(cand), return_index=True, return_inverse=True)
-    held = inverse[: len(modes)]
+    held = inverse[: len(modes)].astype(np.int32)
     dsts = np.zeros((len(shifts), len(first)), dtype=np.int32)
     dsts[:, held] = inverse[len(modes) :].reshape(len(shifts), len(modes))
     table, rank = cand[first], dict(zip(modes, held.tolist()))
@@ -181,14 +181,14 @@ def _move_pass(bits, codes, keys, sources, targets):
     determinants bits, whose codes are codes, from a rank of sources,
     ascending, to the same entry of targets, in (row, slot) order.  The
     image's code is the row's with the keys of the source and the target
-    toggled: 8 bytes a move, the image's word itself on a one-word table.
-    A row's ranks ascend with its slots, so a source's slot is the count of
-    occupied ranks below it, and j, the target's slot in the determinant
-    without the source, is the count below the target, less one if it lies
-    above the source.  A move from slot i has sign (-1)^(i+j); no other
-    code computes it.  A target that is its own source counts as free:
-    rho_0 keeps each determinant with sign +1, as then j = i and the two
-    toggles cancel.
+    toggled: 8 bytes a move, the image's word itself on a one-word table;
+    src takes the dtype of sources.  A row's ranks ascend with its slots,
+    so a source's slot is the count of occupied ranks below it, and j, the
+    target's slot in the determinant without the source, is the count
+    below the target, less one if it lies above the source.  A move from
+    slot i has sign (-1)^(i+j); no other code computes it.  A target that
+    is its own source counts as free: rho_0 keeps each determinant with
+    sign +1, as then j = i and the two toggles cancel.
     """
     one, width = np.uint64(1), bits.shape[1]
     occupied = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little").view(bool)
@@ -213,7 +213,7 @@ def _move_pass(bits, codes, keys, sources, targets):
 
 
 _ROWS = 2048  # determinants per move pass: a large set goes in blocks
-_CHUNK = 1 << 16  # moves per collision check, entries per place lookup
+_CHUNK = 1 << 16  # moves per collision check, labels per rank comparison, values per add
 
 
 def _check_codes(bits, rows, src, dst, first, image):
@@ -237,14 +237,35 @@ def _check_codes(bits, rows, src, dst, first, image):
 
 def _first_order(labels):
     """(first, number) of integer labels: the index of each distinct label's
-    first entry, ascending, and each entry's number in that order."""
-    distinct, inverse = np.unique(labels, return_inverse=True)
-    first = np.full(len(distinct), len(labels))
-    np.minimum.at(first, inverse, np.arange(len(labels)))
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    return first[order], number[inverse]
+    first entry, ascending, and each entry's number in that order, both
+    int32 while they hold len(labels).  One argsort ranks the labels and
+    numbers each run of equal ones; a run's least index is its label's
+    first entry, and a count of first entries renumbers the runs in their
+    order.  Its peak, with the result, is about 17 bytes a label."""
+    dtype = np.int32 if len(labels) < 2**31 else np.int64
+    order = np.argsort(labels).astype(dtype)
+    head = np.ones(len(labels), dtype=bool)  # where each run of ranked labels starts
+    for a in range(1, len(labels), _CHUNK):
+        ranked = labels[order[a - 1 : a + _CHUNK]]
+        head[a : a + _CHUNK] = ranked[1:] != ranked[:-1]
+    runs = int(head.sum())
+    run = np.cumsum(head, dtype=dtype)  # of each rank, from 1
+    del head
+    run -= 1
+    number = np.empty(len(labels), dtype=dtype)  # each entry's run, in label order
+    number[order] = run
+    del order, run
+    first = np.full(runs, len(labels), dtype=dtype)  # each run's least index
+    np.minimum.at(first, number, np.arange(len(labels), dtype=dtype))
+    heads = np.zeros(len(labels), dtype=bool)
+    heads[first] = True
+    count = np.cumsum(heads, dtype=dtype)  # first entries up to each index
+    del heads
+    count -= 1
+    run = count[first]  # each run's number in first-entry order
+    del count
+    first.sort()
+    return first, run[number]
 
 
 def _passes(dets, shifts, r, sides):
@@ -277,8 +298,9 @@ def _passes(dets, shifts, r, sides):
             end = start + _ROWS
             rows, *rest = _move_pass(bits[start:end], codes[start:end], keys, sources, targets)
             blocks.append(((rows + start).astype(np.int32), *rest))
-        rows, slot, j, sign, code, src = map(np.concatenate, zip(*blocks))
-        del blocks  # not held through the registration
+        fields = list(zip(*blocks))  # each field's blocks
+        del blocks  # a field's blocks go as it is joined
+        rows, slot, j, sign, code, src = [np.concatenate(fields.pop(0)) for _ in range(6)]
         first, image = _first_order(code)  # callers read rows in order
         del code
         if len(table) > 64:
@@ -612,12 +634,14 @@ def _momentum_combinations(modes, n, momentum):
     empty = np.zeros(0, dtype=np.int64)
     reach = {0: np.zeros(1, dtype=np.int64)}  # reach[m]: the empty total
     stacks = [[] for _ in range(n + 1)]
+
+    def union(x, y):  # of two ascending code arrays
+        return distinct(np.sort(np.concatenate((x, y))))
+
     for i in range(m, -1, -1):
         if i < m:  # reach[i] from reach[i + 1]: skip modes[i] or take it
             reach = {
-                j: np.union1d(reach.get(j, empty), code[i] + reach[j - 1])
-                if j
-                else reach[0]
+                j: union(reach.get(j, empty), code[i] + reach[j - 1]) if j else reach[0]
                 for j in range(max(0, n - i), min(n, m - i) + 1)
             }
         for j, codes in reach.items():
@@ -664,7 +688,50 @@ def _pass_product(rows, sign, image, n):
     at = CSR.from_counts(sign, image, np.bincount(rows, minlength=n), (n, images))
     order = np.argsort(image)
     a = CSR.from_counts(sign[order], rows[order], np.bincount(image, minlength=images), (images, n))
+    del order  # not held through the product
     return at @ a
+
+
+def _union(products, n):
+    """(places, diagonal, columns, bounds) of the union of the diagonal and
+    the patterns of products, n x n CSR records: the place in the union of
+    each stored entry of each product and of each diagonal entry, the
+    union's columns, row by row, and where each row starts in it.
+
+    The rows go in blocks of about vector._TERMS entries, and a block a..b
+    sorts the (row - a) * n + column codes of its entries once; only the
+    places and the columns, int32 while n < 2**31, outlive it.
+    """
+    index = np.int32 if sum(m.nnz for m in products) + n < 2**31 else np.int64  # every place
+
+    def codes(m, a, b):  # (row - a) * n + column of each stored entry of rows a..b-1
+        out = np.repeat(np.arange(b - a) * n, np.diff(m.indptr[a : b + 1]))
+        out += m.indices[m.indptr[a] : m.indptr[b]]
+        return out
+
+    places = [np.empty(m.nnz, dtype=index) for m in products]
+    diagonal, bounds = np.empty(n, dtype=index), np.empty(n + 1, dtype=index)
+    columns = [np.zeros(0, dtype=np.int32 if n < 2**31 else np.int64)]
+    done = 0  # union entries in the rows before a
+    per_row = sum((np.diff(m.indptr) for m in products), np.ones(n, dtype=np.int64))
+    for a, b in _row_blocks(per_row):
+        keys = [codes(m, a, b) for m in products]
+        own = np.arange(b - a) * (n + 1) + a  # the diagonal's
+        where = distinct(np.sort(np.concatenate([*keys, own])))  # the union of the rows
+        for m, place, key in zip(products, places, keys):
+            place[m.indptr[a] : m.indptr[b]] = done + np.searchsorted(where, key)
+        diagonal[a:b] = done + np.searchsorted(where, own)
+        bounds[a:b] = done + np.searchsorted(where, np.arange(b - a) * n)
+        columns.append((where % n).astype(columns[0].dtype))
+        done += len(where)
+    bounds[n] = done
+    return places, diagonal, np.concatenate(columns), bounds
+
+
+def _add_at(vals, data, place, scale):
+    """vals[place] += scale * data, entry by entry in order, _CHUNK at a time."""
+    for a in range(0, len(data), _CHUNK):
+        np.add.at(vals, place[a : a + _CHUNK], scale * data[a : a + _CHUNK])
 
 
 def hamiltonian_matrix(config, pot, basis):
@@ -700,12 +767,12 @@ def hamiltonian_matrix(config, pot, basis):
     byte for byte, with int32 indices, without a new matrix per mode.
 
     Memory beyond the products and the matrix stays bounded: the moves
-    carry 8-byte image codes; each product sums its move pairs in row
-    blocks of about vector._TERMS pairs (vector.CSR's @); its entries find their places in
-    the union in chunks of _CHUNK, by int32 row * n + column codes when
-    n * n < 2**31, and its pattern goes as soon as they have; the
-    diagonal's places are found before the value array exists, and each
-    mode's values are added _CHUNK at a time.
+    carry 8-byte image codes and int32 labels; each product sums its move
+    pairs in row blocks of about vector._TERMS pairs (vector.CSR's @);
+    _union finds every entry's place in row blocks of as many entries,
+    and each pattern goes before the value array exists.  Each mode's
+    values are added _CHUNK at a time, and the exact zeros go by one
+    mask, the values first and then the columns.
     """
     items = pot.nonzero_items()
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
@@ -716,47 +783,22 @@ def hamiltonian_matrix(config, pot, basis):
         del slot, j, src, first  # not held through the product
         products.append(_pass_product(rows, sign, image, n))
         del rows, sign, image  # not held through the next pass
-    small = np.int32 if n * n < 2**31 else np.int64  # holds every row * n + column
-
-    def codes(m, a, b):  # row * n + column of each stored entry of rows a..b-1
-        out = np.repeat(np.arange(a, b, dtype=small) * small(n), np.diff(m.indptr[a : b + 1]))
-        out += m.indices[m.indptr[a] : m.indptr[b]]
-        return out
-
-    diagonal = np.arange(n, dtype=small) * small(n + 1)
-    where = np.concatenate([codes(p, 0, n) for p in products] + [diagonal])
-    where.sort()  # the union of the diagonal and every product's pattern
-    fresh = np.ones(len(where), dtype=bool)
-    fresh[1:] = where[1:] != where[:-1]
-    where = where[fresh]
-
-    def places(m):  # the place in the union of each stored entry of m
-        out = np.empty(m.nnz, dtype=np.int32)
-        cuts = np.searchsorted(m.indptr, np.arange(0, m.nnz, _CHUNK), side="right") - 1
-        for a, b in zip(cuts, [*cuts[1:], n]):  # rows a..b-1: about _CHUNK entries
-            out[m.indptr[a] : m.indptr[b]] = np.searchsorted(where, codes(m, a, b))
-        return out
-
-    for i in range(len(products)):  # each product's values and places: its pattern goes
-        products[i] = products[i].data, places(products[i])
-    diagonal = np.searchsorted(where, diagonal)
-    bounds = np.searchsorted(where, np.arange(n + 1, dtype=small) * small(n))  # of each row
-    columns = where % small(n)
-    del where
+    places, diagonal, columns, bounds = _union(products, n)
+    products = [(m.data, place) for m, place in zip(products, places)]  # the patterns go
+    del places
     vals = np.zeros(len(columns))
     vals[diagonal] = e_n0(config, pot) + kinetic_excess(config, norms)
     del diagonal
     lam = coupling(config)
     pair = {q: i for i, k in enumerate(leads) for q in (k, neg(k))}
     for k, v in items:
-        data, place = products[pair[k]]
-        for a in range(0, len(data), _CHUNK):
-            np.add.at(vals, place[a : a + _CHUNK], (lam * v) * data[a : a + _CHUNK])
+        _add_at(vals, *products[pair[k]], lam * v)
     del products
-    zeros = np.flatnonzero(vals == 0)  # exact zeros go once, at the end
-    if len(zeros):
-        bounds -= np.searchsorted(zeros, bounds)
-        vals, columns = np.delete(vals, zeros), np.delete(columns, zeros)
+    keep = vals != 0  # exact zeros go once, at the end
+    if not keep.all():
+        bounds -= np.searchsorted(np.flatnonzero(~keep), bounds)
+        vals = vals[keep]  # each array goes before the next is copied
+        columns = columns[keep]
     return CSR.from_counts(vals, columns, np.diff(bounds), (n, n))
 
 

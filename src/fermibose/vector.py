@@ -169,8 +169,16 @@ def _row_blocks(terms):
     cum = np.cumsum(terms)
     total = int(cum[-1]) if len(cum) else 0
     cuts = np.searchsorted(cum, np.arange(_TERMS, total, _TERMS)) + 1
-    cuts = np.unique(np.concatenate(([0], cuts, [len(terms)]))).tolist()
+    cuts = distinct(np.concatenate(([0], cuts, [len(terms)]))).tolist()
     return zip(cuts[:-1], cuts[1:])
+
+
+def distinct(x):
+    """The distinct entries of an ascending array, in order: one mask, as
+    np.unique's path without indices would, which imports numpy.ma."""
+    fresh = np.ones(len(x), dtype=bool)
+    fresh[1:] = x[1:] != x[:-1]
+    return x[fresh]
 
 
 def _expand(starts, counts):
@@ -203,14 +211,19 @@ def _product(a, b):
 
     In each row block one sort of the int64 keys (entry << s) | term
     groups the terms by entry, (row - lo) * n + c, and keeps each
-    entry's terms in stored order: 2**s exceeds the block's terms.
+    entry's terms in stored order: 2**s exceeds the block's terms.  The
+    term counts and each block's columns take the index dtype of the
+    shape and the total term count, int32 while it holds them.
     """
     n, dtype = b.shape[1], np.result_type(a.data, b.data)
     fan = np.diff(b.indptr)[a.indices]  # the terms of each stored entry of a
-    before = np.concatenate(([0], np.cumsum(fan)))[a.indptr]
+    index = _index_dtype((a.shape[0], n), int(fan.sum(dtype=np.int64)))
+    before = np.zeros(len(fan) + 1, dtype=index)
+    np.cumsum(fan, out=before[1:])
+    before = before[a.indptr]  # the terms before each row
     (ar, ai), (br, bi) = _parts(a.data), _parts(b.data)
     counts = np.zeros(a.shape[0], dtype=np.int64)
-    cols, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
+    cols, sums = [np.zeros(0, dtype=index)], [np.zeros(0, dtype=dtype)]
     for lo, hi in _row_blocks(np.diff(before)):
         stored = np.arange(a.indptr[lo], a.indptr[hi])
         owner, j = _expand(b.indptr[a.indices[stored]], fan[stored])
@@ -233,9 +246,11 @@ def _product(a, b):
         labels = key[head][keep]
         row = labels // n
         counts[lo:hi] = np.bincount(row, minlength=hi - lo)
-        cols.append(labels - row * n)
+        cols.append((labels - row * n).astype(index))
         sums.append(total[keep])
-    return CSR.from_counts(np.concatenate(sums), np.concatenate(cols), counts, (a.shape[0], n))
+    data = np.concatenate(sums)
+    del sums  # each list goes as it is joined
+    return CSR.from_counts(data, np.concatenate(cols), counts, (a.shape[0], n))
 
 
 def gram(p, q=None):

@@ -752,8 +752,10 @@ def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
     """scaling and isometry build their frames, Hamiltonians and forms and
     solve their dense sectors with numpy: in a fresh process that runs
     both, scipy.sparse, scipy.linalg and scipy._lib._array_api (which
-    every scipy submodule loads) stay unimported.  A dense exact row then
-    loads scipy.linalg, its solver, but not the Lanczos scipy.sparse.linalg."""
+    every scipy submodule loads) stay unimported, and so does numpy.ma,
+    which np.unique's path without indices imports.  A dense exact row
+    then loads scipy.linalg, its solver, and numpy.ma with it, but not the
+    Lanczos scipy.sparse.linalg."""
     root = pathlib.Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
@@ -763,7 +765,7 @@ def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
         f"code = cli.main(['scaling', '--config', 'configs/scaling_d2.yaml', '--radii', "
         f"'5,17', '--out', {str(tmp_path)!r}])\n"
         f"code += cli.main(['isometry', '--radii', '1,4', '--out', {str(tmp_path)!r}])\n"
-        "print(code, [m for m in heavy if m in sys.modules])\n"
+        "print(code, [m for m in (*heavy, 'numpy.ma') if m in sys.modules])\n"
         f"code += cli.main(['exact', '--radii', '1', '--potential', {POT2!r}, "
         f"'--out', {str(tmp_path)!r}])\n"
         "print(code, [m for m in heavy if m in sys.modules])\n"

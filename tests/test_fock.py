@@ -21,6 +21,7 @@ from fermibose import boson as B
 from fermibose import bridge as BR
 from fermibose import fock as F
 from fermibose import lattice as L
+from fermibose import vector as V
 from fermibose.vector import CSR, frame
 
 import oracles as O
@@ -948,6 +949,39 @@ def _swapped_images(basis, k):
     raise AssertionError("no two images differ by one mode")
 
 
+def _first_order_by_unique(labels):
+    """(first, number) through np.unique: its stable first indices, in
+    ascending order, and each entry's place among them."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    return first[order], number[inverse]
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunks-of-7"])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_first_order_matches_unique(dtype, chunk, monkeypatch):
+    """_first_order numbers labels as np.unique's first indices order
+    them, in int32, on empty, single and all-equal labels and on random
+    labels over the whole range of the dtype with many repeats."""
+    if chunk:
+        monkeypatch.setattr(F, "_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    info = np.iinfo(dtype)
+    cases = [np.zeros(0, dtype=dtype), np.array([info.max], dtype=dtype)]
+    cases.append(np.full(9, 3, dtype=dtype))
+    for size in (2, 40, 3000, 100_000):
+        pool = rng.integers(info.min, info.max, max(1, size // 3), dtype=dtype, endpoint=True)
+        cases.append(pool[rng.integers(0, len(pool), size)])
+    for labels in cases:
+        first, number = F._first_order(labels)
+        want_first, want_number = _first_order_by_unique(labels)
+        assert first.dtype == number.dtype == np.int32
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(number, want_number)
+
+
 def test_code_collisions_raise(small2, unit4, monkeypatch):
     """Two ranks given one key make two different images of a rho_k pass
     share a code over a table of more than 64 ranks: hamiltonian_matrix
@@ -1082,19 +1116,68 @@ def test_hamiltonian_assembly_memory_is_bounded(unit4):
     monos = B.window_monomials(B.TruncationWindow.from_radius(2, 1, 2))
     basis = frame([BR.phi_monomial_image(config, m) for m in monos])[0]
     assert len(basis) == 3515
-    tracemalloc.start()
-    try:
-        h = F.hamiltonian_matrix(config, unit4, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak = _assembly_peak(config, unit4, basis)
     assert h.nnz == 135_047
     assert peak < 14e6
 
 
+def _assembly_peak(config, pot, basis):
+    """(matrix, tracemalloc peak) of one hamiltonian_matrix call."""
+    tracemalloc.start()
+    try:
+        h = F.hamiltonian_matrix(config, pot, basis)
+        return h, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_assembly_memory_tracks_its_result(unit4):
+    """The assembly of the d = 2, r = 2 zero-momentum sector at cutoff 5,
+    which the exact table solves by Lanczos (5010 determinants, 160,546
+    entries, 1.95 MB of CSR arrays), peaks under 4.5 MB: the moves'
+    labels are int32 and the union pattern is found a row block at a
+    time.  np.unique's int64 labels and a whole-matrix union peaked at
+    5.13 MB."""
+    config = L.GasConfig(d=2, fermi_radius_sq=2, alpha=-1.0)
+    basis = F.sector_basis(config, 5)
+    assert len(basis) == 5010
+    h, peak = _assembly_peak(config, unit4, basis)
+    assert h.nnz == 160_546
+    assert peak < 4.5e6
+
+
+def test_frame_assembly_memory_tracks_its_result(unit4):
+    """The assembly of the d = 2, r = 20 unit-window degree-4 frame
+    (55,498 determinants, 1,465,810 entries, 17.8 MB of CSR arrays, two
+    passes of 701,690 moves) peaks under 45 MB.  np.unique's int64
+    labels, whole-array joins of the moves and of the product columns, a
+    whole-matrix union and two np.delete copies for the exact zeros
+    peaked at 63.9 MB."""
+    config = L.GasConfig(d=2, fermi_radius_sq=20, alpha=-1.0)
+    monos = B.window_monomials(B.TruncationWindow.from_radius(2, 1, 4))
+    basis = frame([BR.phi_monomial_image(config, m) for m in monos])[0]
+    assert len(basis) == 55_498
+    h, peak = _assembly_peak(config, unit4, basis)
+    assert h.nnz == 1_465_810
+    assert peak < 45e6
+
+
+def test_hamiltonian_union_in_row_blocks(small2, unit4, monkeypatch):
+    """The union pattern found in row blocks of a few entries gives the
+    CSR arrays of one block, byte for byte and dtype for dtype."""
+    sector = F.sector_basis(small2, 4)
+    want = F.hamiltonian_matrix(small2, unit4, sector)
+    monkeypatch.setattr(V, "_TERMS", 5)
+    got = F.hamiltonian_matrix(small2, unit4, sector)
+    for field in ("data", "indices", "indptr"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype, field
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
 def test_hamiltonian_assembly_with_int64_place_codes():
-    """Over n >= 46,341 determinants n * n reaches 2**31, so the places
-    are found by int64 row * n + column codes.  The restriction of such an
+    """Over n >= 46,341 determinants n * n reaches 2**31, past any int32
+    row * n + column code; _union codes the entries of each row block
+    from the block's first row, in int64.  The restriction of such an
     assembly (the first 46,400 two-particle determinants over |p|^2 <= 100,
     489,260 entries) to every 97th determinant and the last 400 is the
     assembly over that subset, byte for byte: each entry depends only on
