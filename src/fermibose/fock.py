@@ -67,7 +67,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import CSR, SparseVector, _row_blocks, distinct, ordered_sum
+from .vector import CSR, SparseVector, distinct, ordered_sum, row_blocks
 
 # ------------------------------------------------------------ determinants
 
@@ -213,7 +213,7 @@ def _move_pass(bits, codes, keys, sources, targets):
 
 
 _ROWS = 2048  # determinants per move pass: a large set goes in blocks
-_CHUNK = 1 << 16  # moves per collision check, labels per rank comparison, values per add
+_CHUNK = 1 << 16  # moves per collision check, labels per rank comparison
 
 
 def _check_codes(bits, rows, src, dst, first, image):
@@ -692,48 +692,6 @@ def _pass_product(rows, sign, image, n):
     return at @ a
 
 
-def _union(products, n):
-    """(places, diagonal, columns, bounds) of the union of the diagonal and
-    the patterns of products, n x n CSR records: the place in the union of
-    each stored entry of each product and of each diagonal entry, the
-    union's columns, row by row, and where each row starts in it.
-
-    The rows go in blocks of about vector._TERMS entries, and a block a..b
-    sorts the (row - a) * n + column codes of its entries once; only the
-    places and the columns, int32 while n < 2**31, outlive it.
-    """
-    index = np.int32 if sum(m.nnz for m in products) + n < 2**31 else np.int64  # every place
-
-    def codes(m, a, b):  # (row - a) * n + column of each stored entry of rows a..b-1
-        out = np.repeat(np.arange(b - a) * n, np.diff(m.indptr[a : b + 1]))
-        out += m.indices[m.indptr[a] : m.indptr[b]]
-        return out
-
-    places = [np.empty(m.nnz, dtype=index) for m in products]
-    diagonal, bounds = np.empty(n, dtype=index), np.empty(n + 1, dtype=index)
-    columns = [np.zeros(0, dtype=np.int32 if n < 2**31 else np.int64)]
-    done = 0  # union entries in the rows before a
-    per_row = sum((np.diff(m.indptr) for m in products), np.ones(n, dtype=np.int64))
-    for a, b in _row_blocks(per_row):
-        keys = [codes(m, a, b) for m in products]
-        own = np.arange(b - a) * (n + 1) + a  # the diagonal's
-        where = distinct(np.sort(np.concatenate([*keys, own])))  # the union of the rows
-        for m, place, key in zip(products, places, keys):
-            place[m.indptr[a] : m.indptr[b]] = done + np.searchsorted(where, key)
-        diagonal[a:b] = done + np.searchsorted(where, own)
-        bounds[a:b] = done + np.searchsorted(where, np.arange(b - a) * n)
-        columns.append((where % n).astype(columns[0].dtype))
-        done += len(where)
-    bounds[n] = done
-    return places, diagonal, np.concatenate(columns), bounds
-
-
-def _add_at(vals, data, place, scale):
-    """vals[place] += scale * data, entry by entry in order, _CHUNK at a time."""
-    for a in range(0, len(data), _CHUNK):
-        np.add.at(vals, place[a : a + _CHUNK], scale * data[a : a + _CHUNK])
-
-
 def hamiltonian_matrix(config, pot, basis):
     """Sparse PHP over the given determinant basis, as a vector.CSR
     record: the one matrix form of the Hamiltonian.
@@ -756,23 +714,23 @@ def hamiltonian_matrix(config, pot, basis):
     docstring) and A_{-k}^dag A_{-k} is the same integer matrix; vhat is
     even.  So one pass and one product serve each pair.
 
-    The sum is one float array over the union of the diagonal and every
-    product's pattern: it starts at e_n0 + :T: on the diagonal, then each
-    mode k, in mode order, adds lambda vhat(k) times its pair's product.
-    So each entry is the left-to-right sum ((d + s_1 P_1) + s_2 P_2) + ...
-    that a chain h = h + s_k P_k of sparse sums makes; such a chain drops
-    an entry that sums to an exact zero, but 0.0 + x == x, so one that
-    comes back gets the same value.  Exact zeros are dropped once, at the
-    end, and the CSR arrays are those of that chain of scipy.sparse sums,
-    byte for byte, with int32 indices, without a new matrix per mode.
+    The sum runs over row blocks of about vector._TERMS entries, as the
+    products do (vector.CSR's @): one sort of the (row - a) * n + column
+    codes of rows a..b-1 gives the union of the diagonal's and every
+    product's pattern there, and a float array over it starts at e_n0 +
+    :T: on the diagonal, then each mode k, in mode order, adds lambda
+    vhat(k) times its pair's product.  So each entry is the left-to-right
+    sum ((d + s_1 P_1) + s_2 P_2) + ... that a chain h = h + s_k P_k of
+    sparse sums makes; such a chain drops an entry that sums to an exact
+    zero, but 0.0 + x == x, so one that comes back gets the same value.
+    Exact zeros are dropped once, after the last mode, and the CSR arrays
+    are those of that chain of scipy.sparse sums, byte for byte, with
+    int32 indices, without a new matrix per mode.
 
     Memory beyond the products and the matrix stays bounded: the moves
-    carry 8-byte image codes and int32 labels; each product sums its move
-    pairs in row blocks of about vector._TERMS pairs (vector.CSR's @);
-    _union finds every entry's place in row blocks of as many entries,
-    and each pattern goes before the value array exists.  Each mode's
-    values are added _CHUNK at a time, and the exact zeros go by one
-    mask, the values first and then the columns.
+    carry 8-byte image codes and int32 labels, each product sums its move
+    pairs a row block at a time, and only the block's kept values and
+    int32 columns (while n < 2**31) outlive it.
     """
     items = pot.nonzero_items()
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
@@ -783,23 +741,44 @@ def hamiltonian_matrix(config, pot, basis):
         del slot, j, src, first  # not held through the product
         products.append(_pass_product(rows, sign, image, n))
         del rows, sign, image  # not held through the next pass
-    places, diagonal, columns, bounds = _union(products, n)
-    products = [(m.data, place) for m, place in zip(products, places)]  # the patterns go
-    del places
-    vals = np.zeros(len(columns))
-    vals[diagonal] = e_n0(config, pot) + kinetic_excess(config, norms)
-    del diagonal
     lam = coupling(config)
     pair = {q: i for i, k in enumerate(leads) for q in (k, neg(k))}
-    for k, v in items:
-        _add_at(vals, *products[pair[k]], lam * v)
+    scaled = [(pair[k], lam * v) for k, v in items]  # in mode order
+    excess = e_n0(config, pot) + kinetic_excess(config, norms)  # the diagonal
+
+    def codes(m, a, b):  # (row - a) * n + column of each stored entry of rows a..b-1
+        out = np.repeat(np.arange(b - a) * n, np.diff(m.indptr[a : b + 1]))
+        out += m.indices[m.indptr[a] : m.indptr[b]]
+        return out
+
+    def block(a, b):  # the codes and sums of the union of rows a..b-1, zeros dropped
+        keys = [codes(m, a, b) for m in products]
+        own = np.arange(b - a) * (n + 1) + a  # the diagonal's
+        where = np.concatenate([*keys, own])
+        where.sort()
+        where = distinct(where)
+        places = [np.searchsorted(where, key) for key in keys]
+        total = np.zeros(len(where))
+        total[np.searchsorted(where, own)] = excess[a:b]
+        for i, scale in scaled:
+            m = products[i]
+            np.add.at(total, places[i], scale * m.data[m.indptr[a] : m.indptr[b]])
+        keep = total != 0  # exact zeros go once, after the last mode
+        return where[keep], total[keep]
+
+    per_row = sum((np.diff(m.indptr) for m in products), np.ones(n, dtype=np.int64))
+    counts = np.zeros(n, dtype=np.int64)
+    cols, sums = [np.zeros(0, dtype=np.int32 if n < 2**31 else np.int64)], [np.zeros(0)]
+    for a, b in row_blocks(per_row):
+        where, total = block(a, b)
+        row = where // n
+        counts[a:b] = np.bincount(row, minlength=b - a)
+        cols.append((where - row * n).astype(cols[0].dtype))
+        sums.append(total)
     del products
-    keep = vals != 0  # exact zeros go once, at the end
-    if not keep.all():
-        bounds -= np.searchsorted(np.flatnonzero(~keep), bounds)
-        vals = vals[keep]  # each array goes before the next is copied
-        columns = columns[keep]
-    return CSR.from_counts(vals, columns, np.diff(bounds), (n, n))
+    data = np.concatenate(sums)
+    del sums  # each list goes as it is joined
+    return CSR.from_counts(data, np.concatenate(cols), counts, (n, n))
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

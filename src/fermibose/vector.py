@@ -149,7 +149,7 @@ class CSR:
         if isinstance(other, CSR):
             return _product(self, other)
         out = np.zeros(self.shape[0], dtype=np.result_type(self.data, other))
-        for lo, hi in _row_blocks(np.diff(self.indptr)):
+        for lo, hi in row_blocks(np.diff(self.indptr)):
             a, b = self.indptr[lo], self.indptr[hi]
             np.add.at(out, self.rows(lo, hi), self.data[a:b] * other[self.indices[a:b]])
         return out
@@ -163,7 +163,7 @@ def _index_dtype(shape, nnz):
     return np.int32 if max(*shape, nnz) < 2**31 else np.int64
 
 
-def _row_blocks(terms):
+def row_blocks(terms):
     """(a, b) ranges of rows that hold about _TERMS terms each, given each
     row's terms; a row of more terms is a block of its own."""
     cum = np.cumsum(terms)
@@ -224,7 +224,7 @@ def _product(a, b):
     (ar, ai), (br, bi) = _parts(a.data), _parts(b.data)
     counts = np.zeros(a.shape[0], dtype=np.int64)
     cols, sums = [np.zeros(0, dtype=index)], [np.zeros(0, dtype=dtype)]
-    for lo, hi in _row_blocks(np.diff(before)):
+    for lo, hi in row_blocks(np.diff(before)):
         stored = np.arange(a.indptr[lo], a.indptr[hi])
         owner, j = _expand(b.indptr[a.indices[stored]], fan[stored])
         s = len(j).bit_length()
@@ -263,7 +263,7 @@ def gram(p, q=None):
     (pr, pi), (qr, qi) = _parts(p.data), _parts(q.data)
     per_row = np.diff(q.indptr)
     out = np.zeros(m * n)
-    for lo, hi in _row_blocks(np.diff(p.indptr) * per_row):
+    for lo, hi in row_blocks(np.diff(p.indptr) * per_row):
         row = p.rows(lo, hi)
         owner, j = _expand(q.indptr[row], per_row[row])
         i = np.arange(p.indptr[lo], p.indptr[hi])[owner]

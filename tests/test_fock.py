@@ -1135,9 +1135,8 @@ def test_sector_assembly_memory_tracks_its_result(unit4):
     """The assembly of the d = 2, r = 2 zero-momentum sector at cutoff 5,
     which the exact table solves by Lanczos (5010 determinants, 160,546
     entries, 1.95 MB of CSR arrays), peaks under 4.5 MB: the moves'
-    labels are int32 and the union pattern is found a row block at a
-    time.  np.unique's int64 labels and a whole-matrix union peaked at
-    5.13 MB."""
+    labels are int32 and the sums run a row block at a time.  np.unique's
+    int64 labels and a whole-matrix union peaked at 5.13 MB."""
     config = L.GasConfig(d=2, fermi_radius_sq=2, alpha=-1.0)
     basis = F.sector_basis(config, 5)
     assert len(basis) == 5010
@@ -1162,9 +1161,9 @@ def test_frame_assembly_memory_tracks_its_result(unit4):
     assert peak < 45e6
 
 
-def test_hamiltonian_union_in_row_blocks(small2, unit4, monkeypatch):
-    """The union pattern found in row blocks of a few entries gives the
-    CSR arrays of one block, byte for byte and dtype for dtype."""
+def test_hamiltonian_sums_in_row_blocks(small2, unit4, monkeypatch):
+    """The sums over row blocks of a few entries give the CSR arrays of
+    one block, byte for byte and dtype for dtype."""
     sector = F.sector_basis(small2, 4)
     want = F.hamiltonian_matrix(small2, unit4, sector)
     monkeypatch.setattr(V, "_TERMS", 5)
@@ -1176,7 +1175,7 @@ def test_hamiltonian_union_in_row_blocks(small2, unit4, monkeypatch):
 
 def test_hamiltonian_assembly_with_int64_place_codes():
     """Over n >= 46,341 determinants n * n reaches 2**31, past any int32
-    row * n + column code; _union codes the entries of each row block
+    row * n + column code; the sum codes the entries of each row block
     from the block's first row, in int64.  The restriction of such an
     assembly (the first 46,400 two-particle determinants over |p|^2 <= 100,
     489,260 entries) to every 97th determinant and the last 400 is the
