@@ -262,9 +262,9 @@ def _dsyevr(a):
     return scipy.linalg.eigh(a, overwrite_a=True)
 
 
-def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum, eigh=np.linalg.eigh):
+def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum, eigh=None):
     """The sector ground state of one row: (result or None, status,
-    failures); eigh solves a dense sector.
+    failures); eigh, if given, solves a sector below fock.DENSE_LIMIT.
 
     A cutoff ball that is the Fermi ball itself holds only the filled
     ball, so it is skipped unsolved; a sector fock.ground_state refuses is

@@ -38,11 +38,10 @@ product serves both modes.  It sums every product into one value array
 over the union of their patterns, each entry in mode order, so the
 matrix keeps the bytes of a chain of sparse sums.
 
-Matrices are vector.CSR records built with numpy.  ground_state solves
-a dense sector with numpy.linalg.eigh unless its caller passes another
-eigh (the exact table passes scipy.linalg.eigh) and imports
-scipy.sparse.linalg only for a Lanczos sector, so nothing else here
-loads scipy.
+Matrices are vector.CSR records built with numpy, and ground_state
+solves every sector with vector.lowest_eigenpair, a restarted Lanczos in
+numpy, unless its caller passes a dense eigh (the exact table passes
+scipy.linalg.eigh below DENSE_LIMIT), so nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .lattice import (
     norm_sq,
     particle_count,
 )
-from .vector import CSR, SparseVector, distinct, ordered_sum, row_blocks
+from .vector import CSR, SparseVector, distinct, lowest_eigenpair, ordered_sum, row_blocks
 
 # ------------------------------------------------------------ determinants
 
@@ -159,7 +158,9 @@ def _rank_keys(n):
 def _encode(dets, rank, nsq, keys):
     """(bits, codes, norms) of dets over the table of rank, _ROWS rows at a
     time: bits[row] packs the row's ranks into little-endian words,
-    codes[row] XORs their keys and norms[row] sums nsq over them."""
+    codes[row] XORs their keys and norms[row] sums nsq over them, a few
+    rank columns at a time (exact in any order), so no key or norm block
+    holds more than _CHUNK entries."""
     bits = np.zeros((len(dets), (len(nsq) + 63) // 64), dtype="<u8")
     codes = np.zeros(len(dets), dtype=np.uint64)
     norms = np.zeros(len(dets), dtype=np.int64)
@@ -171,8 +172,12 @@ def _encode(dets, rank, nsq, keys):
         occupied[np.arange(len(block))[:, None], ranks] = True
         packed = np.packbits(occupied, axis=1, bitorder="little").view("<u8")
         bits[start : start + len(block)] = packed
-        codes[start : start + len(block)] = np.bitwise_xor.reduce(keys[ranks], axis=1)
-        norms[start : start + len(block)] = nsq[ranks].sum(axis=1)
+        code, norm = codes[start : start + len(block)], norms[start : start + len(block)]
+        width = max(1, _CHUNK // len(block))  # rank columns per gather
+        for a in range(0, ranks.shape[1], width):
+            cols = ranks[:, a : a + width]
+            code ^= np.bitwise_xor.reduce(keys[cols], axis=1)
+            norm += nsq[cols].sum(axis=1)
     return bits, codes, norms
 
 
@@ -789,7 +794,7 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(piv) / piv)
 
 
-DENSE_LIMIT = 2000  # sectors this large and up are solved by Lanczos
+DENSE_LIMIT = 2000  # sectors this large and up are never solved densely
 
 
 def ground_state(
@@ -800,48 +805,35 @@ def ground_state(
     tol: float = 1e-9,
     basis_limit: int = 200_000,
     *,
-    eigh=np.linalg.eigh,
+    eigh=None,
 ) -> GroundStateResult:
     """Lowest eigenpair of the Hamiltonian restricted to a momentum sector
     of determinants over modes |p|^2 <= cutoff_radius_sq.
 
     The restricted energy is a variational upper bound for the full ground
-    energy and never drops below e_n0.  Sectors below DENSE_LIMIT are
-    solved densely by eigh, given the matrix as one Fortran-order array;
-    larger ones by restarted Lanczos (scipy's eigsh) with residual
-    tolerance tol from a fixed start vector, so every call returns the
-    same result.
-
-    The exact table's eigh solves that array in place, at about 2 n^2
-    doubles; numpy.linalg.eigh copies it and holds about 5 n^2.  Without
-    scipy's import a scaling row still peaks lower below about n = 1000
-    (d=3, r=1, cutoff 2, n = 714: 56 MB against 71 MB in place), but
-    above it peaks higher, up to DENSE_LIMIT (d=2, r=1, cutoff 9, n =
-    1735: 154 MB against 110 MB, in half the time).
+    energy and never drops below e_n0.  Every sector is solved by
+    vector.lowest_eigenpair, a restarted Lanczos in numpy that stops when
+    the residual printed here is at most tol * |energy| (or at its
+    rounding floor, when tol asks for less) and raises ValueError when it
+    does not converge; its start vector is fixed, so every call returns
+    the same result, and it holds about 31 n doubles, no n x n copy.
+    Only a caller that passes eigh (the exact table passes
+    scipy.linalg.eigh, whose dsyevr residuals the pinned tables hold) has
+    a sector below DENSE_LIMIT solved densely, by eigh on the matrix as
+    one Fortran-order n x n array.
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
     if dim == 0:
         raise ValueError("empty sector")
     h = hamiltonian_matrix(config, pot, basis)
-    if dim < DENSE_LIMIT:
+    if eigh is not None and dim < DENSE_LIMIT:
         how = "dense"
         w, u = eigh(h.toarray(order="F"))
+        energy, vec = float(w[0]), u[:, 0]
     else:
-        import scipy.sparse
-        import scipy.sparse.linalg
-
         how = "iterative"
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        w, u = scipy.sparse.linalg.eigsh(
-            scipy.sparse.csr_matrix((h.data, h.indices, h.indptr), h.shape),
-            k=1,
-            which="SA",
-            tol=tol,
-            maxiter=max(5000, 100 * dim),
-            v0=v0,
-        )
-    energy, vec = float(w[0]), u[:, 0]
+        energy, vec = lowest_eigenpair(h, tol)
     vec = _canonical_phase(vec)
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     out = FermionVector(

@@ -253,6 +253,85 @@ def _product(a, b):
     return CSR.from_counts(data, np.concatenate(cols), counts, (a.shape[0], n))
 
 
+_KRYLOV, _KEPT = 20, 10  # Lanczos vectors held, and Ritz vectors kept at a restart
+_CYCLES = 1000  # Lanczos cycles, the first and each restart, before giving up
+_FLOOR = 1000 * np.finfo(float).eps  # residual floor, relative to max row sum |h|
+
+
+def lowest_eigenpair(h, tol, maxiter=_CYCLES):
+    """(energy, vector): the lowest eigenvalue of the real symmetric CSR
+    h and a unit eigenvector, by Lanczos with full reorthogonalisation
+    and thick restarts (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
+    (2000)): _KRYLOV vectors at most, the _KEPT lowest Ritz vectors kept
+    at each restart.
+
+    The start vector is fixed, frac(0.6180339887498949 i) - 0.5 for i = 1
+    .. n, so every call gives the same bytes.  A cycle ends in a check
+    of the Ritz estimate of the residual, and the solve stops only when
+    the residual recomputed as ||h @ v - E v||, the bytes
+    fock.ground_state prints, is at most tol * |E|, or at most the
+    rounding floor _FLOOR times h's largest absolute row sum when tol
+    asks for less; it raises ValueError after maxiter cycles.  A Krylov
+    space that closes (beta at the floor, as for a diagonal h, or n
+    vectors) is invariant, and its lowest Ritz pair is returned as it
+    stands.  Inside, h @ x is a gather, a multiply and np.add.reduceat
+    into one buffer of nnz floats, not the ordered sums of CSR's @.
+    """
+    n = h.shape[0]
+    buf = np.empty(h.nnz)
+    filled = np.flatnonzero(np.diff(h.indptr))  # rows with entries; the rest read 0
+    starts = h.indptr[filled]
+
+    def apply(x, out):
+        np.take(x, h.indices, out=buf, mode="wrap")  # "raise" would copy through a buffer
+        np.multiply(buf, h.data, out=buf)
+        out[:] = 0.0
+        out[filled] = np.add.reduceat(buf, starts)
+
+    np.abs(h.data, out=buf)
+    floor = _FLOOR * float(np.add.reduceat(buf, starts).max(initial=0.0))
+    m = min(_KRYLOV, n)
+    v = np.empty((m + 1, n))  # Lanczos vectors, by rows
+    x = np.arange(1, n + 1) * 0.6180339887498949
+    v[0] = x - np.floor(x) - 0.5
+    v[0] /= np.linalg.norm(v[0])
+    t = np.zeros((m, m))  # v^T h v: the kept Ritz values, their arrow, then tridiagonal
+    kept = 0
+    for _ in range(maxiter):
+        for j in range(kept, m):
+            w = v[j + 1]
+            apply(v[j], w)
+            for _ in range(2):  # full reorthogonalisation, twice
+                c = v[: j + 1] @ w
+                w -= c @ v[: j + 1]
+                t[j, j] += c[j]
+            beta = float(np.linalg.norm(w))
+            if beta <= floor or j + 1 == n:  # the Krylov space closed
+                theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
+                return float(theta[0]), _unit(s[:, 0] @ v[: j + 1])
+            w /= beta
+            if j + 1 < m:
+                t[j, j + 1] = t[j + 1, j] = beta
+        theta, s = np.linalg.eigh(t)
+        energy = float(theta[0])
+        bound = max(tol * abs(energy), floor)
+        if beta * abs(s[-1, 0]) <= bound:  # the Ritz estimate of the residual
+            vec = _unit(s[:, 0] @ v[:m])
+            if np.linalg.norm(h @ vec - energy * vec) <= bound:
+                return energy, vec
+        kept = _KEPT  # m == _KRYLOV < n here
+        v[:kept] = s[:, :kept].T @ v[:m]
+        v[kept] = v[m]
+        t[:] = 0.0
+        t[:kept, :kept] = np.diag(theta[:kept])
+        t[kept, :kept] = t[:kept, kept] = beta * s[-1, :kept]
+    raise ValueError(f"Lanczos did not converge in {maxiter} cycles")
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
 def gram(p, q=None):
     """Re(P^dag Q) as a dense array in Fortran order, Q defaulting to P:
     entry (a, b) sums Re(Q[r, b] conj(P[r, a])) from zero over the rows r

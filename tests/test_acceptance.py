@@ -149,15 +149,14 @@ def test_acceptance_2_exact_small_values():
     report(2, "exact small values to 1e-12", ok, "; ".join(detail))
 
 
-def test_acceptance_3_sandwich(monkeypatch):
+def test_acceptance_3_sandwich():
     started = time.monotonic()
     config = L.GasConfig(d=2, fermi_radius_sq=1, alpha=-1.0)
     pot = F.unit_potential(2)
     window = B.TruncationWindow.from_radius(2, 1, 2)
 
     lower, upper = F.trivial_bounds(config, pot)
-    dense = F.ground_state(config, pot, cutoff_radius_sq=4)
-    monkeypatch.setattr(F, "DENSE_LIMIT", 51)  # Lanczos on the dimension-51 sector
+    dense = F.ground_state(config, pot, cutoff_radius_sq=4, eigh=np.linalg.eigh)
     iterative = F.ground_state(config, pot, cutoff_radius_sq=4)
     sub = BR.subspace_upper_bound(window, config, pot)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 
 import pytest
 
-from fermibose import cli, fock
+from fermibose import cli, fock, vector
 from fermibose.lattice import TWO_PI
 
 
@@ -155,6 +156,20 @@ def test_solver_residual_is_gated(tmp_path, argv):
     # the row is still written
     header, rows = read_csv(out / f"{argv[0]}.csv")
     assert len(rows) == 1
+
+
+def test_unconverged_lanczos_sector_is_skipped(tmp_path, monkeypatch):
+    """A Lanczos solve that does not converge raises ValueError, which
+    _solve records as a skipped row; the run goes on."""
+    one_restart = functools.partial(vector.lowest_eigenpair, maxiter=1)
+    monkeypatch.setattr(fock, "lowest_eigenpair", one_restart)
+    argv = ["scaling", "--radii", "1", "--cutoff-radius-sq", "5", "--window-degree", "1"]
+    assert run_cli(*argv, "--potential", POT2, "--out", str(tmp_path)) == 0
+    header, rows = read_csv(tmp_path / "scaling.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["exact_status"] == "skipped: Lanczos did not converge in 1 cycles"
+    assert row["exact_energy"] == ""
+    assert read_json(tmp_path / "failures.json") == []
 
 
 def test_non_finite_subspace_bound_is_gated(tmp_path, monkeypatch):
@@ -750,25 +765,34 @@ def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
 
 def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
     """scaling and isometry build their frames, Hamiltonians and forms and
-    solve their dense sectors with numpy: in a fresh process that runs
-    both, scipy.sparse, scipy.linalg and scipy._lib._array_api (which
-    every scipy submodule loads) stay unimported, and so does numpy.ma,
-    which np.unique's path without indices imports.  A dense exact row
-    then loads scipy.linalg, its solver, and numpy.ma with it, but not the
-    Lanczos scipy.sparse.linalg."""
+    solve their sectors with numpy, the Lanczos sector of r = 13 (2104
+    determinants) included: in a fresh process that runs both,
+    scipy.sparse, scipy.linalg and scipy._lib._array_api (which every
+    scipy submodule loads) stay unimported, and so do numpy.ma, which
+    np.unique's path without indices imports, and numpy.random, which
+    the fixed Lanczos start vector does without.  An exact row of one
+    Lanczos sector (5010 determinants) loads none of them either.  A
+    dense exact row then loads scipy.linalg, its solver, and numpy.random
+    with it, but not scipy.sparse."""
     root = pathlib.Path(__file__).resolve().parents[1]
+    out = str(tmp_path)
     script = (
         "import sys\n"
         "from fermibose import cli\n"
         "heavy = ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api', "
-        "'scipy.sparse.linalg')\n"
+        "'scipy.sparse.linalg', 'numpy.random')\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
         f"code = cli.main(['scaling', '--config', 'configs/scaling_d2.yaml', '--radii', "
-        f"'5,17', '--out', {str(tmp_path)!r}])\n"
-        f"code += cli.main(['isometry', '--radii', '1,4', '--out', {str(tmp_path)!r}])\n"
-        "print(code, [m for m in (*heavy, 'numpy.ma') if m in sys.modules])\n"
+        f"'5,13,17', '--out', {out!r}])\n"
+        f"code += cli.main(['isometry', '--radii', '1,4', '--out', {out!r}])\n"
+        "print(code, loaded((*heavy, 'numpy.ma')))\n"
+        f"code += cli.main(['exact', '--radii', '2', '--cutoff-radius-sq', '5', '--potential', "
+        f"{POT2!r}, '--exact-dim-limit', '30000', '--out', {out + '/lanczos'!r}])\n"
+        "print(code, loaded(heavy))\n"
         f"code += cli.main(['exact', '--radii', '1', '--potential', {POT2!r}, "
-        f"'--out', {str(tmp_path)!r}])\n"
-        "print(code, [m for m in heavy if m in sys.modules])\n"
+        f"'--out', {out + '/dense'!r}])\n"
+        "print(code, loaded(heavy))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -782,14 +806,19 @@ def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.splitlines()[-2:] == [
+    assert out.stdout.splitlines()[-3:] == [
         "0 []",
-        "0 ['scipy.linalg', 'scipy._lib._array_api']",
+        "0 []",
+        "0 ['scipy.linalg', 'scipy._lib._array_api', 'numpy.random']",
     ]
     _, rows = read_csv(tmp_path / "scaling.csv")
-    assert [row[0] for row in rows] == ["5", "17"]
-    _, rows = read_csv(tmp_path / "exact.csv")
-    assert len(rows) == 1 and rows[0][-1] == "ok" and rows[0][-4] == "dense"
+    assert [row[0] for row in rows] == ["5", "13", "17"]
+    assert [row[6] != "" for row in rows] == [True, True, False]  # exact_energy
+    for name, dim, method in (("lanczos", "5010", "iterative"), ("dense", "51", "dense")):
+        header, rows = read_csv(tmp_path / name / "exact.csv")
+        row = dict(zip(header, rows[0]))
+        assert len(rows) == 1 and row["status"] == "ok"
+        assert (row["dimension"], row["method"]) == (dim, method)
 
 
 def test_unknown_experiment_rejected():

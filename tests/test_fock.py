@@ -429,7 +429,7 @@ def test_trivial_bounds_match_filled_ball(small2, unit4):
 
 def test_ground_state_free_gas(small2):
     pot = F.Potential(2, {(0, 0): 0.0})
-    gs = F.ground_state(small2, pot, cutoff_radius_sq=4)
+    gs = F.ground_state(small2, pot, cutoff_radius_sq=4, eigh=np.linalg.eigh)
     assert gs.energy == pytest.approx(L.kinetic_ground_sum(small2), rel=1e-13)
     assert gs.method == "dense"
     # unique free ground state: the filled ball itself
@@ -448,11 +448,13 @@ def test_ground_state_sandwich(small2, unit4):
     "momentum, dim", [((0, 0), 51), ((1, 0), 45)], ids=["dim51", "dim45"]
 )
 def test_auto_method_switches_at_dense_limit(small2, unit4, monkeypatch, momentum, dim):
-    # cutoff-4 sectors of the 5-particle gas; Lanczos from dim = DENSE_LIMIT
+    # cutoff-4 sectors of the 5-particle gas; with eigh, Lanczos from dim = DENSE_LIMIT
     monkeypatch.setattr(F, "DENSE_LIMIT", dim)
-    it = F.ground_state(small2, unit4, cutoff_radius_sq=4, momentum=momentum)
+    it = F.ground_state(small2, unit4, cutoff_radius_sq=4, momentum=momentum, eigh=np.linalg.eigh)
     monkeypatch.setattr(F, "DENSE_LIMIT", dim + 1)
-    dense = F.ground_state(small2, unit4, cutoff_radius_sq=4, momentum=momentum)
+    dense = F.ground_state(
+        small2, unit4, cutoff_radius_sq=4, momentum=momentum, eigh=np.linalg.eigh
+    )
     assert it.dimension == dense.dimension == dim
     assert (it.method, dense.method) == ("iterative", "dense")
     assert it.energy == pytest.approx(dense.energy, rel=1e-9)
@@ -550,8 +552,8 @@ def test_dense_ground_state_matches_plain_eigh(small2, unit4, cutoff, dim):
 
     basis = F.sector_basis(small2, cutoff)
     h = F.hamiltonian_matrix(small2, unit4, basis)
-    for eigh, solver in ((np.linalg.eigh, {}), (scipy.linalg.eigh, {"eigh": _dsyevr})):
-        got = F.ground_state(small2, unit4, cutoff_radius_sq=cutoff, **solver)
+    for eigh, solver in ((np.linalg.eigh, np.linalg.eigh), (scipy.linalg.eigh, _dsyevr)):
+        got = F.ground_state(small2, unit4, cutoff_radius_sq=cutoff, eigh=solver)
         w, u = eigh(h.toarray())
         vec = F._canonical_phase(u[:, 0])
         assert (got.method, got.dimension) == ("dense", dim)
@@ -569,8 +571,7 @@ def test_ground_state_deterministic(small2, unit4):
     assert a.vector.terms == b.vector.terms
 
 
-def test_iterative_ground_state_deterministic(small2, unit4, monkeypatch):
-    monkeypatch.setattr(F, "DENSE_LIMIT", 51)  # the sector's dimension
+def test_iterative_ground_state_deterministic(small2, unit4):
     a = F.ground_state(small2, unit4, cutoff_radius_sq=4)
     b = F.ground_state(small2, unit4, cutoff_radius_sq=4)
     assert a.method == b.method == "iterative"
@@ -1112,13 +1113,30 @@ def test_hamiltonian_assembly_memory_is_bounded(unit4):
     words, and the places of the products' entries are found in bounded
     chunks.  Words per move and one place lookup over every entry at once
     peaked at 20.9 MB on this frame."""
+    config, basis = _r100_frame()
+    h, peak = _assembly_peak(config, unit4, basis)
+    assert h.nnz == 135_047
+    assert peak < 14e6
+
+
+def test_encoding_memory_is_bounded(unit4):
+    """The same assembly peaks under 8 MB: _encode XORs the keys and sums
+    the norms of a block's ranks a few rank columns at a time.  Gathering
+    keys[ranks] and nsq[ranks] as whole _ROWS x N blocks (5.2 MB each at
+    N = 317) peaked at 9.21 MB."""
+    config, basis = _r100_frame()
+    h, peak = _assembly_peak(config, unit4, basis)
+    assert h.nnz == 135_047
+    assert peak < 8e6
+
+
+def _r100_frame():
+    """(config, basis) of the d = 2, r = 100 unit-window degree-2 frame."""
     config = L.GasConfig(d=2, fermi_radius_sq=100, alpha=-1.0)
     monos = B.window_monomials(B.TruncationWindow.from_radius(2, 1, 2))
     basis = frame([BR.phi_monomial_image(config, m) for m in monos])[0]
     assert len(basis) == 3515
-    h, peak = _assembly_peak(config, unit4, basis)
-    assert h.nnz == 135_047
-    assert peak < 14e6
+    return config, basis
 
 
 def _assembly_peak(config, pot, basis):

@@ -189,3 +189,67 @@ def test_pass_product_keeps_scipy_bytes(terms, monkeypatch):
         full = (a.T @ a).toarray()
         cancelled += int(((a.T.astype(bool) @ a.astype(bool)).toarray() & (full == 0)).sum())
     assert cancelled > 0
+
+
+def _dense_record(a):
+    """The CSR record of the nonzero entries of a dense array."""
+    rows, cols = np.nonzero(a)
+    return CSR.from_counts(a[rows, cols], cols, np.bincount(rows, minlength=len(a)), a.shape)
+
+
+def _assert_eigenpair(h, energy, vec, tol):
+    assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-13)
+    assert np.linalg.norm(h @ vec - energy * vec) <= tol * abs(energy)
+
+
+@pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 300])
+def test_lowest_eigenpair_matches_eigh(n):
+    """On random sparse symmetric matrices below, at and above the 20
+    Lanczos vectors held, the lowest eigenvalue is numpy.linalg.eigh's,
+    the residual recomputed with h @ v is at most tol * |energy|, and a
+    second call gives the same bytes."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    a = a + a.T + np.diag(rng.standard_normal(n))
+    h, tol = _dense_record(a), 1e-9
+    energy, vec = V.lowest_eigenpair(h, tol)
+    assert energy == pytest.approx(np.linalg.eigh(a)[0][0], rel=1e-10)
+    _assert_eigenpair(h, energy, vec, tol)
+    again = V.lowest_eigenpair(h, tol)
+    assert again[0] == energy and again[1].tobytes() == vec.tobytes()
+
+
+def test_lowest_eigenpair_on_a_closed_krylov_space():
+    """A diagonal matrix of three distinct values, the lowest repeated,
+    closes the Krylov space (beta = 0) after three steps, as the
+    free-gas Hamiltonian does: the pair is exact and lies in the lowest
+    eigenspace."""
+    d = np.tile([3.0, -1.0, 2.0, -1.0], 15)
+    h = CSR.from_counts(d, np.arange(60), np.ones(60, dtype=np.int64), (60, 60))
+    energy, vec = V.lowest_eigenpair(h, 1e-9)
+    assert energy == pytest.approx(-1.0, rel=1e-15)
+    _assert_eigenpair(h, energy, vec, 1e-9)
+    assert np.abs(vec[d != -1.0]).max() < 1e-15
+
+
+def test_lowest_eigenpair_with_empty_rows():
+    """Rows with no entries, the first and the last among them, read 0 in
+    the solver's own product."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.3)
+    a = a + a.T
+    empty = [0, 17, 38, 39]
+    a[empty], a[:, empty] = 0.0, 0.0
+    h = _dense_record(a)
+    assert (np.diff(h.indptr)[empty] == 0).all()
+    energy, vec = V.lowest_eigenpair(h, 1e-9)
+    assert energy == pytest.approx(np.linalg.eigh(a)[0][0], rel=1e-10)
+    _assert_eigenpair(h, energy, vec, 1e-9)
+
+
+def test_lowest_eigenpair_raises_when_it_does_not_converge():
+    rng = np.random.default_rng(300)
+    a = rng.standard_normal((300, 300))
+    h = _dense_record(a + a.T)
+    with pytest.raises(ValueError, match="did not converge in 1 cycles"):
+        V.lowest_eigenpair(h, 1e-9, maxiter=1)
