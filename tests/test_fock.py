@@ -435,6 +435,11 @@ def test_ground_state_free_gas(small2):
     # unique free ground state: the filled ball itself
     top = max(gs.vector.terms.items(), key=lambda kv: abs(kv[1]))
     assert top[0] == L.fermi_ball(small2)
+    # the default Lanczos: the diagonal H closes the Krylov space early
+    it = F.ground_state(small2, pot, cutoff_radius_sq=4)
+    assert it.method == "iterative"
+    assert it.energy == pytest.approx(gs.energy, rel=1e-13)
+    assert max(it.vector.terms.items(), key=lambda kv: abs(kv[1]))[0] == top[0]
 
 
 def test_ground_state_sandwich(small2, unit4):
