@@ -6,12 +6,13 @@ orthogonal and the squared norm of a monomial is the product of the
 factorials of its multiplicities, so the inner product on BosonVector
 carries that diagonal Gram weight.
 
-The two quadratic Hamiltonians used here share one shape,
+The quadratic Hamiltonians here, for any symmetric weights g (the
+coupling weights are hb_weights), share one shape,
 
-    sum_{k != 0} g_k (e_k^dag + e_{-k})(e_{-k}^dag + e_k),
+    sum_{k != 0} g_k (e_k^dag + e_{-k})(e_{-k}^dag + e_k);
 
-differing only in the weights g; they decouple exactly over mode pairs
-{k, -k} and conserve the charge n_k - n_{-k} of every pair.
+they decouple exactly over mode pairs {k, -k} and conserve the charge
+n_k - n_{-k} of every pair.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ import numpy as np
 
 from .lattice import (
     GasConfig,
-    TWO_PI,
     ball_points,
     coupling,
     crescent,
-    crescent_ratio,
     mode_key,
     neg,
-    norm_sq,
-    particle_count,
 )
 from .vector import DROP_TOL, SparseVector, ordered_sum
 
@@ -212,13 +209,6 @@ def hb_weights(config: GasConfig, pot) -> dict:
     }
 
 
-def hb_tilde_weights(pot) -> dict:
-    """g_k = |k| vhat(k), physical units."""
-    return {
-        k: TWO_PI * math.sqrt(norm_sq(k)) * v for k, v in pot.nonzero_items()
-    }
-
-
 def hb_apply(weights, vec: BosonVector) -> BosonVector:
     """sum_k g_k (e_k^dag + e_{-k})(e_{-k}^dag + e_k) applied exactly."""
     w = check_weights(weights)
@@ -275,65 +265,6 @@ def hb_min_truncated(weights, window: TruncationWindow) -> TruncatedMinimum:
         u = -u
     argmin = BosonVector.finish({m: complex(c) for m, c in zip(monos, inv * u)})
     return TruncatedMinimum(value=float(values[0]), argmin=argmin)
-
-
-# --------------------------------------------------------------- domination
-
-
-@dataclass
-class DominationReport:
-    """PSD audit of the two quadratic forms on a truncation window.
-
-    multiplier is the full prefactor c N^{1 - alpha - 1/d} applied to the
-    slow-weight form; ratio_constant is the crescent-bound constant c2 it
-    was derived from.
-    """
-
-    ratio_constant: float
-    multiplier: float
-    min_eig_base: float
-    min_eig_gap: float
-    passed: bool
-    witness: np.ndarray | None
-
-
-def hb_domination_check(
-    config: GasConfig, pot, window: TruncationWindow, tol: float = 1e-10
-) -> DominationReport:
-    """Check 0 <= H_fast <= multiplier * H_slow on the window.
-
-    The multiplier comes from the fitted crescent constant:
-    |C_k| <= c2 kf^(d-1) |k| in lattice units gives
-    g_k <= c2 kf^(d-1) / (4 pi N^{1-1/d}) * N^{1-alpha-1/d} gtilde_k.
-    """
-    n = particle_count(config)
-    kf = math.sqrt(config.fermi_radius_sq)
-    c2 = max(crescent_ratio(k, config) for k, _ in pot.nonzero_items())
-    scale_const = c2 * kf ** (config.d - 1) / (4 * math.pi * n ** (1 - 1 / config.d))
-    multiplier = scale_const * n ** (1 - config.alpha - 1 / config.d)
-
-    monos = window_monomials(window)
-    base_w, inv = _whitened(hb_weights(config, pot), monos)
-    slow_w, _ = _whitened(hb_tilde_weights(pot), monos)
-    gap = multiplier * slow_w - base_w
-    w_base, u_base = np.linalg.eigh(base_w)
-    w_gap, u_gap = np.linalg.eigh(gap)
-    scale = max(abs(w_base).max(), abs(w_gap).max(), 1.0)
-    ok_base = w_base[0] >= -tol * scale
-    ok_gap = w_gap[0] >= -tol * scale
-    witness = None
-    if not ok_base:
-        witness = inv * u_base[:, 0]
-    elif not ok_gap:
-        witness = inv * u_gap[:, 0]
-    return DominationReport(
-        ratio_constant=c2,
-        multiplier=multiplier,
-        min_eig_base=float(w_base[0]),
-        min_eig_gap=float(w_gap[0]),
-        passed=ok_base and ok_gap,
-        witness=witness,
-    )
 
 
 # ------------------------------------------------------------ random states

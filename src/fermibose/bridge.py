@@ -213,20 +213,18 @@ def _mode_parts(config: GasConfig, pot, vecs, parts=fock.PARTS):
     return excess, map(joined, (v for _, v in items), modes)
 
 
-# (config, potential d, potential items, monomial a, monomial b) -> the three
-# scalars <Phi a|Phi b>, <Phi a|:T: Phi b> and <Phi a|V2 Phi b>, with V2
-# the d_k terms of H2; kept for a <= b, the other order is the conjugate.
-_PAIR_TERMS = {}
-
-
-def _fill_pair_terms(config: GasConfig, pot, key, pairs):
-    """The _PAIR_TERMS entries of the monomial pairs (a, b).
+def _fill_pair_terms(config: GasConfig, pot, pairs) -> dict:
+    """{(a, b): (<Phi a|Phi b>, <Phi a|:T: Phi b>, <Phi a|V2 Phi b>)} over
+    the monomial pairs (a, b), a <= b (the other order is the conjugate),
+    with V2 the d_k terms of H2.
 
     V2 between two images is sum_k g_k (<x2_a|d_b> + <d_a|x2_b> +
     <d_a|d_b>) with d = d_k Phi m and x2 = (b_{-k}^dag + b_k) Phi m: the
     images are encoded once, all of them get one move pass per mode, and
     their parts are dropped before the next mode.
     """
+    if not pairs:
+        return {}
     monos = sorted(set(chain.from_iterable(pairs)))
     images = [phi_monomial_image(config, m) for m in monos]
     excess, modes = _mode_parts(config, pot, images)
@@ -242,17 +240,18 @@ def _fill_pair_terms(config: GasConfig, pot, key, pairs):
             db, xb = parts[b]
             inter[a, b] += g * (xa.inner(db) + da.inner(xb) + da.inner(db))
         del parts, da, xa, db, xb  # not held through the next mode's pass
-    for a, b in pairs:
-        _PAIR_TERMS[key + (a, b)] = (
+    return {
+        (a, b): (
             complex(images[a].inner(images[b])),
             complex(images[a].inner(kinetic[b])),
             complex(inter[a, b]),
         )
+        for a, b in pairs
+    }
 
 
-def _h2_forms(f: BosonVector, config: GasConfig, pot):
-    """(||psi||^2, <psi|:T: psi>, <psi|V2 psi>) at psi = Phi(f), as the
-    Hermitian forms sum_ab conj(f_a) f_b M_ab over the monomials of f.
+def _h2_pairs(f: BosonVector, d: int) -> list:
+    """The monomial pairs (a, b), a <= b, of the forms at f.
 
     H2 conserves momentum and moves the number of holes by at most one,
     and Phi m has exactly deg m holes, so only pairs of equal total
@@ -260,47 +259,37 @@ def _h2_forms(f: BosonVector, config: GasConfig, pot):
     """
     groups = {}
     for m in f.terms:
-        groups.setdefault(total_momentum(m, config.d), []).append(m)
-    pairs = [
+        groups.setdefault(total_momentum(m, d), []).append(m)
+    return [
         (a, b) if a <= b else (b, a)
         for group in groups.values()
         for i, a in enumerate(group)
         for b in group[i:]
         if abs(len(a) - len(b)) <= 1
     ]
-    # the potential by content: a process pool pickles a fresh copy of it
-    # into every job, so its identity would never repeat
-    key = (config, pot.d, tuple(pot.nonzero_items()))
-    missing = [p for p in pairs if key + p not in _PAIR_TERMS]
-    if missing:
-        _fill_pair_terms(config, pot, key, missing)
-    forms = [0.0, 0.0, 0.0]
-    for a, b in pairs:
-        w = (1.0 if a == b else 2.0) * f.terms[a].conjugate() * f.terms[b]
-        for i, entry in enumerate(_PAIR_TERMS[key + (a, b)]):
-            forms[i] += (w * entry).real
-    return forms
 
 
 def h2_expectation_audit(
-    f: BosonVector,
+    states,
     window: TruncationWindow,
     config: GasConfig,
     pot,
     cutoff_momentum: float,
-) -> H2Audit:
+) -> list:
     """Exact |<psi|H2 psi>| / ||psi||^2 at psi = Phi(f) against its a
-    priori estimate.
+    priori estimate, one H2Audit for each state f of states.
 
-    Every monomial of f must lie in the window (degree <= m, modes below
-    the momentum cutoff); the estimate is
+    Every monomial of every f must lie in the window (degree <= m, modes
+    below the momentum cutoff); the estimate is
 
         (2 k_F K + K^2) m
         + lambda sum_k |vhat(k)| (8 m sqrt(m+1) |C_k|^(1/2) + 4 m^2)
 
     with K = cutoff_momentum, valid for 2 pi <= K <= k_F.  The norm and
-    both parts are forms over cached monomial-pair terms (_h2_forms), so
-    states drawn from one window share their move passes.
+    both parts are the Hermitian forms sum_ab conj(f_a) f_b M_ab over
+    the pairs of f's monomials, and the pair terms M of all the states
+    are built in one _fill_pair_terms call, so the states share their
+    move passes and nothing outlives the call.
     """
     kf = config.fermi_momentum
     K = float(cutoff_momentum)
@@ -308,18 +297,16 @@ def h2_expectation_audit(
         raise ValueError(f"momentum cutoff {K} outside [2 pi, k_F={kf}]")
     worst = max(TWO_PI * math.sqrt(norm_sq(k)) for k in window.modes)
     if worst > K + 1e-12:
-        raise ValueError(
-            f"window mode of size {worst} violates the cutoff {K}"
-        )
-    outside = set(f.terms).difference(window_monomials(window))
-    if outside:
-        raise ValueError(f"monomials {sorted(outside)} lie outside the window")
-    nsq, kin, inter = _h2_forms(f, config, pot)
-    if nsq == 0.0:
-        raise ValueError("empty state")
-    kin, inter = kin / nsq, inter / nsq
+        raise ValueError(f"window mode of size {worst} violates the cutoff {K}")
+    inside = set(window_monomials(window))
+    for f in states:
+        outside = set(f.terms).difference(inside)
+        if outside:
+            raise ValueError(f"monomials {sorted(outside)} lie outside the window")
+    state_pairs = [_h2_pairs(f, config.d) for f in states]
+    pairs = list(dict.fromkeys(chain.from_iterable(state_pairs)))  # first seen
+    terms = _fill_pair_terms(config, pot, pairs)
     m = window.max_degree
-    value = abs(kin + inter)
     lam = coupling(config)
     bound = (2.0 * kf * K + K * K) * m
     for k, v in pot.nonzero_items():
@@ -327,9 +314,19 @@ def h2_expectation_audit(
         bound += lam * abs(v) * (
             8.0 * m * math.sqrt(m + 1.0) * math.sqrt(ck) + 4.0 * m * m
         )
-    return H2Audit(
-        value=value, bound=bound, kinetic_part=kin, interaction_part=inter
-    )
+    audits = []
+    for f, pairs in zip(states, state_pairs):
+        forms = [0.0, 0.0, 0.0]
+        for a, b in pairs:
+            w = (1.0 if a == b else 2.0) * f.terms[a].conjugate() * f.terms[b]
+            for i, entry in enumerate(terms[a, b]):
+                forms[i] += (w * entry).real
+        nsq, kin, inter = forms
+        if nsq == 0.0:
+            raise ValueError("empty state")
+        kin, inter = kin / nsq, inter / nsq
+        audits.append(H2Audit(abs(kin + inter), bound, kinetic_part=kin, interaction_part=inter))
+    return audits
 
 
 # ------------------------------------------------------------- trial energy

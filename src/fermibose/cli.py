@@ -30,7 +30,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import scipy
 
 from . import __version__, boson, bridge, fock, lattice
 from .lattice import TWO_PI, GasConfig
@@ -235,9 +234,9 @@ def write_csv(path, rows):
 
 # -------------------------------------------------------------- row workers
 #
-# Each takes (cfg, pot, r, state) and returns (rows, failures), every row
-# a dict from column name to value; a process pool pickles the config and
-# the potential with every row.
+# Each takes (cfg, pot, r) and returns (rows, failures), every row a dict
+# from column name to value; a process pool pickles the config and the
+# potential with every radius.
 
 
 def _gas(config: GasConfig) -> dict:
@@ -302,14 +301,14 @@ def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum, eigh=None):
     return res, "ok", failures
 
 
-def _bounds_row(cfg, pot, r, state):
+def _bounds_row(cfg, pot, r):
     config = cfg.gas(r)
     lower, upper = fock.trivial_bounds(config, pot)
     row = _gas(config) | {"e_n0": lower, "upper_filled": upper, "gap": upper - lower}
     return [row], []
 
 
-def _exact_row(cfg, pot, r, state):
+def _exact_row(cfg, pot, r):
     config = cfg.gas(r)
     cutoff = _cutoff(cfg, r)
     momentum = cfg.momentum or (0,) * cfg.d
@@ -327,7 +326,7 @@ def _exact_row(cfg, pot, r, state):
     return [row], failures
 
 
-def _isometry_row(cfg, pot, r, state):
+def _isometry_row(cfg, pot, r):
     config = cfg.gas(r)
     window = cfg.window()
     report = bridge.isometry_audit(window, config)
@@ -343,7 +342,7 @@ def _isometry_row(cfg, pot, r, state):
     return [row], []
 
 
-def _intertwine_row(cfg, pot, r, state):
+def _intertwine_row(cfg, pot, r):
     config = cfg.gas(r)
     window = cfg.window()
     report = bridge.intertwine_residual(window, config)
@@ -353,22 +352,22 @@ def _intertwine_row(cfg, pot, r, state):
     return [row], []
 
 
-def _h2_row(cfg, pot, r, state):
+def _h2_row(cfg, pot, r):
     config = cfg.gas(r)
     window = cfg.window()
     cutoff = cfg.cutoff_momentum
     if cutoff is None:
         cutoff = TWO_PI * math.sqrt(cfg.window_radius_sq)
-    failures = []
     try:
-        rng = np.random.default_rng((cfg.seed, r, state))
-        f = boson.random_boson_vector(window, rng, n_terms=4)
-        audit = bridge.h2_expectation_audit(f, window, config, pot, cutoff)
-    except ValueError as exc:
-        audit, status = None, f"skipped: {exc}"
-    else:
-        status = "ok" if audit.passed else "violated"
-        if not audit.passed:
+        rngs = [np.random.default_rng((cfg.seed, r, s)) for s in range(cfg.n_states)]
+        fs = [boson.random_boson_vector(window, rng, n_terms=4) for rng in rngs]
+        audits = bridge.h2_expectation_audit(fs, window, config, pot, cutoff)
+    except ValueError as exc:  # one refusal skips every state of the radius
+        audits, skipped = [None] * cfg.n_states, f"skipped: {exc}"
+    rows, failures = [], []
+    for state, audit in enumerate(audits):
+        status = skipped if audit is None else "ok" if audit.passed else "violated"
+        if status == "violated":
             failures.append(
                 {
                     "invariant": "h2.expectation_bound",
@@ -376,18 +375,21 @@ def _h2_row(cfg, pot, r, state):
                     "detail": f"value {audit.value} exceeds bound {audit.bound}",
                 }
             )
-    row = _gas(config) | {
-        "state": state,
-        "cutoff_momentum": cutoff,
-        "value": None if audit is None else audit.value,
-        "bound": None if audit is None else audit.bound,
-        "margin": None if audit is None else audit.bound - audit.value,
-        "status": status,
-    }
-    return [row], failures
+        rows.append(
+            _gas(config)
+            | {
+                "state": state,
+                "cutoff_momentum": cutoff,
+                "value": None if audit is None else audit.value,
+                "bound": None if audit is None else audit.bound,
+                "margin": None if audit is None else audit.bound - audit.value,
+                "status": status,
+            }
+        )
+    return rows, failures
 
 
-def _trial_row(cfg, pot, r, state):
+def _trial_row(cfg, pot, r):
     config = cfg.gas(r)
     lower, upper = fock.trivial_bounds(config, pot)
     weights = boson.hb_weights(config, pot)
@@ -405,7 +407,7 @@ def _trial_row(cfg, pot, r, state):
     return [row], []
 
 
-def _scaling_row(cfg, pot, r, state):
+def _scaling_row(cfg, pot, r):
     config = cfg.gas(r)
     n = lattice.particle_count(config)
     lower, upper = fock.trivial_bounds(config, pot)
@@ -434,10 +436,10 @@ def _scaling_row(cfg, pot, r, state):
 
 
 def _timed_row(job):
-    """Run one sweep row; returns (rows, failures, seconds)."""
+    """Run one radius of a sweep; returns (rows, failures, seconds)."""
     t0 = time.perf_counter()
-    cfg, pot, r, state = job
-    rows, failures = EXPERIMENTS[cfg.experiment].row(cfg, pot, r, state)
+    cfg, pot, r = job
+    rows, failures = EXPERIMENTS[cfg.experiment].row(cfg, pot, r)
     return rows, failures, time.perf_counter() - t0
 
 
@@ -485,13 +487,12 @@ def _run_crescent_audit(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: a per-row worker run once per radius (once per
-    radius and state when per_state) or a runner for the whole table."""
+    """One experiment: a row worker run once per radius, or a runner for
+    the whole table."""
 
     row: Callable | None = None
     table: Callable | None = None
     needs_potential: bool = False
-    per_state: bool = False
 
 
 EXPERIMENTS = {
@@ -501,7 +502,7 @@ EXPERIMENTS = {
     "exact": Experiment(_exact_row, needs_potential=True),
     "isometry": Experiment(_isometry_row),
     "intertwine": Experiment(_intertwine_row),
-    "h2-audit": Experiment(_h2_row, needs_potential=True, per_state=True),
+    "h2-audit": Experiment(_h2_row, needs_potential=True),
     "trial": Experiment(_trial_row, needs_potential=True),
     "scaling": Experiment(_scaling_row, needs_potential=True),
 }
@@ -537,8 +538,7 @@ def run(cfg: ExperimentConfig) -> int:
             )
             print(str(exc), file=sys.stderr)
             return 1
-        states = range(cfg.n_states if experiment.per_state else 1)
-        jobs = [(cfg, pot, r, s) for r in cfg.resolved_radii() for s in states]
+        jobs = [(cfg, pot, r) for r in cfg.resolved_radii()]
         if cfg.threads > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -555,6 +555,7 @@ def run(cfg: ExperimentConfig) -> int:
     csv_name = f"{cfg.experiment}.csv"
     write_csv(os.path.join(cfg.out, csv_name), rows)
     _write_failures(cfg, failures)
+    import scipy  # read only for the manifest's version string
 
     manifest = {
         "experiment": cfg.experiment,

@@ -20,6 +20,8 @@ fock._momentum_combinations replaces with a numpy pass per depth;
 moves is the tuple move kernel (memoised mode keys, one bisect per move)
 that fock._move_pass replaces with one bitmask pass, kept as the fast
 reference for the tuple-move Hamiltonian assembly;
+hb_domination_check checks 0 <= H_fast <= multiplier * H_slow on a
+window, H_slow the quadratic form of the slow weights hb_tilde_weights;
 subspace_upper_bound_per_block is the subspace bound with one frame and
 one Hamiltonian assembly per total-momentum block, which
 bridge.subspace_upper_bound replaces with one of each over all blocks.
@@ -33,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fermibose.boson import monomial_norm_sq, window_monomials
+from fermibose.boson import (
+    TruncationWindow,
+    _whitened,
+    hb_weights,
+    monomial_norm_sq,
+    window_monomials,
+)
 from fermibose.bridge import PIVOT_TOL, SubspaceBound, _phi_scale, phi_monomial_image
 from fermibose.fock import (
     FermionVector,
@@ -56,6 +64,7 @@ from fermibose.lattice import (
     ball_points,
     coupling,
     crescent,
+    crescent_ratio,
     mode_key,
     neg,
     norm_sq,
@@ -445,4 +454,70 @@ def subspace_upper_bound_per_block(window, config: GasConfig, pot: Potential) ->
         sector_values=sector_values,
         dimension=len(monos),
         dropped_directions=dropped,
+    )
+
+
+# ------------------------------------------------------------- domination
+
+
+def hb_tilde_weights(pot) -> dict:
+    """g_k = |k| vhat(k), physical units."""
+    return {
+        k: TWO_PI * math.sqrt(norm_sq(k)) * v for k, v in pot.nonzero_items()
+    }
+
+
+@dataclass
+class DominationReport:
+    """PSD audit of the two quadratic forms on a truncation window.
+
+    multiplier is the full prefactor c N^{1 - alpha - 1/d} applied to the
+    slow-weight form; ratio_constant is the crescent-bound constant c2 it
+    was derived from.
+    """
+
+    ratio_constant: float
+    multiplier: float
+    min_eig_base: float
+    min_eig_gap: float
+    passed: bool
+    witness: np.ndarray | None
+
+
+def hb_domination_check(
+    config: GasConfig, pot, window: TruncationWindow, tol: float = 1e-10
+) -> DominationReport:
+    """Check 0 <= H_fast <= multiplier * H_slow on the window.
+
+    The multiplier comes from the fitted crescent constant:
+    |C_k| <= c2 kf^(d-1) |k| in lattice units gives
+    g_k <= c2 kf^(d-1) / (4 pi N^{1-1/d}) * N^{1-alpha-1/d} gtilde_k.
+    """
+    n = particle_count(config)
+    kf = math.sqrt(config.fermi_radius_sq)
+    c2 = max(crescent_ratio(k, config) for k, _ in pot.nonzero_items())
+    scale_const = c2 * kf ** (config.d - 1) / (4 * math.pi * n ** (1 - 1 / config.d))
+    multiplier = scale_const * n ** (1 - config.alpha - 1 / config.d)
+
+    monos = window_monomials(window)
+    base_w, inv = _whitened(hb_weights(config, pot), monos)
+    slow_w, _ = _whitened(hb_tilde_weights(pot), monos)
+    gap = multiplier * slow_w - base_w
+    w_base, u_base = np.linalg.eigh(base_w)
+    w_gap, u_gap = np.linalg.eigh(gap)
+    scale = max(abs(w_base).max(), abs(w_gap).max(), 1.0)
+    ok_base = w_base[0] >= -tol * scale
+    ok_gap = w_gap[0] >= -tol * scale
+    witness = None
+    if not ok_base:
+        witness = inv * u_base[:, 0]
+    elif not ok_gap:
+        witness = inv * u_gap[:, 0]
+    return DominationReport(
+        ratio_constant=c2,
+        multiplier=multiplier,
+        min_eig_base=float(w_base[0]),
+        min_eig_gap=float(w_gap[0]),
+        passed=ok_base and ok_gap,
+        witness=witness,
     )

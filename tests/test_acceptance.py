@@ -228,9 +228,8 @@ def test_acceptance_5_inequality_audits():
     for config, pot, n_states in audits:
         window = B.TruncationWindow.from_radius(config.d, 1, 2)
         rng = np.random.default_rng(5500 + 10 * config.d + config.fermi_radius_sq)
-        for _ in range(n_states):
-            f = B.random_boson_vector(window, rng, n_terms=4)
-            audit = BR.h2_expectation_audit(f, window, config, pot, L.TWO_PI)
+        states = [B.random_boson_vector(window, rng, n_terms=4) for _ in range(n_states)]
+        for audit in BR.h2_expectation_audit(states, window, config, pot, L.TWO_PI):
             cases += 1
             if not audit.passed:
                 violations.append(
@@ -317,7 +316,7 @@ def test_acceptance_7_bosonic_side():
     )
     for config, pot, (wr, wm) in checks:
         window = B.TruncationWindow.from_radius(config.d, wr, wm)
-        rep = B.hb_domination_check(config, pot, window)
+        rep = O.hb_domination_check(config, pot, window)
         ok &= rep.passed
         detail.append(
             f"domination d={config.d} r={config.fermi_radius_sq} "

@@ -196,7 +196,7 @@ def test_hb_weights_values(small2):
 
 def test_hb_tilde_weights_values():
     pot = F.unit_potential(2)
-    w = B.hb_tilde_weights(pot)
+    w = O.hb_tilde_weights(pot)
     for k in UNIT2:
         assert w[k] == pytest.approx(2 * math.pi)
 
@@ -242,7 +242,7 @@ def _ref_hb_form_matrix(weights, monomials):
 
 def test_hb_form_matrix_matches_reference_loop(small2, unit4):
     monos = B.window_monomials(window2(m=3))
-    for w in (B.hb_weights(small2, unit4), B.hb_tilde_weights(unit4)):
+    for w in (B.hb_weights(small2, unit4), O.hb_tilde_weights(unit4)):
         assert np.array_equal(B.hb_form_matrix(w, monos), _ref_hb_form_matrix(w, monos))
 
 
@@ -358,7 +358,7 @@ def test_hb_min_is_lowest_eigenpair_of_whitened_form(
 
 def test_domination_check_passes(small2):
     pot = F.unit_potential(2)
-    report = B.hb_domination_check(small2, pot, window2(m=2))
+    report = O.hb_domination_check(small2, pot, window2(m=2))
     assert report.passed
     assert report.witness is None
     assert report.min_eig_base >= -1e-10
@@ -378,7 +378,7 @@ def test_domination_check_larger_config():
     config = L.GasConfig(d=2, fermi_radius_sq=4, alpha=-1.0)
     pot = F.unit_potential(2, radius_sq=2)
     window = B.TruncationWindow.from_radius(2, 2, 2)
-    report = B.hb_domination_check(config, pot, window)
+    report = O.hb_domination_check(config, pot, window)
     assert report.passed
 
 
@@ -387,8 +387,8 @@ def test_domination_multiplier_saturates_at_crescent_bound(small2):
     # multiplier * slow weights mode by mode
     pot = F.unit_potential(2)
     base = B.hb_weights(small2, pot)
-    slow = B.hb_tilde_weights(pot)
-    report = B.hb_domination_check(small2, pot, window2(m=2))
+    slow = O.hb_tilde_weights(pot)
+    report = O.hb_domination_check(small2, pot, window2(m=2))
     for k in base:
         assert base[k] <= report.multiplier * slow[k] + 1e-12
 

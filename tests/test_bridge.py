@@ -279,7 +279,7 @@ def test_unit_window_residuals_are_two_over_min_crescent(d, r, degree):
 def test_h2_kinetic_of_single_pair(small2, unit4):
     # the normalized pair state over the unit crescent costs 5/3 (2 pi)^2
     f = B.BosonVector.from_monomial((K1,))
-    audit = BR.h2_expectation_audit(f, window2(m=2), small2, unit4, L.TWO_PI)
+    [audit] = BR.h2_expectation_audit([f], window2(m=2), small2, unit4, L.TWO_PI)
     assert audit.kinetic_part == pytest.approx(5.0 / 3.0 * L.TWO_PI**2, rel=1e-12)
     psi = BR.phi_monomial_image(small2, (K1,))
     kin, _ = O.h2_quadratic_parts(small2, unit4, psi)
@@ -287,8 +287,8 @@ def test_h2_kinetic_of_single_pair(small2, unit4):
 
 
 def test_h2_parts_vanish_on_ground(small2, unit4):
-    audit = BR.h2_expectation_audit(
-        B.BosonVector.vacuum(), window2(m=2), small2, unit4, L.TWO_PI
+    [audit] = BR.h2_expectation_audit(
+        [B.BosonVector.vacuum()], window2(m=2), small2, unit4, L.TWO_PI
     )
     assert audit.kinetic_part == 0.0
     assert audit.interaction_part == 0.0
@@ -302,9 +302,10 @@ def test_h2_parts_vanish_on_ground(small2, unit4):
 def test_h2_audit_passes_on_window_states(unit4, rng):
     config = L.GasConfig(d=2, fermi_radius_sq=4, alpha=-1.0)
     window = window2(m=2)
-    for _ in range(10):
-        f = B.random_boson_vector(window, rng, 4)
-        audit = BR.h2_expectation_audit(f, window, config, unit4, L.TWO_PI)
+    states = [B.random_boson_vector(window, rng, 4) for _ in range(10)]
+    audits = BR.h2_expectation_audit(states, window, config, unit4, L.TWO_PI)
+    assert len(audits) == len(states)
+    for audit in audits:
         assert audit.passed
         assert audit.value == pytest.approx(
             abs(audit.kinetic_part + audit.interaction_part)
@@ -314,14 +315,14 @@ def test_h2_audit_passes_on_window_states(unit4, rng):
 def test_h2_audit_validates_cutoff(small2, unit4):
     f = B.BosonVector.from_monomial((K1,))
     with pytest.raises(ValueError, match="outside"):
-        BR.h2_expectation_audit(f, window2(m=2), small2, unit4, 1.0)
+        BR.h2_expectation_audit([f], window2(m=2), small2, unit4, 1.0)
     with pytest.raises(ValueError, match="outside"):
         BR.h2_expectation_audit(
-            f, window2(m=2), small2, unit4, 3 * small2.fermi_momentum
+            [f], window2(m=2), small2, unit4, 3 * small2.fermi_momentum
         )
     wide = B.TruncationWindow.from_radius(2, 2, 2)
     with pytest.raises(ValueError, match="violates"):
-        BR.h2_expectation_audit(f, wide, small2, unit4, L.TWO_PI)
+        BR.h2_expectation_audit([f], wide, small2, unit4, L.TWO_PI)
 
 
 def _h2_states(window, seed):
@@ -345,24 +346,36 @@ def _h2_states(window, seed):
 @pytest.mark.parametrize(
     "d, r, window_radius_sq", [(2, 4, 2), (3, 1, 1)], ids=["d2", "d3"]
 )
-def test_h2_audit_equals_the_vector_oracle(d, r, window_radius_sq, degree, alpha):
-    """The pair forms over f equal <psi|H2 psi> / ||psi||^2 computed on
-    the vector psi = Phi(f) with each of d_k, b_{-k}^dag, b_k applied on
-    its own.  On the unit window with the unit potential every pair of
-    distinct monomials has zero terms; the wider potential, and in d=2
-    the wider window, give the degree-2 states nonzero cross terms."""
+def test_h2_audit_equals_the_vector_oracle(
+    d, r, window_radius_sq, degree, alpha, monkeypatch
+):
+    """The pair forms over each f of one batch equal <psi|H2 psi> /
+    ||psi||^2 computed on the vector psi = Phi(f) with each of d_k,
+    b_{-k}^dag, b_k applied on its own.  On the unit window with the unit
+    potential every pair of distinct monomials has zero terms; the wider
+    potential, and in d=2 the wider window, give the degree-2 states
+    nonzero cross terms."""
     config = L.GasConfig(d=d, fermi_radius_sq=r, alpha=alpha)
     pot = F.unit_potential(d, radius_sq=2)
     window = B.TruncationWindow.from_radius(d, window_radius_sq, degree)
     cutoff = L.TWO_PI * math.sqrt(window_radius_sq)
-    for f in _h2_states(window, 100 * d + 10 * degree + int(-alpha)):
-        audit = BR.h2_expectation_audit(f, window, config, pot, cutoff)
+    fills = []
+    fill = BR._fill_pair_terms
+    monkeypatch.setattr(
+        BR, "_fill_pair_terms", lambda c, p, pairs: fills.append(pairs) or fill(c, p, pairs)
+    )
+    states = list(_h2_states(window, 100 * d + 10 * degree + int(-alpha)))
+    audits = BR.h2_expectation_audit(states, window, config, pot, cutoff)
+    for f, audit in zip(states, audits, strict=True):
         kin, inter = O.h2_quadratic_parts(config, pot, BR.phi_map(f, config))
         assert audit.kinetic_part == pytest.approx(kin, rel=1e-12, abs=0)
         assert audit.interaction_part == pytest.approx(inter, rel=1e-12, abs=0)
         assert audit.value == pytest.approx(abs(kin + inter), rel=1e-12, abs=0)
-    # pairs whose degrees differ by two or more have only zero terms
-    assert all(abs(len(a) - len(b)) <= 1 for *_, a, b in BR._PAIR_TERMS)
+    # one table for the batch, and pairs whose degrees differ by two or
+    # more, which have only zero terms, are never formed
+    [pairs] = fills
+    assert len(set(pairs)) == len(pairs)
+    assert all(a <= b and abs(len(a) - len(b)) <= 1 for a, b in pairs)
 
 
 def test_h2_audit_rejects_states_off_the_window(small2, unit4):
@@ -370,26 +383,25 @@ def test_h2_audit_rejects_states_off_the_window(small2, unit4):
     for mono in [(K1, K1), ((1, 1),)]:  # degree above 1, mode outside
         f = B.BosonVector.vacuum() + B.BosonVector.from_monomial(mono)
         with pytest.raises(ValueError, match="outside the window"):
-            BR.h2_expectation_audit(f, window, small2, unit4, L.TWO_PI)
+            BR.h2_expectation_audit([f], window, small2, unit4, L.TWO_PI)
+    good = B.BosonVector.from_monomial((K1,))
     for zero in [B.BosonVector(), B.BosonVector({(K1,): 0j})]:
-        with pytest.raises(ValueError, match="empty state"):
-            BR.h2_expectation_audit(zero, window, small2, unit4, L.TWO_PI)
+        # alone (no pair at all for the empty vector) and in a batch
+        for states in ([zero], [good, zero]):
+            with pytest.raises(ValueError, match="empty state"):
+                BR.h2_expectation_audit(states, window, small2, unit4, L.TWO_PI)
 
 
-def test_h2_pair_terms_are_keyed_by_potential_content():
-    # a geometry no other test uses, so the pair cache starts cold
+def test_h2_audit_follows_the_potential_content():
     config = L.GasConfig(d=2, fermi_radius_sq=2, alpha=-0.5)
     window = window2(m=2)
     f = next(_h2_states(window, 7))
-    audits, sizes = [], []
+    audits = []
     for scale in (1.0, 1.0, 2.0):
         pot = F.Potential(2, {k: scale for k in window.modes})
-        audits.append(BR.h2_expectation_audit(f, window, config, pot, L.TWO_PI))
-        sizes.append(len(BR._PAIR_TERMS))
+        audits += BR.h2_expectation_audit([f], window, config, pot, L.TWO_PI)
     first, again, doubled = audits
     assert again == first
-    assert sizes[1] == sizes[0]  # an equal potential built anew hits
-    assert sizes[2] > sizes[1]
     assert doubled.kinetic_part == first.kinetic_part
     assert doubled.interaction_part != first.interaction_part
     assert doubled.interaction_part == pytest.approx(

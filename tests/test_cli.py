@@ -19,8 +19,9 @@ import sys
 
 import pytest
 
-from fermibose import cli, fock, vector
-from fermibose.lattice import TWO_PI
+from fermibose import bridge, cli, fock, vector
+from fermibose.boson import TruncationWindow, window_monomials
+from fermibose.lattice import TWO_PI, GasConfig
 
 
 def run_cli(*argv):
@@ -176,8 +177,6 @@ def test_non_finite_subspace_bound_is_gated(tmp_path, monkeypatch):
     """A PIVOT_TOL above 1 drops every Gram direction of every block, so
     subspace_upper_bound returns inf: scaling records it as
     solver.subspace, exits 1 and still writes the row."""
-    from fermibose import bridge
-
     argv = ["scaling", "--radii", "1", "--window-degree", "1", "--potential", POT2]
     monkeypatch.setattr(bridge, "PIVOT_TOL", 2.0)
     out = tmp_path / "dropped"
@@ -239,6 +238,41 @@ def test_h2_audit_rows(tmp_path):
         assert rec["status"] == "ok"
         assert float(rec["margin"]) > 0
     assert read_json(out / "failures.json") == []
+
+
+def test_h2_audit_encodes_each_radius_once(tmp_path, monkeypatch):
+    """The states of one radius share one pair-term table: one rho_parts
+    encoding per radius.  Each phi image creator is a rho_parts call of
+    its own, so the window images are built before the count starts."""
+    radii = (1, 2, 4, 5)
+    window = TruncationWindow.from_radius(2, 1, 2)
+    for r in radii:
+        for mono in window_monomials(window):
+            bridge.phi_monomial_image(GasConfig(d=2, fermi_radius_sq=r, alpha=-1.0), mono)
+    calls = []
+    encode = fock.rho_parts
+    monkeypatch.setattr(fock, "rho_parts", lambda *a: calls.append(a[1]) or encode(*a))
+    argv = ["h2-audit", "--radii", "1,2,4,5", "--window-degree", "2", "--n-states", "6"]
+    assert run_cli(*argv, "--seed", "3", "--potential", POT2, "--out", str(tmp_path)) == 0
+    assert calls == list(radii)
+    header, rows = read_csv(tmp_path / "h2-audit.csv")
+    assert len(rows) == 6 * len(radii)
+    assert len(read_json(tmp_path / "manifest.json")["timings"]["row_seconds"]) == len(radii)
+
+
+def test_h2_audit_refusal_skips_every_state_of_its_radius(tmp_path):
+    # K = 7 exceeds k_F = 2 pi at r = 1 but not k_F = 6 pi at r = 9
+    argv = ["h2-audit", "--radii", "1,9", "--cutoff-momentum", "7", "--n-states", "2"]
+    assert run_cli(*argv, "--potential", POT2, "--out", str(tmp_path)) == 0
+    header, rows = read_csv(tmp_path / "h2-audit.csv")
+    recs = [dict(zip(header, row)) for row in rows]
+    assert [(rec["fermi_radius_sq"], rec["state"]) for rec in recs] == [
+        ("1", "0"), ("1", "1"), ("9", "0"), ("9", "1")
+    ]
+    for rec in recs[:2]:
+        assert rec["status"] == f"skipped: momentum cutoff 7.0 outside [2 pi, k_F={TWO_PI}]"
+        assert rec["value"] == rec["bound"] == rec["margin"] == ""
+    assert [rec["status"] for rec in recs[2:]] == ["ok", "ok"]
 
 
 def test_trial_matches_library(tmp_path, small2, unit4):

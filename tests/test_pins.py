@@ -69,6 +69,11 @@ PINS = {
         DATA + "h2_audit_deg2.csv",
         (),
     ),
+    "h2_audit_deg2-pool": (
+        f"h2-audit --radii 1,2,4,5 --window-degree 2 --n-states 6 --seed 3 {P2} --threads 2",
+        DATA + "h2_audit_deg2.csv",
+        (),
+    ),
     "h2_audit_d3": (
         f"h2-audit --d 3 --radii 1,2,3 --window-degree 2 --n-states 6 --seed 4 {P3} --threads 1",
         DATA + "h2_audit_d3.csv",
