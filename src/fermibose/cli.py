@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -253,12 +256,53 @@ def _cutoff(cfg: ExperimentConfig, r: int) -> int:
     return cfg.cutoff_radius_sq if cfg.cutoff_radius_sq is not None else r + 3
 
 
-def _dsyevr(a):
-    """scipy.linalg.eigh (LAPACK dsyevr) in place: the exact table's dense
-    solver, whose residual bytes the pinned tables hold."""
-    import scipy.linalg
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, loaded from its
+    file alone: importing the scipy.linalg package would also load
+    scipy._lib._array_api and with it numpy.f2py, numpy.testing,
+    numpy.ma and numpy.random."""
+    import scipy
 
-    return scipy.linalg.eigh(a, overwrite_a=True)
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        where,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack extension in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dsyevr(a):
+    """All eigenpairs of the symmetric Fortran-order array a by LAPACK
+    dsyevr, in place: the exact table's dense solver, whose residual
+    bytes the pinned tables hold.  It makes the call and the checks that
+    scipy.linalg.eigh(a, overwrite_a=True) makes (finite input, the
+    workspace query, info), through the same f2py function of _flapack.
+
+    When scipy.linalg is already imported it returns that package's eigh
+    instead, the same dsyevr: perfbench/tracer.py imports scipy.linalg
+    and wraps its eigh to time the dense solve as fock.eigensolve.  The
+    branch can go once the tracer wraps this function itself."""
+    linalg = sys.modules.get("scipy.linalg")
+    if linalg is not None:
+        return linalg.eigh(a, overwrite_a=True)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = _flapack()
+    lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    w, v, _, _, info = lapack.dsyevr(
+        a, compute_v=1, lower=1, overwrite_a=1, lwork=int(lwork), liwork=liwork
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return w, v
 
 
 def _solve(cfg, pot, config: GasConfig, cutoff: int, momentum, eigh=None):
@@ -312,7 +356,8 @@ def _exact_row(cfg, pot, r):
     config = cfg.gas(r)
     cutoff = _cutoff(cfg, r)
     momentum = cfg.momentum or (0,) * cfg.d
-    # dsyevr, not numpy's dsyevd: the pinned tables hold its dense residuals
+    # dsyevr, as scipy.linalg.eigh calls it, not numpy's dsyevd: the pinned
+    # tables hold its dense residuals
     res, status, failures = _solve(cfg, pot, config, cutoff, momentum, _dsyevr)
     row = _gas(config) | {"cutoff_radius_sq": cutoff}
     row |= {f"momentum_{i + 1}": p for i, p in enumerate(momentum)}

@@ -41,7 +41,7 @@ matrix keeps the bytes of a chain of sparse sums.
 Matrices are vector.CSR records built with numpy, and ground_state
 solves every sector with vector.lowest_eigenpair, a restarted Lanczos in
 numpy, unless its caller passes a dense eigh (the exact table passes
-scipy.linalg.eigh below DENSE_LIMIT), so nothing here loads scipy.
+LAPACK dsyevr below DENSE_LIMIT), so nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -817,8 +817,8 @@ def ground_state(
     rounding floor, when tol asks for less) and raises ValueError when it
     does not converge; its start vector is fixed, so every call returns
     the same result, and it holds about 31 n doubles, no n x n copy.
-    Only a caller that passes eigh (the exact table passes
-    scipy.linalg.eigh, whose dsyevr residuals the pinned tables hold) has
+    Only a caller that passes eigh (the exact table passes cli._dsyevr,
+    LAPACK dsyevr, whose residuals the pinned tables hold) has
     a sector below DENSE_LIMIT solved densely, by eigh on the matrix as
     one Fortran-order n x n array.
     """

@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -37,6 +38,21 @@ def read_csv(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def fresh_python(script):
+    """Run script in a new interpreter at the repository root, with src on
+    its path; its stdout lines."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
 
 
 POT2 = "configs/unit4_d2.potential"
@@ -767,7 +783,6 @@ def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
     """h2-audit and trial build no matrix and read no config file: in a
     fresh process that runs both, scipy.sparse, scipy.linalg, yaml and
     the process pool stay unimported."""
-    root = pathlib.Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from fermibose import cli\n"
@@ -778,19 +793,7 @@ def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
         "heavy = ('scipy.sparse', 'scipy.linalg', 'yaml', 'concurrent.futures.process')\n"
         "print(code, [m for m in heavy if m in sys.modules])\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=root,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert fresh_python(script)[-1] == "0 []"
     _, rows = read_csv(tmp_path / "h2-audit.csv")
     assert len(rows) == 4 and {row[-1] for row in rows} == {"ok"}
     _, rows = read_csv(tmp_path / "trial.csv")
@@ -805,46 +808,29 @@ def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
     scipy submodule loads) stay unimported, and so do numpy.ma, which
     np.unique's path without indices imports, and numpy.random, which
     the fixed Lanczos start vector does without.  An exact row of one
-    Lanczos sector (5010 determinants) loads none of them either.  A
-    dense exact row then loads scipy.linalg, its solver, and numpy.random
-    with it, but not scipy.sparse."""
-    root = pathlib.Path(__file__).resolve().parents[1]
+    Lanczos sector (5010 determinants) loads none of them either, and
+    neither does a dense exact row: it loads scipy's LAPACK extension
+    alone, so numpy.f2py and numpy.testing stay unimported too."""
     out = str(tmp_path)
     script = (
         "import sys\n"
         "from fermibose import cli\n"
         "heavy = ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api', "
-        "'scipy.sparse.linalg', 'numpy.random')\n"
-        "def loaded(names):\n"
-        "    return [m for m in names if m in sys.modules]\n"
+        "'scipy.sparse.linalg', 'numpy.ma', 'numpy.random', 'numpy.f2py', 'numpy.testing')\n"
+        "def loaded():\n"
+        "    return [m for m in heavy if m in sys.modules]\n"
         f"code = cli.main(['scaling', '--config', 'configs/scaling_d2.yaml', '--radii', "
         f"'5,13,17', '--out', {out!r}])\n"
         f"code += cli.main(['isometry', '--radii', '1,4', '--out', {out!r}])\n"
-        "print(code, loaded((*heavy, 'numpy.ma')))\n"
+        "print(code, loaded())\n"
         f"code += cli.main(['exact', '--radii', '2', '--cutoff-radius-sq', '5', '--potential', "
         f"{POT2!r}, '--exact-dim-limit', '30000', '--out', {out + '/lanczos'!r}])\n"
-        "print(code, loaded(heavy))\n"
+        "print(code, loaded())\n"
         f"code += cli.main(['exact', '--radii', '1', '--potential', {POT2!r}, "
         f"'--out', {out + '/dense'!r}])\n"
-        "print(code, loaded(heavy))\n"
+        "print(code, loaded())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=root,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.splitlines()[-3:] == [
-        "0 []",
-        "0 []",
-        "0 ['scipy.linalg', 'scipy._lib._array_api', 'numpy.random']",
-    ]
+    assert fresh_python(script)[-3:] == ["0 []"] * 3
     _, rows = read_csv(tmp_path / "scaling.csv")
     assert [row[0] for row in rows] == ["5", "13", "17"]
     assert [row[6] != "" for row in rows] == [True, True, False]  # exact_energy
@@ -853,6 +839,54 @@ def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
         row = dict(zip(header, rows[0]))
         assert len(rows) == 1 and row["status"] == "ok"
         assert (row["dimension"], row["method"]) == (dim, method)
+
+
+def test_dense_solver_loads_lapack_alone():
+    """In a fresh process cli._dsyevr solves without importing
+    scipy.linalg: it loads scipy's LAPACK extension once and refuses a
+    NaN entry with ValueError, as eigh's finite check does.  On the dense
+    sectors of 51 and 457 determinants and on random symmetric matrices
+    its eigenpairs have the bytes of scipy.linalg.eigh(a,
+    overwrite_a=True), which calls the same dsyevr."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from fermibose import cli, fock, lattice
+
+        assert "scipy.linalg" not in sys.modules
+        config = lattice.GasConfig(d=2, fermi_radius_sq=1, alpha=-1.0)
+        pot = fock.unit_potential(2)
+        mats = [
+            fock.hamiltonian_matrix(config, pot, fock.sector_basis(config, c)).toarray(order="F")
+            for c in (4, 5)
+        ]
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 17, 513, 1999):
+            a = rng.standard_normal((n, n))
+            mats.append(np.asfortranarray(a + a.T))
+        got = [cli._dsyevr(a.copy(order="F")) for a in mats]
+        nan = np.eye(3, order="F")
+        nan[1, 2] = nan[2, 1] = np.nan
+        try:
+            cli._dsyevr(nan)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("NaN accepted")
+        assert "scipy.linalg" not in sys.modules
+        assert cli._flapack() is cli._flapack()
+
+        import scipy.linalg
+
+        assert scipy.linalg.lapack.dsyevr is cli._flapack().dsyevr
+        for a, (w, v) in zip(mats, got):
+            want_w, want_v = scipy.linalg.eigh(a.copy(order="F"), overwrite_a=True)
+            assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+        print([len(w) for w, _ in got])
+        """
+    )
+    assert fresh_python(script)[-1] == "[51, 457, 1, 2, 17, 513, 1999]"
 
 
 def test_unknown_experiment_rejected():

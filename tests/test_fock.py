@@ -549,7 +549,8 @@ def test_momentum_codes_refuse_int64_overflow():
 def test_dense_ground_state_matches_plain_eigh(small2, unit4, cutoff, dim):
     """The Fortran-order eigensolve gives the bytes of numpy.linalg.eigh on
     the plain dense matrix, and with the exact table's in-place solver
-    (scipy.linalg.eigh, LAPACK dsyevr) those of scipy.linalg.eigh; the
+    (cli._dsyevr, LAPACK dsyevr, here through the branch that calls the
+    imported scipy.linalg.eigh) those of scipy.linalg.eigh; the
     residual's matrix-vector product has the bytes of scipy.sparse's."""
     import scipy.linalg
 
