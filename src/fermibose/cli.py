@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
-import importlib.machinery
-import importlib.util
 import json
 import math
 import os
@@ -34,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, boson, bridge, fock, lattice
+from . import __version__, boson, bridge, fock, lattice, vector
 from .lattice import TWO_PI, GasConfig
 
 FLOAT_FMT = "%.12g"
@@ -256,33 +253,13 @@ def _cutoff(cfg: ExperimentConfig, r: int) -> int:
     return cfg.cutoff_radius_sq if cfg.cutoff_radius_sq is not None else r + 3
 
 
-@functools.cache
-def _flapack():
-    """scipy's LAPACK extension, scipy.linalg._flapack, loaded from its
-    file alone: importing the scipy.linalg package would also load
-    scipy._lib._array_api and with it numpy.f2py, numpy.testing,
-    numpy.ma and numpy.random."""
-    import scipy
-
-    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    finder = importlib.machinery.FileFinder(
-        where,
-        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-    )
-    spec = finder.find_spec("scipy.linalg._flapack")
-    if spec is None:
-        raise ImportError(f"no scipy.linalg._flapack extension in {where}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _dsyevr(a):
     """All eigenpairs of the symmetric Fortran-order array a by LAPACK
     dsyevr, in place: the exact table's dense solver, whose residual
     bytes the pinned tables hold.  It makes the call and the checks that
     scipy.linalg.eigh(a, overwrite_a=True) makes (finite input, the
-    workspace query, info), through the same f2py function of _flapack.
+    workspace query, info), through the same f2py function of scipy's
+    _flapack extension, loaded from its file by vector.extension.
 
     When scipy.linalg is already imported it returns that package's eigh
     instead, the same dsyevr: perfbench/tracer.py imports scipy.linalg
@@ -293,7 +270,7 @@ def _dsyevr(a):
         return linalg.eigh(a, overwrite_a=True)
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    lapack = _flapack()
+    lapack = vector.extension("linalg", "_flapack")
     lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")

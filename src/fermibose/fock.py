@@ -38,10 +38,10 @@ product serves both modes.  It sums every product into one value array
 over the union of their patterns, each entry in mode order, so the
 matrix keeps the bytes of a chain of sparse sums.
 
-Matrices are vector.CSR records built with numpy, and ground_state
-solves every sector with vector.lowest_eigenpair, a restarted Lanczos in
-numpy, unless its caller passes a dense eigh (the exact table passes
-LAPACK dsyevr below DENSE_LIMIT), so nothing here loads scipy.
+Matrices are vector.CSR records, multiplied by scipy.sparse's C kernels
+without its package, and ground_state solves every sector with
+vector.lowest_eigenpair, a restarted Lanczos, unless its caller passes a
+dense eigh (the exact table passes LAPACK dsyevr below DENSE_LIMIT).
 """
 
 from __future__ import annotations
@@ -719,10 +719,9 @@ def hamiltonian_matrix(config, pot, basis):
     docstring) and A_{-k}^dag A_{-k} is the same integer matrix; vhat is
     even.  So one pass and one product serve each pair.
 
-    The sum runs over row blocks of about vector._TERMS entries, as the
-    products do (vector.CSR's @): one sort of the (row - a) * n + column
-    codes of rows a..b-1 gives the union of the diagonal's and every
-    product's pattern there, and a float array over it starts at e_n0 +
+    The sum runs over row blocks of about vector._TERMS entries: one sort
+    of the (row - a) * n + column codes of rows a..b-1 gives the union of
+    the diagonal's and every product's pattern there, and a float array over it starts at e_n0 +
     :T: on the diagonal, then each mode k, in mode order, adds lambda
     vhat(k) times its pair's product.  So each entry is the left-to-right
     sum ((d + s_1 P_1) + s_2 P_2) + ... that a chain h = h + s_k P_k of
@@ -733,9 +732,9 @@ def hamiltonian_matrix(config, pot, basis):
     int32 indices, without a new matrix per mode.
 
     Memory beyond the products and the matrix stays bounded: the moves
-    carry 8-byte image codes and int32 labels, each product sums its move
-    pairs a row block at a time, and only the block's kept values and
-    int32 columns (while n < 2**31) outlive it.
+    carry 8-byte image codes and int32 labels, each product is one
+    csr_matmat, and only each row block's kept values and int32 columns
+    (while n < 2**31) outlive it.
     """
     items = pot.nonzero_items()
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair

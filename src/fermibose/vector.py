@@ -6,13 +6,19 @@ determinants) and boson.BosonVector (keys are monomials).  frame() turns
 many vectors into a CSR matrix with one column each; the isometry and
 subspace-bound Gram matrices are built through it and gram() (the H2
 pair terms take SparseVector.inner).  CSR is a record of numpy arrays
-whose products sum every entry in scipy.sparse's order, so they keep
-scipy.sparse's bytes without importing it.
+whose products, gram()'s and lowest_eigenpair's too, are scipy.sparse's
+C kernels, which extension() loads from its file without the
+scipy.sparse package, so they keep scipy.sparse's bytes.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -110,10 +116,11 @@ class CSR:
     """A sparse matrix by compressed rows: row i stores data[indptr[i] :
     indptr[i + 1]] at the columns indices[indptr[i] : indptr[i + 1]].
 
-    Its products sum each entry from zero, term by term, in stored order
-    (np.add.at), as scipy.sparse's csr_matvec and csr_matmat do, so they
-    keep scipy's bytes, and a matrix product drops the entries that sum
-    to exactly zero, as csr_matmat does.
+    Its products are scipy.sparse's own csr_matvec and csr_matmat, on the
+    arrays scipy.sparse passes them, so each entry sums its terms from
+    zero in stored order, and a matrix product drops the entries that sum
+    to exactly zero and sorts each row's columns, as csr_matrix's @ and
+    sort_indices() do.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")
@@ -124,7 +131,7 @@ class CSR:
     @classmethod
     def from_counts(cls, data, indices, counts, shape):
         """The matrix of entries listed row by row, counts[i] in row i."""
-        dtype = _index_dtype(shape, len(data))
+        dtype = _index_dtype(*shape, len(data))
         indptr = np.zeros(shape[0] + 1, dtype=dtype)
         np.cumsum(counts, out=indptr[1:])
         return cls(data, indices.astype(dtype, copy=False), indptr, shape)
@@ -133,14 +140,10 @@ class CSR:
     def nnz(self) -> int:
         return len(self.data)
 
-    def rows(self, a=0, b=None):
-        """The row of each stored entry of rows a..b-1."""
-        b = self.shape[0] if b is None else b
-        return np.repeat(np.arange(a, b), np.diff(self.indptr[a : b + 1]))
-
     def toarray(self, order="C"):
         out = np.zeros(self.shape, dtype=self.data.dtype, order=order)
-        rows, cols = self.rows(), self.indices.astype(np.int64)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        cols = self.indices.astype(np.int64)
         flat = rows * self.shape[1] + cols if order == "C" else rows + cols * self.shape[0]
         np.add.at(out.reshape(-1, order=order), flat, self.data)
         return out
@@ -148,19 +151,51 @@ class CSR:
     def __matmul__(self, other):
         if isinstance(other, CSR):
             return _product(self, other)
-        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, other))
-        for lo, hi in row_blocks(np.diff(self.indptr)):
-            a, b = self.indptr[lo], self.indptr[hi]
-            np.add.at(out, self.rows(lo, hi), self.data[a:b] * other[self.indices[a:b]])
+        other = np.asarray(other)
+        if other.shape != self.shape[1:]:
+            raise ValueError(f"a {self.shape} matrix times a vector of shape {other.shape}")
+        dtype = np.result_type(self.data, other)
+        out = np.zeros(self.shape[0], dtype=dtype)
+        indptr, indices = _cast(_index_dtype(*self.shape, self.nnz), self.indptr, self.indices)
+        data, x = _cast(dtype, self.data, other)
+        extension("sparse", "_sparsetools").csr_matvec(*self.shape, indptr, indices, data, x, out)
         return out
 
 
-_TERMS = 1 << 14  # terms per block of a matrix product or a Gram form
+@functools.cache
+def extension(package, name):
+    """scipy's compiled extension scipy.<package>.<name>, loaded from its
+    file alone, or the module scipy already imported: the scipy.sparse or
+    scipy.linalg package would also load scipy._lib._array_api and with
+    it numpy.f2py, numpy.testing, numpy.ma and numpy.random.  It enters
+    sys.modules, so a later import of its package takes this module."""
+    import scipy
+
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    where = os.path.join(os.path.dirname(scipy.__file__), package)
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(where, loader).find_spec(full)
+    if spec is None:
+        raise ImportError(f"no {full} extension in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full] = module
+    return module
 
 
-def _index_dtype(shape, nnz):
-    """int32 while it holds every index and count, as scipy.sparse picks."""
-    return np.int32 if max(*shape, nnz) < 2**31 else np.int64
+def _index_dtype(*sizes):
+    """int32 while it holds every size, as scipy.sparse picks."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
+def _cast(dtype, *arrays):
+    """The arrays as the kernels take them: C-contiguous, of one dtype."""
+    return [np.ascontiguousarray(x, dtype=dtype) for x in arrays]
+
+
+_TERMS = 1 << 14  # terms per row block of hamiltonian_matrix's union sum
 
 
 def row_blocks(terms):
@@ -181,76 +216,26 @@ def distinct(x):
     return x[fresh]
 
 
-def _expand(starts, counts):
-    """(owner, position): the positions starts[k] .. starts[k] + counts[k]
-    - 1 of each k in turn, each with its k."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts - starts)[owner]
-
-
-def _parts(x):
-    """(real part, imaginary part or None) of an array."""
-    return (x.real, x.imag) if np.iscomplexobj(x) else (x, None)
-
-
-def _times(ar, ai, br, bi):
-    """The parts of a * b, a complex product taken as scipy.sparse takes
-    it: (ar br - ai bi) + (ar bi + ai br) i, each product rounded."""
-    if ai is None and bi is None:
-        return [ar * br]
-    if ai is None:
-        return [ar * br, ar * bi]
-    if bi is None:
-        return [ar * br, ai * br]
-    return [ar * br - ai * bi, ar * bi + ai * br]
-
-
 def _product(a, b):
-    """a @ b: entry (i, c) sums a[i, j] b[j, c] from zero over the stored
-    entries of row i of a in order; entries that sum to zero are dropped.
-
-    In each row block one sort of the int64 keys (entry << s) | term
-    groups the terms by entry, (row - lo) * n + c, and keeps each
-    entry's terms in stored order: 2**s exceeds the block's terms.  The
-    term counts and each block's columns take the index dtype of the
-    shape and the total term count, int32 while it holds them.
-    """
-    n, dtype = b.shape[1], np.result_type(a.data, b.data)
-    fan = np.diff(b.indptr)[a.indices]  # the terms of each stored entry of a
-    index = _index_dtype((a.shape[0], n), int(fan.sum(dtype=np.int64)))
-    before = np.zeros(len(fan) + 1, dtype=index)
-    np.cumsum(fan, out=before[1:])
-    before = before[a.indptr]  # the terms before each row
-    (ar, ai), (br, bi) = _parts(a.data), _parts(b.data)
-    counts = np.zeros(a.shape[0], dtype=np.int64)
-    cols, sums = [np.zeros(0, dtype=index)], [np.zeros(0, dtype=dtype)]
-    for lo, hi in row_blocks(np.diff(before)):
-        stored = np.arange(a.indptr[lo], a.indptr[hi])
-        owner, j = _expand(b.indptr[a.indices[stored]], fan[stored])
-        s = len(j).bit_length()
-        if (hi - lo) * n >= 1 << (63 - s):
-            raise OverflowError("product entry keys overflow int64")
-        key = ((a.rows(lo, hi)[owner] - lo) * n + b.indices[j]) << s
-        key |= np.arange(len(j))
-        key.sort()
-        term, key = key & ((1 << s) - 1), key >> s
-        head = np.ones(len(key), dtype=bool)  # the first term of each entry
-        head[1:] = key[1:] != key[:-1]
-        at = np.cumsum(head) - 1
-        total = np.zeros(int(head.sum()), dtype=dtype)
-        i, j = stored[owner[term]], j[term]
-        parts = _times(ar[i], None if ai is None else ai[i], br[j], None if bi is None else bi[j])
-        for part, term in zip(_parts(total), parts):
-            np.add.at(part, at, term)
-        keep = total != 0
-        labels = key[head][keep]
-        row = labels // n
-        counts[lo:hi] = np.bincount(row, minlength=hi - lo)
-        cols.append((labels - row * n).astype(index))
-        sums.append(total[keep])
-    data = np.concatenate(sums)
-    del sums  # each list goes as it is joined
-    return CSR.from_counts(data, np.concatenate(cols), counts, (a.shape[0], n))
+    """a @ b as scipy.sparse's csr_matrix @ makes it: csr_matmat_maxnnz
+    bounds the entries, which set the index dtype, csr_matmat sums each
+    entry, csr_sort_indices orders each row, and the arrays end at
+    indptr[-1], after the entries that summed to zero."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"a {a.shape} matrix times a {b.shape} matrix")
+    (m, _), (_, n) = a.shape, b.shape
+    kernels, dtype = extension("sparse", "_sparsetools"), np.result_type(a.data, b.data)
+    sizes = (*a.shape, n, a.nnz, b.nnz)
+    pattern = _cast(_index_dtype(*sizes), a.indptr, a.indices, b.indptr, b.indices)
+    nnz = int(kernels.csr_matmat_maxnnz(m, n, *pattern))
+    ap, aj, bp, bj = _cast(_index_dtype(*sizes, nnz), *pattern)
+    ax, bx = _cast(dtype, a.data, b.data)
+    indptr = np.empty(m + 1, ap.dtype)
+    indices, data = np.empty(nnz, ap.dtype), np.empty(nnz, dtype)
+    kernels.csr_matmat(m, n, ap, aj, ax, bp, bj, bx, indptr, indices, data)
+    kernels.csr_sort_indices(m, indptr, indices, data)
+    end = indptr[-1]
+    return CSR(data[:end], indices[:end], indptr, (m, n))
 
 
 _KRYLOV, _KEPT = 20, 10  # Lanczos vectors held, and Ritz vectors kept at a restart
@@ -274,22 +259,12 @@ def lowest_eigenpair(h, tol, maxiter=_CYCLES):
     asks for less; it raises ValueError after maxiter cycles.  A Krylov
     space that closes (beta at the floor, as for a diagonal h, or n
     vectors) is invariant, and its lowest Ritz pair is returned as it
-    stands.  Inside, h @ x is a gather, a multiply and np.add.reduceat
-    into one buffer of nnz floats, not the ordered sums of CSR's @.
+    stands.  Every product is h @ x, scipy's csr_matvec, the product of
+    that printed residual too.
     """
     n = h.shape[0]
-    buf = np.empty(h.nnz)
-    filled = np.flatnonzero(np.diff(h.indptr))  # rows with entries; the rest read 0
-    starts = h.indptr[filled]
-
-    def apply(x, out):
-        np.take(x, h.indices, out=buf, mode="wrap")  # "raise" would copy through a buffer
-        np.multiply(buf, h.data, out=buf)
-        out[:] = 0.0
-        out[filled] = np.add.reduceat(buf, starts)
-
-    np.abs(h.data, out=buf)
-    floor = _FLOOR * float(np.add.reduceat(buf, starts).max(initial=0.0))
+    row_sums = CSR(np.abs(h.data), h.indices, h.indptr, h.shape) @ np.ones(n)
+    floor = _FLOOR * float(row_sums.max(initial=0.0))
     m = min(_KRYLOV, n)
     v = np.empty((m + 1, n))  # Lanczos vectors, by rows
     x = np.arange(1, n + 1) * 0.6180339887498949
@@ -300,7 +275,7 @@ def lowest_eigenpair(h, tol, maxiter=_CYCLES):
     for _ in range(maxiter):
         for j in range(kept, m):
             w = v[j + 1]
-            apply(v[j], w)
+            w[:] = h @ v[j]
             for _ in range(2):  # full reorthogonalisation, twice
                 c = v[: j + 1] @ w
                 w -= c @ v[: j + 1]
@@ -334,23 +309,21 @@ def _unit(x):
 
 def gram(p, q=None):
     """Re(P^dag Q) as a dense array in Fortran order, Q defaulting to P:
-    entry (a, b) sums Re(Q[r, b] conj(P[r, a])) from zero over the rows r
-    in ascending order, the bytes of scipy.sparse's
-    (p.conj().T @ q).real.toarray()."""
+    scipy.sparse's (p.conj().T @ q).real.toarray(), by its kernels.  That
+    product is (Q^T conj(P))^T: csr_tocsc lays Q out by columns, so
+    csr_matmat sums entry (b, a) over the rows r in ascending order, each
+    term Q[r, b] conj(P[r, a]), and the real part as a C-order n x m
+    array is Re(P^dag Q) in Fortran order."""
     q = p if q is None else q
-    m, n = p.shape[1], q.shape[1]
-    (pr, pi), (qr, qi) = _parts(p.data), _parts(q.data)
-    per_row = np.diff(q.indptr)
-    out = np.zeros(m * n)
-    for lo, hi in row_blocks(np.diff(p.indptr) * per_row):
-        row = p.rows(lo, hi)
-        owner, j = _expand(q.indptr[row], per_row[row])
-        i = np.arange(p.indptr[lo], p.indptr[hi])[owner]
-        term = qr[j] * pr[i]
-        if pi is not None and qi is not None:
-            term += qi[j] * pi[i]  # the real part of Q conj(P)
-        np.add.at(out, p.indices[i] + m * q.indices[j].astype(np.int64), term)
-    return out.reshape((m, n), order="F")
+    if p.shape[0] != q.shape[0]:
+        raise ValueError(f"forms of a {p.shape} and a {q.shape} matrix")
+    (rows, n), dtype = q.shape, q.data.dtype
+    indptr, indices = _cast(_index_dtype(rows, n, q.nnz), q.indptr, q.indices)
+    tp, tj, tx = np.empty_like(indptr, shape=n + 1), np.empty_like(indices), np.empty(q.nnz, dtype)
+    kernels = extension("sparse", "_sparsetools")
+    kernels.csr_tocsc(rows, n, indptr, indices, *_cast(dtype, q.data), tp, tj, tx)
+    c = CSR(tx, tj, tp, (n, rows)) @ CSR(p.data.conj(), p.indices, p.indptr, p.shape)
+    return CSR(c.data.real, c.indices, c.indptr, c.shape).toarray().T
 
 
 def frame(vectors):

@@ -802,23 +802,28 @@ def test_h2_audit_imports_no_matrix_or_config_libraries(tmp_path):
 
 def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
     """scaling and isometry build their frames, Hamiltonians and forms and
-    solve their sectors with numpy, the Lanczos sector of r = 13 (2104
-    determinants) included: in a fresh process that runs both,
-    scipy.sparse, scipy.linalg and scipy._lib._array_api (which every
-    scipy submodule loads) stay unimported, and so do numpy.ma, which
-    np.unique's path without indices imports, and numpy.random, which
-    the fixed Lanczos start vector does without.  An exact row of one
-    Lanczos sector (5010 determinants) loads none of them either, and
-    neither does a dense exact row: it loads scipy's LAPACK extension
-    alone, so numpy.f2py and numpy.testing stay unimported too."""
+    solve their sectors with scipy's sparse kernels alone, the Lanczos
+    sector of r = 13 (2104 determinants) included: in a fresh process
+    that runs both, the one scipy module loaded beyond those of `import
+    scipy` is the _sparsetools extension, not the scipy.sparse package,
+    nor scipy._lib._array_api (which every scipy submodule loads), and
+    numpy.ma, which np.unique's path without indices imports, and
+    numpy.random, which the fixed Lanczos start vector does without,
+    stay unimported.  An exact row of one Lanczos sector (5010
+    determinants) loads nothing more, and a dense exact row adds scipy's
+    LAPACK extension alone, so numpy.f2py and numpy.testing stay
+    unimported too."""
     out = str(tmp_path)
     script = (
         "import sys\n"
+        "import scipy\n"
+        "def scipy_modules():\n"
+        "    return {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+        "base = scipy_modules()\n"
         "from fermibose import cli\n"
-        "heavy = ('scipy.sparse', 'scipy.linalg', 'scipy._lib._array_api', "
-        "'scipy.sparse.linalg', 'numpy.ma', 'numpy.random', 'numpy.f2py', 'numpy.testing')\n"
+        "heavy = ('numpy.ma', 'numpy.random', 'numpy.f2py', 'numpy.testing')\n"
         "def loaded():\n"
-        "    return [m for m in heavy if m in sys.modules]\n"
+        "    return sorted(scipy_modules() - base) + [m for m in heavy if m in sys.modules]\n"
         f"code = cli.main(['scaling', '--config', 'configs/scaling_d2.yaml', '--radii', "
         f"'5,13,17', '--out', {out!r}])\n"
         f"code += cli.main(['isometry', '--radii', '1,4', '--out', {out!r}])\n"
@@ -830,7 +835,12 @@ def test_scaling_and_isometry_import_no_scipy_submodule(tmp_path):
         f"'--out', {out + '/dense'!r}])\n"
         "print(code, loaded())\n"
     )
-    assert fresh_python(script)[-3:] == ["0 []"] * 3
+    sparse, lapack = "'scipy.sparse._sparsetools'", "'scipy.linalg._flapack'"
+    assert fresh_python(script)[-3:] == [
+        f"0 [{sparse}]",
+        f"0 [{sparse}]",
+        f"0 [{lapack}, {sparse}]",
+    ]
     _, rows = read_csv(tmp_path / "scaling.csv")
     assert [row[0] for row in rows] == ["5", "13", "17"]
     assert [row[6] != "" for row in rows] == [True, True, False]  # exact_energy
@@ -852,7 +862,7 @@ def test_dense_solver_loads_lapack_alone():
         """
         import sys
         import numpy as np
-        from fermibose import cli, fock, lattice
+        from fermibose import cli, fock, lattice, vector
 
         assert "scipy.linalg" not in sys.modules
         config = lattice.GasConfig(d=2, fermi_radius_sq=1, alpha=-1.0)
@@ -875,11 +885,12 @@ def test_dense_solver_loads_lapack_alone():
         else:
             raise AssertionError("NaN accepted")
         assert "scipy.linalg" not in sys.modules
-        assert cli._flapack() is cli._flapack()
+        lapack = vector.extension("linalg", "_flapack")
+        assert lapack is vector.extension("linalg", "_flapack")
 
         import scipy.linalg
 
-        assert scipy.linalg.lapack.dsyevr is cli._flapack().dsyevr
+        assert scipy.linalg.lapack.dsyevr is lapack.dsyevr
         for a, (w, v) in zip(mats, got):
             want_w, want_v = scipy.linalg.eigh(a.copy(order="F"), overwrite_a=True)
             assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
@@ -887,6 +898,35 @@ def test_dense_solver_loads_lapack_alone():
         """
     )
     assert fresh_python(script)[-1] == "[51, 457, 1, 2, 17, 513, 1999]"
+
+
+def test_sparse_kernels_load_alone():
+    """In a fresh process vector.extension loads scipy's _sparsetools
+    from its file without the scipy.sparse package, and returns one
+    module per extension on every call; a later import of scipy.sparse
+    takes that module, whose kernels then serve scipy's own products."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from fermibose import vector
+
+        tools = vector.extension("sparse", "_sparsetools")
+        lapack = vector.extension("linalg", "_flapack")
+        assert tools is vector.extension("sparse", "_sparsetools")
+        assert lapack is vector.extension("linalg", "_flapack") and lapack is not tools
+        assert "scipy.sparse" not in sys.modules and "scipy.linalg" not in sys.modules
+
+        import scipy.sparse
+        from scipy.sparse import _sparsetools
+
+        assert _sparsetools is tools is vector.extension("sparse", "_sparsetools")
+        assert sys.modules["scipy.sparse._sparsetools"] is tools
+        a = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        print((a @ a).toarray().tolist())
+        """
+    )
+    assert fresh_python(script)[-1] == "[[1.0, 8.0], [0.0, 9.0]]"
 
 
 def test_unknown_experiment_rejected():

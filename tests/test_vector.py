@@ -94,7 +94,7 @@ def test_float_sums_add_left_to_right(small2):
     assert F.trivial_bounds(small2, pot) == want
 
 
-# ------------------------------------- the numpy CSR layer against scipy
+# ------------------------------------------- the CSR layer against scipy
 
 
 def _random_frame(rng, rows, cols):
@@ -136,15 +136,11 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
-@pytest.mark.parametrize("terms", [None, 7], ids=["one-block", "blocks-of-7"])
-def test_csr_layer_keeps_scipy_bytes(terms, monkeypatch):
+def test_csr_layer_keeps_scipy_bytes():
     """frame, the matrix-vector and matrix products and Re(P^dag Q) give
     scipy.sparse's arrays, byte for byte, on random complex frames with
     empty vectors (columns) and real matrices with empty rows and
-    columns, also when the products and forms run in blocks of a few
-    terms."""
-    if terms:
-        monkeypatch.setattr(V, "_TERMS", terms)
+    columns."""
     rng = np.random.default_rng(5)
     for _ in range(30):
         n, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
@@ -166,14 +162,11 @@ def test_csr_layer_keeps_scipy_bytes(terms, monkeypatch):
         _assert_same_arrays(_record(want_p.T.tocsr()) @ p, want_p.T.tocsr() @ want_p)
 
 
-@pytest.mark.parametrize("terms", [None, 5], ids=["one-block", "blocks-of-5"])
-def test_pass_product_keeps_scipy_bytes(terms, monkeypatch):
+def test_pass_product_keeps_scipy_bytes():
     """fock._pass_product, which builds A^T and A from the moves, and the
     product of scipy's A^T and A as records give scipy's A^T A of random
     +-1 int16 matrices, whose off-diagonal sums often cancel to
     zero and are dropped; some determinants have no move."""
-    if terms:
-        monkeypatch.setattr(V, "_TERMS", terms)
     rng = np.random.default_rng(7)
     cancelled = 0
     for _ in range(40):
@@ -189,6 +182,24 @@ def test_pass_product_keeps_scipy_bytes(terms, monkeypatch):
         full = (a.T @ a).toarray()
         cancelled += int(((a.T.astype(bool) @ a.astype(bool)).toarray() & (full == 0)).sum())
     assert cancelled > 0
+
+
+def test_csr_products_refuse_mismatched_shapes():
+    """A vector or matrix that does not chain with a record, and a form of
+    matrices of different row counts, raise ValueError before any kernel
+    reads past an array: a 2 x 2 record times a length-3 vector is not
+    the product of its first two entries."""
+    h = CSR.from_counts(np.array([1.0, 2.0]), np.array([0, 1]), np.array([1, 1]), (2, 2))
+    assert np.array_equal(h @ np.array([1.0, 1.0]), [1.0, 2.0])
+    for x in (np.ones(1), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="matrix times a vector"):
+            h @ x
+    wide = CSR.from_counts(np.ones(3), np.array([0, 1, 2]), np.array([3]), (1, 3))
+    with pytest.raises(ValueError, match="matrix times a"):
+        h @ wide
+    with pytest.raises(ValueError, match="forms of a"):
+        V.gram(h, wide)
+    assert np.array_equal(V.gram(h), [[1.0, 0.0], [0.0, 4.0]])
 
 
 def _dense_record(a):
