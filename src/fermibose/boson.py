@@ -76,18 +76,7 @@ class BosonVector(SparseVector):
         )
 
     def inner(self, other: "BosonVector") -> complex:
-        a, b = self.terms, other.terms
-        if len(b) < len(a):
-            return sum(
-                a[m].conjugate() * v * monomial_norm_sq(m)
-                for m, v in b.items()
-                if m in a
-            )
-        return sum(
-            v.conjugate() * b[m] * monomial_norm_sq(m)
-            for m, v in a.items()
-            if m in b
-        )
+        return ordered_sum(p * monomial_norm_sq(m) for m, p in self.overlaps(other))
 
     def pruned(self, tol: float = DROP_TOL) -> "BosonVector":
         if not self.terms:

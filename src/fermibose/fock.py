@@ -34,12 +34,11 @@ apply_b, apply_b_dag and apply_d are its one-mode, one-vector case.
 hamiltonian_matrix runs the same passes, one per +-k pair: on states
 of finitely many particles [rho_k, rho_k^dag] = sum_p (n_{p-k} - n_p)
 = 0, so rho_{-k}^dag rho_{-k} = rho_k^dag rho_k, and the pair's one
-product serves both modes.  It sums every product into one value array
-over the union of their patterns, each entry in mode order, so the
-matrix keeps the bytes of a chain of sparse sums.
+product serves both modes.  The matrix is the chain of sparse sums of
+those products, in mode order, one row block at a time.
 
-Matrices are vector.CSR records, multiplied by scipy.sparse's C kernels
-without its package, and ground_state solves every sector with
+Matrices are vector.CSR records, multiplied and summed by scipy.sparse's
+C kernels without its package; ground_state solves every sector with
 vector.lowest_eigenpair, a restarted Lanczos, unless its caller passes a
 dense eigh (the exact table passes LAPACK dsyevr below DENSE_LIMIT).
 """
@@ -683,18 +682,12 @@ def _momentum_combinations(modes, n, momentum):
 
 def _pass_product(rows, sign, image, n):
     """A^T A for the pass matrix A[image[m], rows[m]] = sign[m] over n
-    determinants, as a CSR record of sign's dtype with zero sums dropped.
-
-    rows ascend, so the moves in their order are A^T by rows, and a sort
-    by image gives A by rows.  The entries are integers, so the product
-    is exact in any order, and the columns of a row of A need not ascend.
-    """
+    determinants, as a CSR record of sign's dtype with zero sums dropped:
+    rows ascend, so the moves in their order are A^T by rows.  The
+    entries are integers, so the product is exact in any order."""
     images = int(image.max(initial=-1)) + 1
     at = CSR.from_counts(sign, image, np.bincount(rows, minlength=n), (n, images))
-    order = np.argsort(image)
-    a = CSR.from_counts(sign[order], rows[order], np.bincount(image, minlength=images), (images, n))
-    del order  # not held through the product
-    return at @ a
+    return at @ at.T
 
 
 def hamiltonian_matrix(config, pot, basis):
@@ -719,22 +712,14 @@ def hamiltonian_matrix(config, pot, basis):
     docstring) and A_{-k}^dag A_{-k} is the same integer matrix; vhat is
     even.  So one pass and one product serve each pair.
 
-    The sum runs over row blocks of about vector._TERMS entries: one sort
-    of the (row - a) * n + column codes of rows a..b-1 gives the union of
-    the diagonal's and every product's pattern there, and a float array over it starts at e_n0 +
-    :T: on the diagonal, then each mode k, in mode order, adds lambda
-    vhat(k) times its pair's product.  So each entry is the left-to-right
-    sum ((d + s_1 P_1) + s_2 P_2) + ... that a chain h = h + s_k P_k of
-    sparse sums makes; such a chain drops an entry that sums to an exact
-    zero, but 0.0 + x == x, so one that comes back gets the same value.
-    Exact zeros are dropped once, after the last mode, and the CSR arrays
-    are those of that chain of scipy.sparse sums, byte for byte, with
-    int32 indices, without a new matrix per mode.
-
-    Memory beyond the products and the matrix stays bounded: the moves
-    carry 8-byte image codes and int32 labels, each product is one
-    csr_matmat, and only each row block's kept values and int32 columns
-    (while n < 2**31) outlive it.
+    The matrix is the chain of sparse sums 0 + D + s_1 P_1 + s_2 P_2 +
+    ..., D the diagonal e_n0 + :T:, s_k = lambda vhat(k) and P_k the
+    product of k's pair, in mode order: each CSR + (csr_plus_csr) drops
+    the entries that come to exactly zero, a zero diagonal entry too, as
+    the chain starts from the empty matrix.  It runs a row block of about
+    vector._TERMS entries at a time, so each sum is block-sized and only
+    the block's last one outlives it; the moves carry 8-byte image codes
+    and int32 labels, and each product is one csr_matmat.
     """
     items = pot.nonzero_items()
     leads = [k for k, _ in items if mode_key(k) < mode_key(neg(k))]  # first of each pair
@@ -750,35 +735,22 @@ def hamiltonian_matrix(config, pot, basis):
     scaled = [(pair[k], lam * v) for k, v in items]  # in mode order
     excess = e_n0(config, pot) + kinetic_excess(config, norms)  # the diagonal
 
-    def codes(m, a, b):  # (row - a) * n + column of each stored entry of rows a..b-1
-        out = np.repeat(np.arange(b - a) * n, np.diff(m.indptr[a : b + 1]))
-        out += m.indices[m.indptr[a] : m.indptr[b]]
-        return out
-
-    def block(a, b):  # the codes and sums of the union of rows a..b-1, zeros dropped
-        keys = [codes(m, a, b) for m in products]
-        own = np.arange(b - a) * (n + 1) + a  # the diagonal's
-        where = np.concatenate([*keys, own])
-        where.sort()
-        where = distinct(where)
-        places = [np.searchsorted(where, key) for key in keys]
-        total = np.zeros(len(where))
-        total[np.searchsorted(where, own)] = excess[a:b]
+    def block(a, b):  # the chain over rows a..b-1
+        total = CSR(np.zeros(0), np.zeros(0, np.int32), np.zeros(b - a + 1, np.int32), (b - a, n))
+        total += CSR(excess[a:b], np.arange(a, b), np.arange(b - a + 1), (b - a, n))
         for i, scale in scaled:
-            m = products[i]
-            np.add.at(total, places[i], scale * m.data[m.indptr[a] : m.indptr[b]])
-        keep = total != 0  # exact zeros go once, after the last mode
-        return where[keep], total[keep]
+            m = products[i].rows(a, b)
+            total += CSR(scale * m.data, m.indices, m.indptr, m.shape)
+        return total
 
     per_row = sum((np.diff(m.indptr) for m in products), np.ones(n, dtype=np.int64))
     counts = np.zeros(n, dtype=np.int64)
-    cols, sums = [np.zeros(0, dtype=np.int32 if n < 2**31 else np.int64)], [np.zeros(0)]
+    cols, sums = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
     for a, b in row_blocks(per_row):
-        where, total = block(a, b)
-        row = where // n
-        counts[a:b] = np.bincount(row, minlength=b - a)
-        cols.append((where - row * n).astype(cols[0].dtype))
-        sums.append(total)
+        total = block(a, b)
+        counts[a:b] = np.diff(total.indptr)
+        cols.append(total.indices)
+        sums.append(total.data)
     del products
     data = np.concatenate(sums)
     del sums  # each list goes as it is joined

@@ -6,9 +6,10 @@ determinants) and boson.BosonVector (keys are monomials).  frame() turns
 many vectors into a CSR matrix with one column each; the isometry and
 subspace-bound Gram matrices are built through it and gram() (the H2
 pair terms take SparseVector.inner).  CSR is a record of numpy arrays
-whose products, gram()'s and lowest_eigenpair's too, are scipy.sparse's
-C kernels, which extension() loads from its file without the
-scipy.sparse package, so they keep scipy.sparse's bytes.
+whose every operation, gram()'s and lowest_eigenpair's too, is one of
+scipy.sparse's C kernels (csr_matvec, csr_matmat, csr_plus_csr,
+csr_tocsc, csr_todense), which extension() loads from its file without
+the scipy.sparse package, so they keep scipy.sparse's bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import numpy as np
 DROP_TOL = 1e-14
 
 
-def ordered_sum(values) -> float:
-    """Floats added left to right, as sum() did before Python 3.12."""
+def ordered_sum(values):
+    """Numbers added left to right from 0.0, as sum() added floats before
+    Python 3.12 and complex numbers before 3.14."""
     total = 0.0
     for v in values:
         total += v
@@ -65,12 +67,16 @@ class SparseVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def inner(self, other) -> complex:
-        """<self|other>, antilinear in self."""
+    def overlaps(self, other):
+        """(key, conj(a) b) over the shared keys, in the shorter vector's order."""
         a, b = self.terms, other.terms
         if len(b) < len(a):
-            return sum(a[key].conjugate() * v for key, v in b.items() if key in a)
-        return sum(v.conjugate() * b[key] for key, v in a.items() if key in b)
+            return ((key, a[key].conjugate() * v) for key, v in b.items() if key in a)
+        return ((key, v.conjugate() * b[key]) for key, v in a.items() if key in b)
+
+    def inner(self, other) -> complex:
+        """<self|other>, antilinear in self."""
+        return ordered_sum(p for _, p in self.overlaps(other))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -116,11 +122,12 @@ class CSR:
     """A sparse matrix by compressed rows: row i stores data[indptr[i] :
     indptr[i + 1]] at the columns indices[indptr[i] : indptr[i + 1]].
 
-    Its products are scipy.sparse's own csr_matvec and csr_matmat, on the
-    arrays scipy.sparse passes them, so each entry sums its terms from
-    zero in stored order, and a matrix product drops the entries that sum
-    to exactly zero and sorts each row's columns, as csr_matrix's @ and
-    sort_indices() do.
+    Each operation is one of scipy.sparse's own kernels on the arrays
+    scipy.sparse passes it: csr_matvec and csr_matmat for @, csr_plus_csr
+    for +, csr_tocsc for T and csr_todense for toarray().  So each entry
+    sums its terms from zero in stored order, and a matrix product or sum
+    drops the entries that come to exactly zero, as csr_matrix's @ with
+    sort_indices(), + and .T.tocsr() do.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")
@@ -140,13 +147,49 @@ class CSR:
     def nnz(self) -> int:
         return len(self.data)
 
+    def rows(self, a, b):
+        """Rows a..b-1, over views of self's entries."""
+        start, end = self.indptr[a], self.indptr[b]
+        indptr = self.indptr[a : b + 1] - start
+        return CSR(self.data[start:end], self.indices[start:end], indptr, (b - a, self.shape[1]))
+
+    @property
+    def T(self):
+        """The transpose, by csr_tocsc: each row's columns ascend."""
+        (m, n), dtype = self.shape, self.data.dtype
+        indptr, indices = _cast(_index_dtype(m, n, self.nnz), self.indptr, self.indices)
+        tp, tj = np.empty(n + 1, indptr.dtype), np.empty_like(indices)
+        tx = np.empty(self.nnz, dtype)
+        kernels = extension("sparse", "_sparsetools")
+        kernels.csr_tocsc(m, n, indptr, indices, *_cast(dtype, self.data), tp, tj, tx)
+        return CSR(tx, tj, tp, (n, m))
+
     def toarray(self, order="C"):
-        out = np.zeros(self.shape, dtype=self.data.dtype, order=order)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        cols = self.indices.astype(np.int64)
-        flat = rows * self.shape[1] + cols if order == "C" else rows + cols * self.shape[0]
-        np.add.at(out.reshape(-1, order=order), flat, self.data)
+        """The dense array, by csr_todense; in Fortran order, the C-order
+        array of T, transposed, as csr_matrix's toarray makes it."""
+        if order == "F":
+            return self.T.toarray().T
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        indptr, indices = _cast(_index_dtype(*self.shape, self.nnz), self.indptr, self.indices)
+        kernels = extension("sparse", "_sparsetools")
+        kernels.csr_todense(*self.shape, indptr, indices, *_cast(out.dtype, self.data), out)
         return out
+
+    def __add__(self, other):
+        """self + other, by csr_plus_csr on rows whose columns ascend
+        without repeats: each entry adds its two terms, those that come
+        to exactly zero are dropped, and the arrays are cut to the kept
+        entries by a copy, as csr_matrix's + and its prune() make it."""
+        if self.shape != other.shape:
+            raise ValueError(f"a {self.shape} matrix plus a {other.shape} matrix")
+        (m, n), nnz = self.shape, self.nnz + other.nnz
+        dtype, index = np.result_type(self.data, other.data), _index_dtype(m, n, nnz)
+        ap, aj, bp, bj = _cast(index, self.indptr, self.indices, other.indptr, other.indices)
+        ax, bx = _cast(dtype, self.data, other.data)
+        indptr, indices, data = np.empty(m + 1, index), np.empty(nnz, index), np.empty(nnz, dtype)
+        kernels = extension("sparse", "_sparsetools")
+        kernels.csr_plus_csr(m, n, ap, aj, ax, bp, bj, bx, indptr, indices, data)
+        return CSR(data[: indptr[-1]].copy(), indices[: indptr[-1]].copy(), indptr, self.shape)
 
     def __matmul__(self, other):
         if isinstance(other, CSR):
@@ -195,7 +238,7 @@ def _cast(dtype, *arrays):
     return [np.ascontiguousarray(x, dtype=dtype) for x in arrays]
 
 
-_TERMS = 1 << 14  # terms per row block of hamiltonian_matrix's union sum
+_TERMS = 1 << 14  # terms per row block of hamiltonian_matrix's chain of sums
 
 
 def row_blocks(terms):
@@ -310,19 +353,14 @@ def _unit(x):
 def gram(p, q=None):
     """Re(P^dag Q) as a dense array in Fortran order, Q defaulting to P:
     scipy.sparse's (p.conj().T @ q).real.toarray(), by its kernels.  That
-    product is (Q^T conj(P))^T: csr_tocsc lays Q out by columns, so
-    csr_matmat sums entry (b, a) over the rows r in ascending order, each
-    term Q[r, b] conj(P[r, a]), and the real part as a C-order n x m
-    array is Re(P^dag Q) in Fortran order."""
+    product is (Q^T conj(P))^T: Q^T holds Q by columns, so csr_matmat
+    sums entry (b, a) over the rows r in ascending order, each term
+    Q[r, b] conj(P[r, a]), and the real part as a C-order n x m array is
+    Re(P^dag Q) in Fortran order."""
     q = p if q is None else q
     if p.shape[0] != q.shape[0]:
         raise ValueError(f"forms of a {p.shape} and a {q.shape} matrix")
-    (rows, n), dtype = q.shape, q.data.dtype
-    indptr, indices = _cast(_index_dtype(rows, n, q.nnz), q.indptr, q.indices)
-    tp, tj, tx = np.empty_like(indptr, shape=n + 1), np.empty_like(indices), np.empty(q.nnz, dtype)
-    kernels = extension("sparse", "_sparsetools")
-    kernels.csr_tocsc(rows, n, indptr, indices, *_cast(dtype, q.data), tp, tj, tx)
-    c = CSR(tx, tj, tp, (n, rows)) @ CSR(p.data.conj(), p.indices, p.indptr, p.shape)
+    c = q.T @ CSR(p.data.conj(), p.indices, p.indptr, p.shape)
     return CSR(c.data.real, c.indices, c.indptr, c.shape).toarray().T
 
 
@@ -331,17 +369,13 @@ def frame(vectors):
 
     Rows are the distinct keys in first-seen order, vector by vector, and
     each row's columns ascend: the arrays of scipy.sparse's
-    coo_matrix(...).tocsr().
+    coo_matrix(...).tocsr(), as the transpose of the vectors' own rows.
     """
-    rows, data, counts = [], [], []
+    cols, data, counts = [], [], []
     index = {}
     for vec in vectors:
-        rows.extend(index.setdefault(key, len(index)) for key in vec.terms)
+        cols.extend(index.setdefault(key, len(index)) for key in vec.terms)
         data.extend(vec.terms.values())
         counts.append(len(vec.terms))
-    rows = np.array(rows, dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    cols = np.repeat(np.arange(len(counts)), counts)[order]
-    shape = (len(index), len(counts))
-    per_row = np.bincount(rows, minlength=len(index))
-    return list(index), CSR.from_counts(np.array(data)[order], cols, per_row, shape)
+    shape = (len(counts), len(index))
+    return list(index), CSR.from_counts(np.array(data), np.array(cols), counts, shape).T

@@ -440,6 +440,11 @@ def test_ground_state_free_gas(small2):
     assert it.method == "iterative"
     assert it.energy == pytest.approx(gs.energy, rel=1e-13)
     assert max(it.vector.terms.items(), key=lambda kv: abs(kv[1]))[0] == top[0]
+    # the r = 0 gas: its one determinant, the filled ball {0}, has excess
+    # exactly 0, which the matrix does not store
+    free = L.GasConfig(d=2, fermi_radius_sq=0)
+    h = F.hamiltonian_matrix(free, pot, F.sector_basis(free, 0))
+    assert (h.shape, h.nnz, h.indptr.tolist()) == ((1, 1), 0, [0, 0])
 
 
 def test_ground_state_sandwich(small2, unit4):
@@ -1199,12 +1204,11 @@ def test_hamiltonian_sums_in_row_blocks(small2, unit4, monkeypatch):
 
 def test_hamiltonian_assembly_with_int64_place_codes():
     """Over n >= 46,341 determinants n * n reaches 2**31, past any int32
-    row * n + column code; the sum codes the entries of each row block
-    from the block's first row, in int64.  The restriction of such an
-    assembly (the first 46,400 two-particle determinants over |p|^2 <= 100,
-    489,260 entries) to every 97th determinant and the last 400 is the
-    assembly over that subset, byte for byte: each entry depends only on
-    its two determinants."""
+    row * n + column code, so no index of the assembly may be one.  The
+    restriction of such an assembly (the first 46,400 two-particle
+    determinants over |p|^2 <= 100, 489,260 entries) to every 97th
+    determinant and the last 400 is the assembly over that subset, byte
+    for byte: each entry depends only on its two determinants."""
     basis = list(itertools.islice(itertools.combinations(L.ball_points(2, 100), 2), 46_400))
     config, pot = L.GasConfig(d=2, fermi_radius_sq=1), F.unit_potential(2, 4)
     h = F.hamiltonian_matrix(config, pot, basis)

@@ -62,6 +62,18 @@ def test_finish_and_pruned_keep_the_term_order():
     assert list(vec.pruned(0.5).terms.items()) == [("y", 4.0 + 0j), ("x", 3.0 + 0j)]
 
 
+def test_inner_products_add_left_to_right():
+    """<x|y> adds its terms left to right, in the shorter vector's order,
+    as a loop does, not compensated as sum() is for floats from Python
+    3.12 and for complex numbers from 3.14: 1e16 + 1 rounds to 1e16."""
+    amps = [1e16 + 0j, 1.0 + 0j, -1e16 + 0j]
+    dets = [F.determinant([(0, 0), p]) for p in [(1, 0), (0, 1), (-1, 0)]]
+    monos = [(), ((1, 0),), ((0, 1),)]  # every factorial weight is 1
+    for cls, keys in ((SparseVector, "abc"), (F.FermionVector, dets), (B.BosonVector, monos)):
+        x, ones = cls(zip(keys, amps)), cls(dict.fromkeys(keys, 1.0 + 0j))
+        assert x.inner(ones) == ones.inner(x) == 0.0
+
+
 def _loop_sum(values):
     total = 0.0
     for v in values:
@@ -137,11 +149,14 @@ def _assert_same_arrays(got, want):
 
 
 def test_csr_layer_keeps_scipy_bytes():
-    """frame, the matrix-vector and matrix products and Re(P^dag Q) give
-    scipy.sparse's arrays, byte for byte, on random complex frames with
-    empty vectors (columns) and real matrices with empty rows and
-    columns."""
+    """frame, the matrix-vector and matrix products, the sums, the
+    transposes, the dense arrays and Re(P^dag Q) give scipy.sparse's
+    arrays, byte for byte, on random complex frames with empty vectors
+    (columns), their transposes (empty rows) and real and int16 matrices
+    with empty rows and columns; some sums cancel to exact zeros, which
+    are dropped."""
     rng = np.random.default_rng(5)
+    cancelled = 0
     for _ in range(30):
         n, m = int(rng.integers(1, 30)), int(rng.integers(1, 9))
         _, p, want_p = _random_frame(rng, n, m)
@@ -160,6 +175,20 @@ def test_csr_layer_keeps_scipy_bytes():
             assert np.array_equal(got, want)
         # complex times complex: each product rounded as scipy rounds it
         _assert_same_arrays(_record(want_p.T.tocsr()) @ p, want_p.T.tocsr() @ want_p)
+        signs = h.copy()
+        signs.data = np.where(h.data > 0, 1, -1).astype(np.int16)
+        for a in (signs, h, want_p, want_p.T.tocsr()):
+            _assert_same_arrays(_record(a).T, a.T.tocsr())
+            assert np.array_equal(_record(a).toarray(), a.toarray())
+        # h minus some of its own entries, so that those sum to exact zeros
+        g = _random_real(rng, n, rng.uniform(0.05, 0.6)) - h.multiply(rng.random((n, n)) < 0.5)
+        g, hw = g.tocsr(), h @ want_p
+        g.sum_duplicates()  # + takes rows whose columns ascend without repeats
+        hw.sort_indices()
+        for a, b in ((h, g), (signs, signs), (want_p, hw), (want_p, -want_p)):
+            _assert_same_arrays(_record(a) + _record(b), a + b)
+        cancelled += h.nnz - h.multiply(h + g != 0).nnz
+    assert cancelled > 0
 
 
 def test_pass_product_keeps_scipy_bytes():
@@ -199,6 +228,8 @@ def test_csr_products_refuse_mismatched_shapes():
         h @ wide
     with pytest.raises(ValueError, match="forms of a"):
         V.gram(h, wide)
+    with pytest.raises(ValueError, match="matrix plus a"):
+        h + wide
     assert np.array_equal(V.gram(h), [[1.0, 0.0], [0.0, 4.0]])
 
 
