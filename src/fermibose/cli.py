@@ -211,8 +211,6 @@ def _potential(cfg: ExperimentConfig) -> fock.Potential:
 def fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return FLOAT_FMT % value
     return str(value)

@@ -578,8 +578,11 @@ def trivial_bounds(config: GasConfig, pot: Potential):
 
 @dataclass
 class GroundStateResult:
+    """vector: the unit eigenvector, a float64 array in sector_basis
+    order whose entry of largest magnitude is positive."""
+
     energy: float
-    vector: FermionVector
+    vector: np.ndarray
     dimension: int
     method: str
     residual: float
@@ -757,14 +760,6 @@ def hamiltonian_matrix(config, pot, basis):
     return CSR.from_counts(data, np.concatenate(cols), counts, (n, n))
 
 
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    piv = vec[i]
-    if piv == 0:
-        return vec
-    return vec * (abs(piv) / piv)
-
-
 DENSE_LIMIT = 2000  # sectors this large and up are never solved densely
 
 
@@ -791,7 +786,9 @@ def ground_state(
     Only a caller that passes eigh (the exact table passes cli._dsyevr,
     LAPACK dsyevr, whose residuals the pinned tables hold) has
     a sector below DENSE_LIMIT solved densely, by eigh on the matrix as
-    one Fortran-order n x n array.
+    one Fortran-order n x n array, of which only a copy of the first
+    column is kept.  The solver's vector is negated when its entry of
+    largest magnitude is negative, which leaves ||h v - E v|| as it is.
     """
     basis = sector_basis(config, cutoff_radius_sq, momentum, basis_limit)
     dim = len(basis)
@@ -801,15 +798,13 @@ def ground_state(
     if eigh is not None and dim < DENSE_LIMIT:
         how = "dense"
         w, u = eigh(h.toarray(order="F"))
-        energy, vec = float(w[0]), u[:, 0]
+        energy, vec = float(w[0]), u[:, 0].copy()  # not a view that keeps u
     else:
         how = "iterative"
         energy, vec = lowest_eigenpair(h, tol)
-    vec = _canonical_phase(vec)
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
     residual = float(np.linalg.norm(h @ vec - energy * vec))
-    out = FermionVector(
-        {det: complex(vec[i]) for i, det in enumerate(basis) if vec[i] != 0.0}
-    ).pruned()
     return GroundStateResult(
-        energy=energy, vector=out, dimension=dim, method=how, residual=residual
+        energy=energy, vector=vec, dimension=dim, method=how, residual=residual
     )

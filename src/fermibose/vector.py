@@ -177,17 +177,20 @@ class CSR:
 
     def __add__(self, other):
         """self + other, by csr_plus_csr on rows whose columns ascend
-        without repeats: each entry adds its two terms, those that come
-        to exactly zero are dropped, and the arrays are cut to the kept
-        entries by a copy, as csr_matrix's + and its prune() make it."""
+        without repeats (csr_has_canonical_format; ValueError otherwise):
+        each entry adds its two terms, those that come to exactly zero
+        are dropped, and the arrays are cut to the kept entries by a
+        copy, as csr_matrix's + and its prune() make it."""
         if self.shape != other.shape:
             raise ValueError(f"a {self.shape} matrix plus a {other.shape} matrix")
         (m, n), nnz = self.shape, self.nnz + other.nnz
         dtype, index = np.result_type(self.data, other.data), _index_dtype(m, n, nnz)
         ap, aj, bp, bj = _cast(index, self.indptr, self.indices, other.indptr, other.indices)
+        kernels = extension("sparse", "_sparsetools")
+        if not all(kernels.csr_has_canonical_format(m, p, j) for p, j in ((ap, aj), (bp, bj))):
+            raise ValueError("a sum of rows whose columns do not ascend without repeats")
         ax, bx = _cast(dtype, self.data, other.data)
         indptr, indices, data = np.empty(m + 1, index), np.empty(nnz, index), np.empty(nnz, dtype)
-        kernels = extension("sparse", "_sparsetools")
         kernels.csr_plus_csr(m, n, ap, aj, ax, bp, bj, bx, indptr, indices, data)
         return CSR(data[: indptr[-1]].copy(), indices[: indptr[-1]].copy(), indptr, self.shape)
 
@@ -211,7 +214,9 @@ def extension(package, name):
     file alone, or the module scipy already imported: the scipy.sparse or
     scipy.linalg package would also load scipy._lib._array_api and with
     it numpy.f2py, numpy.testing, numpy.ma and numpy.random.  It enters
-    sys.modules, so a later import of its package takes this module."""
+    sys.modules, so a later import of its package takes this module but
+    binds no package attribute (scipy.sparse._sparsetools raises
+    AttributeError): reach the module through sys.modules."""
     import scipy
 
     full = f"scipy.{package}.{name}"
@@ -286,7 +291,7 @@ _CYCLES = 1000  # Lanczos cycles, the first and each restart, before giving up
 _FLOOR = 1000 * np.finfo(float).eps  # residual floor, relative to max row sum |h|
 
 
-def lowest_eigenpair(h, tol, maxiter=_CYCLES):
+def lowest_eigenpair(h, tol):
     """(energy, vector): the lowest eigenvalue of the real symmetric CSR
     h and a unit eigenvector, by Lanczos with full reorthogonalisation
     and thick restarts (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
@@ -299,7 +304,7 @@ def lowest_eigenpair(h, tol, maxiter=_CYCLES):
     the residual recomputed as ||h @ v - E v||, the bytes
     fock.ground_state prints, is at most tol * |E|, or at most the
     rounding floor _FLOOR times h's largest absolute row sum when tol
-    asks for less; it raises ValueError after maxiter cycles.  A Krylov
+    asks for less; it raises ValueError after _CYCLES cycles.  A Krylov
     space that closes (beta at the floor, as for a diagonal h, or n
     vectors) is invariant, and its lowest Ritz pair is returned as it
     stands.  Every product is h @ x, scipy's csr_matvec, the product of
@@ -315,7 +320,7 @@ def lowest_eigenpair(h, tol, maxiter=_CYCLES):
     v[0] /= np.linalg.norm(v[0])
     t = np.zeros((m, m))  # v^T h v: the kept Ritz values, their arrow, then tridiagonal
     kept = 0
-    for _ in range(maxiter):
+    for _ in range(_CYCLES):
         for j in range(kept, m):
             w = v[j + 1]
             w[:] = h @ v[j]
@@ -343,7 +348,7 @@ def lowest_eigenpair(h, tol, maxiter=_CYCLES):
         t[:] = 0.0
         t[:kept, :kept] = np.diag(theta[:kept])
         t[kept, :kept] = t[:kept, kept] = beta * s[-1, :kept]
-    raise ValueError(f"Lanczos did not converge in {maxiter} cycles")
+    raise ValueError(f"Lanczos did not converge in {_CYCLES} cycles")
 
 
 def _unit(x):

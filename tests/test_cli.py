@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -178,8 +177,7 @@ def test_solver_residual_is_gated(tmp_path, argv):
 def test_unconverged_lanczos_sector_is_skipped(tmp_path, monkeypatch):
     """A Lanczos solve that does not converge raises ValueError, which
     _solve records as a skipped row; the run goes on."""
-    one_restart = functools.partial(vector.lowest_eigenpair, maxiter=1)
-    monkeypatch.setattr(fock, "lowest_eigenpair", one_restart)
+    monkeypatch.setattr(vector, "_CYCLES", 1)
     argv = ["scaling", "--radii", "1", "--cutoff-radius-sq", "5", "--window-degree", "1"]
     assert run_cli(*argv, "--potential", POT2, "--out", str(tmp_path)) == 0
     header, rows = read_csv(tmp_path / "scaling.csv")

@@ -433,13 +433,13 @@ def test_ground_state_free_gas(small2):
     assert gs.energy == pytest.approx(L.kinetic_ground_sum(small2), rel=1e-13)
     assert gs.method == "dense"
     # unique free ground state: the filled ball itself
-    top = max(gs.vector.terms.items(), key=lambda kv: abs(kv[1]))
-    assert top[0] == L.fermi_ball(small2)
+    basis = F.sector_basis(small2, 4)
+    assert basis[int(np.argmax(np.abs(gs.vector)))] == L.fermi_ball(small2)
     # the default Lanczos: the diagonal H closes the Krylov space early
     it = F.ground_state(small2, pot, cutoff_radius_sq=4)
     assert it.method == "iterative"
     assert it.energy == pytest.approx(gs.energy, rel=1e-13)
-    assert max(it.vector.terms.items(), key=lambda kv: abs(kv[1]))[0] == top[0]
+    assert basis[int(np.argmax(np.abs(it.vector)))] == L.fermi_ball(small2)
     # the r = 0 gas: its one determinant, the filled ball {0}, has excess
     # exactly 0, which the matrix does not store
     free = L.GasConfig(d=2, fermi_radius_sq=0)
@@ -561,25 +561,49 @@ def test_dense_ground_state_matches_plain_eigh(small2, unit4, cutoff, dim):
 
     from fermibose.cli import _dsyevr
 
-    basis = F.sector_basis(small2, cutoff)
-    h = F.hamiltonian_matrix(small2, unit4, basis)
+    h = F.hamiltonian_matrix(small2, unit4, F.sector_basis(small2, cutoff))
     for eigh, solver in ((np.linalg.eigh, np.linalg.eigh), (scipy.linalg.eigh, _dsyevr)):
         got = F.ground_state(small2, unit4, cutoff_radius_sq=cutoff, eigh=solver)
         w, u = eigh(h.toarray())
-        vec = F._canonical_phase(u[:, 0])
+        vec = u[:, 0] if u[np.argmax(np.abs(u[:, 0])), 0] > 0 else -u[:, 0]
         assert (got.method, got.dimension) == ("dense", dim)
         assert got.energy == float(w[0])
         assert np.array_equal(h @ vec, _scipy(h) @ vec)
         assert got.residual == float(np.linalg.norm(h @ vec - w[0] * vec))
-        want = {det: complex(x) for det, x in zip(basis, vec) if x != 0.0}
-        assert got.vector.terms == F.FermionVector(want).pruned().terms
+        assert np.array_equal(got.vector, vec)
 
 
-def test_ground_state_deterministic(small2, unit4):
-    a = F.ground_state(small2, unit4, cutoff_radius_sq=4)
-    b = F.ground_state(small2, unit4, cutoff_radius_sq=4)
-    assert a.energy == b.energy
-    assert a.vector.terms == b.vector.terms
+@pytest.mark.parametrize("eigh", [None, np.linalg.eigh], ids=["iterative", "dense"])
+def test_ground_state_returns_the_solver_vector(small2, unit4, monkeypatch, eigh):
+    """The vector is the solver's unit eigenvector as an owning float64
+    array in sector_basis order, its largest entry positive, and the
+    residual is that of the array itself.  A solver that returns -v
+    gives the same bytes, so the sign rule takes both branches."""
+    got = F.ground_state(small2, unit4, cutoff_radius_sq=5, eigh=eigh)
+    h = F.hamiltonian_matrix(small2, unit4, F.sector_basis(small2, 5))
+    vec = got.vector
+    assert got.method == ("iterative" if eigh is None else "dense")
+    assert (vec.dtype, vec.shape, vec.flags.owndata) == (np.float64, (got.dimension,), True)
+    assert vec[np.argmax(np.abs(vec))] > 0
+    assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-13)
+    assert got.residual == float(np.linalg.norm(h @ vec - got.energy * vec))
+    if eigh is None:
+        monkeypatch.setattr(F, "lowest_eigenpair", _negated(F.lowest_eigenpair))
+    else:
+        eigh = _negated(eigh)
+    flipped = F.ground_state(small2, unit4, cutoff_radius_sq=5, eigh=eigh)
+    assert (flipped.energy, flipped.residual) == (got.energy, got.residual)
+    assert np.array_equal(flipped.vector, vec)
+
+
+def _negated(solve):
+    """The solver with its eigenvectors negated."""
+
+    def negated(*args):
+        values, vectors = solve(*args)
+        return values, -vectors
+
+    return negated
 
 
 def test_iterative_ground_state_deterministic(small2, unit4):
@@ -588,7 +612,7 @@ def test_iterative_ground_state_deterministic(small2, unit4):
     assert a.method == b.method == "iterative"
     assert a.residual == b.residual
     assert a.energy == b.energy
-    assert a.vector.terms == b.vector.terms
+    assert np.array_equal(a.vector, b.vector)
 
 
 # ------------------------------------------- the move operators, pinned

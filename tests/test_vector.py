@@ -233,6 +233,22 @@ def test_csr_products_refuse_mismatched_shapes():
     assert np.array_equal(V.gram(h), [[1.0, 0.0], [0.0, 4.0]])
 
 
+def test_csr_sum_refuses_rows_that_are_not_canonical():
+    """+ takes rows whose columns ascend without repeats: a row of columns
+    2, 0, 1 plus a row of column 1 would come out as columns 1, 0, 2,
+    unsorted, so either order of the operands raises ValueError, and so
+    does a repeated column."""
+
+    def row(cols):
+        return CSR.from_counts(np.ones(len(cols)), np.array(cols), [len(cols)], (1, 3))
+
+    for a, b in ((row([2, 0, 1]), row([1])), (row([1]), row([2, 0, 1])), (row([0, 0]), row([1]))):
+        with pytest.raises(ValueError, match="ascend without repeats"):
+            a + b
+    total = row([0, 1, 2]) + row([1])
+    assert (total.indices.tolist(), total.data.tolist()) == ([0, 1, 2], [1.0, 2.0, 1.0])
+
+
 def _dense_record(a):
     """The CSR record of the nonzero entries of a dense array."""
     rows, cols = np.nonzero(a)
@@ -289,9 +305,10 @@ def test_lowest_eigenpair_with_empty_rows():
     _assert_eigenpair(h, energy, vec, 1e-9)
 
 
-def test_lowest_eigenpair_raises_when_it_does_not_converge():
+def test_lowest_eigenpair_raises_when_it_does_not_converge(monkeypatch):
     rng = np.random.default_rng(300)
     a = rng.standard_normal((300, 300))
     h = _dense_record(a + a.T)
+    monkeypatch.setattr(V, "_CYCLES", 1)
     with pytest.raises(ValueError, match="did not converge in 1 cycles"):
-        V.lowest_eigenpair(h, 1e-9, maxiter=1)
+        V.lowest_eigenpair(h, 1e-9)
