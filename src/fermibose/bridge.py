@@ -52,11 +52,14 @@ def phi_monomial_image(config: GasConfig, mono: tuple) -> FermionVector:
 
 
 def phi_map(f: BosonVector, config: GasConfig) -> FermionVector:
-    """Linear extension of the monomial map."""
-    out = FermionVector()
+    """Linear extension of the monomial map: one sum over the monomials'
+    images in order, pruned once."""
+    acc = {}
     for mono, amp in f.terms.items():
-        out = out + amp * phi_monomial_image(config, mono)
-    return out
+        amp = complex(amp)
+        for det, v in phi_monomial_image(config, mono).terms.items():
+            acc[det] = acc.get(det, 0j) + amp * v
+    return FermionVector.finish(acc)
 
 
 def _phi_scale(k, config: GasConfig) -> float:
@@ -462,9 +465,16 @@ class LogLogFit:
 
 
 def loglog_fit(xs, ys) -> LogLogFit:
-    """Least squares slope of log y against log x."""
+    """Least squares slope of log y against log x.  Every value must be
+    positive and finite, and the x values must take at least two distinct
+    values."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two points")
+    for x, y in zip(xs, ys):
+        if not (0 < x < math.inf and 0 < y < math.inf):
+            raise ValueError(f"point ({x}, {y}) is not positive and finite")
+    if len(set(xs)) < 2:
+        raise ValueError(f"x values {list(xs)} are all equal: the slope is undefined")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -53,7 +53,6 @@ class ExperimentConfig:
     d: int = _key(2, "lattice dimension", low=2)
     alpha: float = _key(-1.0, "coupling exponent")
     radii: tuple = _key((), "comma-separated fermi_radius_sq sweep")
-    particles: tuple = _key((), "comma-separated magic N sweep")
     potential: str | None = _key(None, "potential file path")
     window_radius_sq: int = _key(1, "largest |k|^2 of a window mode", low=1)
     window_degree: int = _key(2, "largest window monomial degree", low=0)
@@ -70,38 +69,12 @@ class ExperimentConfig:
     out: str = _key("runs", "output directory (default runs/)")
 
     def resolved_radii(self):
-        if self.radii and self.particles:
-            raise ConfigError("give either radii or particles, not both")
-        if self.particles:
-            radii = []
-            for n in self.particles:
-                try:
-                    radii.append(
-                        GasConfig.from_particle_count(
-                            self.d, n, self.alpha
-                        ).fermi_radius_sq
-                    )
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-            return tuple(radii)
-        if self.radii:
-            bad = [
-                r
-                for r in self.radii
-                if not lattice.is_occupied_radius(self.d, r) or r < 1
-            ]
-            if bad:
-                raise ConfigError(
-                    f"radii {bad} are not occupied squared radii in d={self.d}"
-                )
-            return tuple(self.radii)
-        # first few closed shells as a usable default sweep
-        out, r = [], 1
-        while len(out) < 4:
-            if lattice.is_occupied_radius(self.d, r):
-                out.append(r)
-            r += 1
-        return tuple(out)
+        if not self.radii:  # the first four closed shells; 1, 2, 4 and 5 are shells in every d
+            return tuple(r for r, _ in lattice.magic_numbers(self.d, 5)[1:5])
+        bad = [r for r in self.radii if not lattice.is_occupied_radius(self.d, r) or r < 1]
+        if bad:
+            raise ConfigError(f"radii {bad} are not occupied squared radii in d={self.d}")
+        return tuple(self.radii)
 
     def gas(self, radius_sq: int) -> GasConfig:
         return GasConfig(d=self.d, fermi_radius_sq=radius_sq, alpha=self.alpha)
@@ -191,9 +164,8 @@ def load_config(experiment: str, path: str | None, overrides: dict) -> Experimen
         if len(cfg.momentum) != cfg.d:
             raise ConfigError(f"momentum {cfg.momentum} does not have {cfg.d} components")
     if cfg.experiment == "magic":
-        for key in ("radii", "particles"):
-            if getattr(cfg, key):
-                raise ConfigError(f"{key} is not read by magic, which sweeps max_radius_sq")
+        if cfg.radii:
+            raise ConfigError("radii is not read by magic, which sweeps max_radius_sq")
     else:  # raises before run makes the output directory
         cfg.resolved_radii()
     return cfg

@@ -140,25 +140,6 @@ class GasConfig:
                 "Fermi shell is full"
             )
 
-    @classmethod
-    def from_particle_count(cls, d: int, n: int, alpha: float = 0.0) -> "GasConfig":
-        """Build the configuration whose Fermi ball holds exactly n points.
-
-        Raises if n is not a magic number for this dimension.
-        """
-        if n < 1:
-            raise ValueError(f"particle count must be >= 1, got {n}")
-        # closed ball of radius n certainly holds more than n points
-        for r, count in magic_numbers(d, n):
-            if count == n:
-                return cls(d=d, fermi_radius_sq=r, alpha=alpha)
-            if count > n:
-                break
-        raise ValueError(
-            f"n={n} is not a magic number in d={d}; the free ground state "
-            "would be degenerate"
-        )
-
     @property
     def fermi_momentum(self) -> float:
         """k_F in physical units, 2*pi*sqrt(fermi_radius_sq)."""

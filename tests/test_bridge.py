@@ -64,6 +64,21 @@ def test_phi_linear(small2, rng):
     assert (lhs - rhs).norm() < 1e-12
 
 
+def test_phi_map_sums_the_images_once(monkeypatch):
+    # two images that cancel on one determinant: it leaves no entry, and
+    # the other determinants keep the order in which they were first seen
+    d1, d2, d3, d4 = (F.determinant([(0, 0), m]) for m in [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    images = {
+        (K1,): F.FermionVector({d1: 1.0 + 0j, d2: 0.5 + 0j, d3: 2.0 + 0j}),
+        ((0, 1),): F.FermionVector({d2: -0.25 + 0j, d4: 1.0j}),
+    }
+    monkeypatch.setattr(BR, "phi_monomial_image", lambda config, mono: images[mono])
+    f = B.BosonVector({(K1,): 1.0 + 0j, ((0, 1),): 2.0 + 0j})
+    out = BR.phi_map(f, None)
+    assert list(out.terms) == [d1, d3, d4]
+    assert list(out.terms.values()) == [1.0, 2.0, 2.0j]
+
+
 # ----------------------------------------------------------- isometry audit
 
 
@@ -609,3 +624,20 @@ def test_loglog_fit_recovers_power_law():
     assert len(fit.points) == 4
     with pytest.raises(ValueError):
         BR.loglog_fit([1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        ([1, 2], [0, 1], r"point \(1, 0\) is not positive"),
+        ([1, 2, 4], [1, -2, 4], r"point \(2, -2\) is not positive"),
+        ([0, 2], [1, 1], r"point \(0, 1\) is not positive"),
+        ([1, 2], [1, math.nan], r"point \(2, nan\) is not positive"),
+        ([1, math.inf], [1, 2], r"point \(inf, 2\) is not positive and finite"),
+        ([1, 1], [1, 2], r"x values \[1, 1\] are all equal"),
+    ],
+    ids=["zero-y", "negative-y", "zero-x", "nan-y", "infinite-x", "one-x"],
+)
+def test_loglog_fit_refuses_points_without_a_slope(xs, ys, message):
+    with pytest.raises(ValueError, match=message):
+        BR.loglog_fit(xs, ys)

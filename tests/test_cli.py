@@ -494,23 +494,9 @@ def test_non_magic_radius_rejected(tmp_path):
     assert run_cli("bounds", "--radii", "3", "--out", str(tmp_path)) == 2
 
 
-def test_non_magic_particle_count_rejected(tmp_path):
-    assert run_cli("bounds", "--particles", "6", "--out", str(tmp_path)) == 2
-
-
-def test_radii_and_particles_conflict(tmp_path):
-    assert (
-        run_cli(
-            "bounds",
-            "--radii",
-            "1",
-            "--particles",
-            "5",
-            "--out",
-            str(tmp_path),
-        )
-        == 2
-    )
+def test_default_sweep_is_the_first_four_shells():
+    assert cli.ExperimentConfig("bounds", d=2).resolved_radii() == (1, 2, 4, 5)
+    assert cli.ExperimentConfig("bounds", d=3).resolved_radii() == (1, 2, 3, 4)
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -552,7 +538,7 @@ def test_momentum_dimension_checked(tmp_path):
             "window_radius_sq",
         ),
         ("bounds", [], "radii: 5\n", "radii must be a list"),
-        ("magic", [], "particles: 5\n", "particles must be a list"),
+        ("magic", [], "particles: 5\n", "unknown config keys: ['particles']"),
         ("exact", ["--radii", "1"], "momentum: 0\n", "momentum must be a list"),
         (
             "scaling",
@@ -615,13 +601,14 @@ def test_momentum_dimension_checked(tmp_path):
         ),
         ("h2-audit", ["--radii", "1"], "cutoff_momentum: .nan\n", "cutoff_momentum must be finite"),
         ("bounds", ["--radii", "3"], None, "radii [3] are not occupied squared radii"),
-        ("bounds", ["--radii", "1", "--particles", "5"], None, "either radii or particles"),
-        ("bounds", ["--particles", "6"], None, "n=6 is not a magic number"),
+        # particles, a second way to name a sweep, is no config key or flag
+        ("bounds", ["--radii", "1", "--particles", "5"], None, "unrecognized arguments: --particles"),
+        ("bounds", ["--particles", "6"], None, "unrecognized arguments: --particles"),
         ("crescent-audit", ["--radii", "3"], None, "radii [3] are not occupied"),
         ("magic", ["--radii", "3"], None, "radii is not read by magic"),
         ("magic", [], "radii: [1, 2]\n", "radii is not read by magic"),
-        ("magic", ["--particles", "5"], None, "particles is not read by magic"),
-        ("magic", [], "particles: [5]\n", "particles is not read by magic"),
+        ("magic", ["--particles", "5"], None, "unrecognized arguments: --particles"),
+        ("magic", [], "particles: [5]\n", "unknown config keys: ['particles']"),
     ],
     ids=[
         "window-degree",
@@ -672,7 +659,11 @@ def test_bad_window_and_sweep_config_rejected(
         cfgfile = tmp_path / "bad.yaml"
         cfgfile.write_text(yaml_text)
         argv += ["--config", str(cfgfile)]
-    assert run_cli(*argv) == 2
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag
+        code = exc.code
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -682,7 +673,6 @@ FLAGS = {
     "--d": (int, "lattice dimension"),
     "--alpha": (float, "coupling exponent"),
     "--radii": (tuple, "comma-separated fermi_radius_sq sweep"),
-    "--particles": (tuple, "comma-separated magic N sweep"),
     "--potential": (str, "potential file path"),
     "--window-radius-sq": (int, None),
     "--window-degree": (int, None),
@@ -698,8 +688,8 @@ FLAGS = {
     "--threads": (int, "worker processes"),
     "--out": (str, "output directory (default runs/)"),
 }
-# sample values that meet every key's lower bound; 5 and 9 are both
-# occupied squared radii and magic particle counts in d = 2
+# sample values that meet every key's lower bound; 5 and 9 are
+# occupied squared radii in d = 2
 SAMPLE_TEXT = {int: ("3", 3), float: ("7.5", 7.5), str: ("x", "x"), tuple: ("5,9", (5, 9))}
 
 

@@ -111,15 +111,10 @@ def test_gas_config_validation():
     assert cfg.fermi_momentum == pytest.approx(2 * lat.TWO_PI)
 
 
-def test_from_particle_count_roundtrip():
+def test_magic_numbers_are_particle_counts():
     for d in (2, 3):
         for r, n in lat.magic_numbers(d, 25):
-            cfg = lat.GasConfig.from_particle_count(d, n)
-            assert cfg.fermi_radius_sq == r
-            assert lat.particle_count(cfg) == n
-    for bad in (2, 3, 4, 6, 7, 8, 10, 12, 20):
-        with pytest.raises(ValueError):
-            lat.GasConfig.from_particle_count(2, bad)
+            assert lat.particle_count(lat.GasConfig(d, r)) == n
 
 
 def test_crescent_frozen_example():
