@@ -339,17 +339,13 @@ def h2_expectation_audit(
 class TrialReport:
     """Exact Rayleigh quotient of the full Hamiltonian at Phi(f).
 
-    raw = e_n0 + h1_part + h2_part up to identity_gap (rounding only);
-    bosonic_prediction replaces h1_part by the bosonic quadratic form at f
-    and drops the remainder.
+    raw = e_n0 + h1_part + h2_part up to identity_gap (rounding only).
     """
 
     raw: float
     e_n0: float
     h1_part: float
     h2_part: float
-    bosonic_prediction: float
-    discrepancy: float
     identity_gap: float
     image_norm: float
 
@@ -373,15 +369,11 @@ def trial_energy(f: BosonVector, config: GasConfig, pot) -> TrialReport:
     h1_part /= nsq
     raw = e0 + kin + rho_sum / nsq
     gap = raw - (e0 + h1_part + h2_part)
-    hb = boson.hb_apply(boson.hb_weights(config, pot), f)
-    bosonic = e0 + f.inner(hb).real / f.norm_sq()
     return TrialReport(
         raw=raw,
         e_n0=e0,
         h1_part=h1_part,
         h2_part=h2_part,
-        bosonic_prediction=bosonic,
-        discrepancy=raw - bosonic,
         identity_gap=gap,
         image_norm=math.sqrt(nsq),
     )

@@ -392,8 +392,7 @@ def _trial_row(cfg, pot, r):
         "upper_filled": upper,
         "upper_bosonic_min": lower + res.value,
         "trial_energy": report.raw,
-        "bosonic_prediction": report.bosonic_prediction,
-        "discrepancy": report.discrepancy,
+        "discrepancy": report.raw - (lower + res.value),
         "identity_gap": report.identity_gap,
     }
     return [row], []

@@ -508,11 +508,11 @@ def unit_potential(d: int, radius_sq: int = 1, zero_mode: float = 0.0) -> Potent
     return Potential(d, coeff)
 
 
-def load_potential(path, d=None) -> Potential:
+def load_potential(path, d: int) -> Potential:
     """Read "k_1 ... k_d value" lines; '#' starts a comment.
 
     All format problems are collected and raised together so a bad file
-    reports every offending entry at once.
+    reports every offending entry at once, or that it has no data line.
     """
     entries = {}
     violations = []
@@ -522,11 +522,6 @@ def load_potential(path, d=None) -> Potential:
             if not line:
                 continue
             toks = line.split()
-            if d is None:
-                if len(toks) < 2:
-                    violations.append((f"line {lineno}", "expected k components and a value"))
-                    continue
-                d = len(toks) - 1
             if len(toks) != d + 1:
                 violations.append((f"line {lineno}", f"expected {d} components and a value"))
                 continue
@@ -544,7 +539,7 @@ def load_potential(path, d=None) -> Potential:
                 violations.append((k, "duplicate entry"))
                 continue
             entries[k] = v
-    if d is None:
+    if not entries and not violations:
         violations.append(("file", "no data lines"))
     if violations:
         raise PotentialError(violations)

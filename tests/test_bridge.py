@@ -435,7 +435,9 @@ def test_trial_energy_of_vacuum(small2, unit4):
     assert report.image_norm == pytest.approx(1.0)
     assert abs(report.identity_gap) < 1e-9
     # the bosonic form reproduces the filled-ball energy exactly here
-    assert abs(report.discrepancy) < 1e-9
+    vac = B.BosonVector.vacuum()
+    bosonic = report.e_n0 + vac.inner(B.hb_apply(B.hb_weights(small2, unit4), vac)).real
+    assert abs(report.raw - bosonic) < 1e-9
     assert report.h2_part == 0.0
 
 

@@ -406,7 +406,7 @@ SWEEP_HEADERS = {
     + ["state", "cutoff_momentum", "value", "bound", "margin", "status"],
     "trial": GAS
     + ["e_n0", "upper_filled", "upper_bosonic_min", "trial_energy"]
-    + ["bosonic_prediction", "discrepancy", "identity_gap"],
+    + ["discrepancy", "identity_gap"],
     "scaling": GAS
     + ["e_n0", "upper_filled", "upper_subspace", "exact_energy"]
     + ["ratio_filled", "ratio_subspace", "exact_status"],
@@ -602,13 +602,10 @@ def test_momentum_dimension_checked(tmp_path):
         ("h2-audit", ["--radii", "1"], "cutoff_momentum: .nan\n", "cutoff_momentum must be finite"),
         ("bounds", ["--radii", "3"], None, "radii [3] are not occupied squared radii"),
         # particles, a second way to name a sweep, is no config key or flag
-        ("bounds", ["--radii", "1", "--particles", "5"], None, "unrecognized arguments: --particles"),
         ("bounds", ["--particles", "6"], None, "unrecognized arguments: --particles"),
         ("crescent-audit", ["--radii", "3"], None, "radii [3] are not occupied"),
         ("magic", ["--radii", "3"], None, "radii is not read by magic"),
         ("magic", [], "radii: [1, 2]\n", "radii is not read by magic"),
-        ("magic", ["--particles", "5"], None, "unrecognized arguments: --particles"),
-        ("magic", [], "particles: [5]\n", "unknown config keys: ['particles']"),
     ],
     ids=[
         "window-degree",
@@ -642,13 +639,10 @@ def test_momentum_dimension_checked(tmp_path):
         "cutoff-momentum-inf",
         "cutoff-momentum-nan-yaml",
         "radii-not-occupied",
-        "radii-and-particles",
-        "particles-not-magic",
+        "particles-flag",
         "crescent-audit-radii",
         "magic-radii-flag",
         "magic-radii-yaml",
-        "magic-particles-flag",
-        "magic-particles-yaml",
     ],
 )
 def test_bad_window_and_sweep_config_rejected(
@@ -957,6 +951,22 @@ def test_bad_potential_enumerated(tmp_path):
         assert sorted(r for d in details for r in set(reasons) if d.startswith(r)) == reasons
         assert not any("vhat(k)=" in detail for detail in details)
         assert not (out / "bounds.csv").exists()
+
+
+def test_potential_without_data_lines_rejected(tmp_path):
+    empty = tmp_path / "empty.potential"
+    empty.write_text("# comments only\n\n")
+    out = tmp_path / "o"
+    argv = ["bounds", "--radii", "1", "--potential", str(empty), "--out", str(out)]
+    assert run_cli(*argv) == 1
+    assert read_json(out / "failures.json") == [
+        {"invariant": "potential.format", "row": {"where": "file"}, "detail": "no data lines"}
+    ]
+    assert not (out / "bounds.csv").exists()
+    for d in (2, 3):
+        with pytest.raises(fock.PotentialError) as err:
+            fock.load_potential(empty, d)
+        assert err.value.violations == [("file", "no data lines")]
 
 
 def test_missing_potential_file(tmp_path):

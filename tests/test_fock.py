@@ -374,7 +374,7 @@ def test_load_potential_roundtrip(tmp_path):
     path.write_text(
         "# unit modes\n1 0 1.0\n-1 0 1.0\n0 1 1.0\n0 -1 1.0\n0 0 0.0\n"
     )
-    pot = F.load_potential(path)
+    pot = F.load_potential(path, d=2)
     assert pot.d == 2
     assert pot.value_at_origin() == 4.0
 
@@ -383,7 +383,7 @@ def test_load_potential_reports_every_violation(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 0 1.0\n1 0 2.0\n0 1 x\n2 0\n0 2 -1\n0 -2 -1\n")
     with pytest.raises(F.PotentialError) as err:
-        F.load_potential(path)
+        F.load_potential(path, d=2)
     text = str(err.value)
     assert "duplicate" in text
     assert "non-numeric" in text
